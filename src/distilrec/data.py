@@ -36,7 +36,6 @@ __all__ = [
     "write_canonical_tsv",
     "split_uniform",
     "partition_batches",
-    "sample_unobserved",
     "generate_synthetic",
     "pack",
 ]
@@ -331,6 +330,8 @@ class UnobservedSampler:
         return cls(dataset.n_users, dataset.n_items, dataset.observed_pairs(), rng)
 
     def _is_observed(self, keys: np.ndarray) -> np.ndarray:
+        if self._observed_keys.size == 0:
+            return np.zeros(keys.shape, dtype=bool)
         pos = np.searchsorted(self._observed_keys, keys)
         pos = np.minimum(pos, self._observed_keys.size - 1)
         return self._observed_keys[pos] == keys
@@ -349,10 +350,6 @@ class UnobservedSampler:
             out[filled:filled + take] = keys[:take]
             filled += take
         return np.column_stack([out // self.n_items, out % self.n_items])
-
-
-def sample_unobserved(sampler: UnobservedSampler, n: int) -> np.ndarray:
-    return sampler.sample(n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,16 @@
 """Scalar losses: BCE, L2 penalty, distillation discrepancies, composites.
 
-Both training objectives share the same skeleton: a binary-cross-entropy
-data term over logged interactions, plus an L2 penalty on weights and
-embeddings.  The student objective adds a teacher-alignment term over
-unobserved user-item pairs, measured by one of four discrepancies
-between the two predicted probabilities (MAE, MSE, KL with the teacher
-as reference distribution, or the symmetric Jeffreys divergence).
-
-``loss_and_grads`` evaluates a composite objective and its analytic
-gradient in one pass, sharing dropout masks between the value and the
-gradient.  Teacher predictions enter only as constant targets, so no
-gradient ever reaches the teacher.
+``loss_and_grads`` is the one training objective, value and analytic
+gradient in one pass, sharing dropout masks between the two.  It is a
+binary-cross-entropy data term over an ``ObservedBatch``, plus an L2
+penalty on weights and embeddings, plus (for the student) a
+teacher-alignment term over an ``UnobservedBatch``, measured by one of
+four discrepancies between the two predicted probabilities (MAE, MSE,
+KL with the teacher as reference distribution, or the symmetric
+Jeffreys divergence).  The teacher's objective is the same call without
+the unobserved batch; the caller feeds it uniform-source data only.
+Teacher predictions enter only as constant targets, so no gradient ever
+reaches the teacher.  ``bce`` and ``reg_loss`` score a single pair.
 """
 
 from __future__ import annotations
@@ -21,14 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .network import (
-    ForwardMode,
-    Gradients,
-    Network,
-    backprop,
-    forward_batch,
-    forward_cached,
-)
+from .network import ForwardMode, Network, backprop, forward_cached
 from .rng import RngStream
 
 __all__ = [
@@ -40,8 +33,6 @@ __all__ = [
     "weighted_empirical_risk",
     "l2_reg",
     "reg_loss",
-    "teacher_loss",
-    "student_loss",
     "ObservedBatch",
     "UnobservedBatch",
     "loss_and_grads",
@@ -100,10 +91,10 @@ def weighted_empirical_risk(losses: Sequence[float], weights: Sequence[float]) -
 
 
 def l2_reg(net: Network) -> float:
-    """Sum of squared weight and embedding entries; biases excluded."""
-    total = float(np.sum(np.square(net.user_emb)) + np.sum(np.square(net.item_emb)))
-    for w in net.weights:
-        total += float(np.sum(np.square(w)))
+    """Sum of squared entries over ``net.l2_arrays()``; biases excluded."""
+    total = 0.0
+    for a in net.l2_arrays():
+        total += float(np.sum(np.square(a)))
     return total
 
 
@@ -174,54 +165,12 @@ class LossBreakdown:
         return LossBreakdown(data_term, distill_term, reg_term, total)
 
 
-def teacher_loss(
-    teacher: Network,
-    batch,
-    lam_t: float,
-    clamp: ClampPolicy = DEFAULT_CLAMP,
-) -> LossBreakdown:
-    """Mean BCE over a uniform-source batch plus L2 penalty."""
-    from .data import Source
-
-    if len(batch) == 0:
-        raise ValueError("teacher batch must be nonempty")
-    if any(inter.source is not Source.UNIFORM for inter in batch):
-        raise ValueError("teacher batch must contain uniform-source data only")
-    pairs = [(inter.user, inter.item) for inter in batch]
-    labels = np.array([inter.label for inter in batch], dtype=np.float64)
-    probs = forward_batch(teacher, pairs, ForwardMode.DETERMINISTIC)
-    data_term = float(np.mean(_bce_terms(probs, labels, clamp)))
-    return LossBreakdown.compose(data_term, 0.0, l2_reg(teacher), gamma_reg=0.0, lam=lam_t)
-
-
-def student_loss(
-    student: Network,
-    teacher_targets: Sequence[float],
-    observed,
-    unobserved_pairs,
-    gamma_reg: float,
-    lam_s: float,
-    kind: RegLossKind,
-    clamp: ClampPolicy = DEFAULT_CLAMP,
-) -> LossBreakdown:
-    """Mean BCE over observed data, plus teacher alignment on unobserved pairs."""
-    if len(observed) == 0:
-        raise ValueError("observed batch must be nonempty")
-    targets = np.asarray(teacher_targets, dtype=np.float64)
-    if len(targets) != len(unobserved_pairs):
-        raise ValueError(
-            f"{len(targets)} teacher targets for {len(unobserved_pairs)} unobserved pairs"
-        )
-    pairs = [(inter.user, inter.item) for inter in observed]
-    labels = np.array([inter.label for inter in observed], dtype=np.float64)
-    probs = forward_batch(student, pairs, ForwardMode.DETERMINISTIC)
-    data_term = float(np.mean(_bce_terms(probs, labels, clamp)))
-    if len(targets):
-        s_probs = forward_batch(student, unobserved_pairs, ForwardMode.DETERMINISTIC)
-        distill_term = float(np.mean(_reg_terms(kind, targets, s_probs, clamp)))
-    else:
-        distill_term = 0.0
-    return LossBreakdown.compose(data_term, distill_term, l2_reg(student), gamma_reg, lam_s)
+def _check_lengths(batch, *fields: str) -> None:
+    n = len(batch.users)
+    for name in fields:
+        m = len(getattr(batch, name))
+        if m != n:
+            raise ValueError(f"{type(batch).__name__}: {m} {name} for {n} users")
 
 
 @dataclass
@@ -230,12 +179,18 @@ class ObservedBatch:
     items: np.ndarray
     labels: np.ndarray
 
+    def __post_init__(self):
+        _check_lengths(self, "items", "labels")
+
 
 @dataclass
 class UnobservedBatch:
     users: np.ndarray
     items: np.ndarray
     teacher_targets: np.ndarray   # constants: the teacher is detached
+
+    def __post_init__(self):
+        _check_lengths(self, "items", "teacher_targets")
 
 
 def loss_and_grads(
@@ -248,7 +203,7 @@ def loss_and_grads(
     mode: ForwardMode = ForwardMode.DETERMINISTIC,
     rng: RngStream | None = None,
     clamp: ClampPolicy = DEFAULT_CLAMP,
-) -> tuple[LossBreakdown, Gradients]:
+) -> tuple[LossBreakdown, Network]:
     """Composite objective value and its gradient w.r.t. ``net``.
 
     Dropout masks (in TRAIN_DROPOUT mode) are sampled once per batch and
@@ -257,7 +212,7 @@ def loss_and_grads(
     """
     if observed is None and unobserved is None and l2_coeff == 0.0:
         raise ValueError("loss requires a batch or a nonzero l2 coefficient")
-    grads = Gradients.zeros_like(net)
+    grads = net.zeros_like()
 
     data_term = 0.0
     if observed is not None:
@@ -285,10 +240,8 @@ def loss_and_grads(
 
     reg_term = l2_reg(net)
     if l2_coeff != 0.0:
-        grads.user_emb += 2.0 * l2_coeff * net.user_emb
-        grads.item_emb += 2.0 * l2_coeff * net.item_emb
-        for gw, w in zip(grads.weights, net.weights):
-            gw += 2.0 * l2_coeff * w
+        for g, p in zip(grads.l2_arrays(), net.l2_arrays()):
+            g += 2.0 * l2_coeff * p
 
     breakdown = LossBreakdown.compose(data_term, distill_term, reg_term, gamma_reg, l2_coeff)
     return breakdown, grads

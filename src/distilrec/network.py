@@ -9,13 +9,17 @@ an approximate posterior sampler.
 
 Everything is plain float64 numpy with hand-written reverse-mode
 gradients for this fixed architecture; there is no general autodiff.
+``Network`` is the one parameter container: ``backprop`` returns the
+gradient as a ``Network`` of the same config, and every construction,
+checkpoint loads included, checks each array's shape against the config.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -27,7 +31,6 @@ __all__ = [
     "ForwardMode",
     "NetworkConfig",
     "Network",
-    "Gradients",
     "init_network",
     "forward",
     "forward_batch",
@@ -73,16 +76,42 @@ class NetworkConfig:
         widths = [2 * self.embedding_dim, *self.hidden_sizes, 1]
         return list(zip(widths[:-1], widths[1:]))
 
+    def param_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
+        """Name and shape of every trainable array, in ``param_arrays`` order."""
+        shapes = [("user_emb", (self.n_users, self.embedding_dim)),
+                  ("item_emb", (self.n_items, self.embedding_dim))]
+        for k, (fan_in, fan_out) in enumerate(self.layer_widths()):
+            shapes += [(f"weights[{k}]", (fan_in, fan_out)), (f"biases[{k}]", (fan_out,))]
+        return shapes
+
 
 @dataclass
 class Network:
-    """Parameter container; mutated in place by the optimizer."""
+    """Parameter container; mutated in place by the optimizer.
+
+    A gradient is a Network too, of the same config, so every array is
+    shaped by the config and checked against it on construction.
+    """
 
     config: NetworkConfig
     user_emb: np.ndarray
     item_emb: np.ndarray
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+
+    def __post_init__(self):
+        n_layers = len(self.config.layer_widths())
+        if len(self.weights) != n_layers or len(self.biases) != n_layers:
+            raise ValueError(f"{len(self.weights)} weights and {len(self.biases)} biases; "
+                             f"config expects {n_layers} of each")
+        for (name, shape), a in zip(self.config.param_shapes(), self.param_arrays()):
+            if a.shape != shape:
+                raise ValueError(f"{name} has shape {a.shape}; config expects {shape}")
+
+    @classmethod
+    def from_arrays(cls, config: NetworkConfig, arrays: list[np.ndarray]) -> "Network":
+        """Network from arrays in ``param_arrays`` order."""
+        return cls(config, arrays[0], arrays[1], arrays[2::2], arrays[3::2])
 
     def param_arrays(self) -> list[np.ndarray]:
         """All trainable arrays, in fixed declaration order."""
@@ -91,54 +120,16 @@ class Network:
             out.extend((w, b))
         return out
 
-    def copy(self) -> "Network":
-        return Network(
-            config=self.config,
-            user_emb=self.user_emb.copy(),
-            item_emb=self.item_emb.copy(),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
-
-    def load_arrays(self, arrays: list[np.ndarray]) -> None:
-        own = self.param_arrays()
-        if len(own) != len(arrays):
-            raise ValueError("parameter list length mismatch")
-        for dst, src in zip(own, arrays):
-            if dst.shape != src.shape:
-                raise ValueError(f"shape mismatch: {dst.shape} vs {src.shape}")
-            dst[...] = src
+    def l2_arrays(self) -> list[np.ndarray]:
+        """The arrays under the L2 penalty: embeddings and weights, not biases."""
+        return [self.user_emb, self.item_emb, *self.weights]
 
     def all_finite(self) -> bool:
         return all(np.all(np.isfinite(a)) for a in self.param_arrays())
 
-
-@dataclass
-class Gradients:
-    """Shape-congruent companion to a Network's parameters."""
-
-    user_emb: np.ndarray
-    item_emb: np.ndarray
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def param_arrays(self) -> list[np.ndarray]:
-        out = [self.user_emb, self.item_emb]
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
-
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.param_arrays())
-
-    @staticmethod
-    def zeros_like(net: Network) -> "Gradients":
-        return Gradients(
-            user_emb=np.zeros_like(net.user_emb),
-            item_emb=np.zeros_like(net.item_emb),
-            weights=[np.zeros_like(w) for w in net.weights],
-            biases=[np.zeros_like(b) for b in net.biases],
-        )
+    def zeros_like(self) -> "Network":
+        """A zero Network of the same config, e.g. to accumulate a gradient."""
+        return Network.from_arrays(self.config, [np.zeros_like(a) for a in self.param_arrays()])
 
 
 def init_network(config: NetworkConfig, rng: RngStream) -> Network:
@@ -154,22 +145,15 @@ def init_network(config: NetworkConfig, rng: RngStream) -> Network:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return r.uniform(-limit, limit, size=(fan_in, fan_out))
 
-    user_emb = fan_uniform(config.n_users, config.embedding_dim)
-    item_emb = fan_uniform(config.n_items, config.embedding_dim)
-    weights, biases = [], []
-    for fan_in, fan_out in config.layer_widths():
-        weights.append(fan_uniform(fan_in, fan_out))
-        biases.append(np.zeros(fan_out))
-    return Network(config, user_emb, item_emb, weights, biases)
+    arrays = [fan_uniform(*shape) if len(shape) == 2 else np.zeros(shape)
+              for _, shape in config.param_shapes()]
+    return Network.from_arrays(config, arrays)
 
 
 def param_count(net_or_config: Network | NetworkConfig) -> int:
     """Exact number of trainable scalar parameters."""
     cfg = net_or_config.config if isinstance(net_or_config, Network) else net_or_config
-    n = cfg.n_users * cfg.embedding_dim + cfg.n_items * cfg.embedding_dim
-    for fan_in, fan_out in cfg.layer_widths():
-        n += fan_in * fan_out + fan_out
-    return n
+    return sum(math.prod(shape) for _, shape in cfg.param_shapes())
 
 
 def _check_ids(net: Network, users: np.ndarray, items: np.ndarray) -> None:
@@ -239,13 +223,13 @@ def forward_cached(
     return ForwardCache(users, items, x, pre_acts, acts, masks, logits, probs)
 
 
-def backprop(net: Network, cache: ForwardCache, dlogits: np.ndarray) -> Gradients:
+def backprop(net: Network, cache: ForwardCache, dlogits: np.ndarray) -> Network:
     """Reverse-mode gradients given d(loss)/d(final pre-activation).
 
     Reuses the dropout masks stored in the cache, so the gradient is
     taken of exactly the function the forward pass evaluated.
     """
-    grads = Gradients.zeros_like(net)
+    grads = net.zeros_like()
     cfg = net.config
     n_hidden = len(cfg.hidden_sizes)
     g = np.asarray(dlogits, dtype=np.float64).reshape(-1, 1)   # (B, 1)
@@ -329,12 +313,5 @@ def load_checkpoint(path) -> tuple[Network, int | None]:
             hidden_sizes=tuple(cfg_d["hidden_sizes"]),
             dropout_rate=cfg_d["dropout_rate"],
         )
-        arrays = [data[f"param_{k:02d}"] for k in range(2 + 2 * (len(cfg.hidden_sizes) + 1))]
-    net = Network(
-        config=cfg,
-        user_emb=arrays[0],
-        item_emb=arrays[1],
-        weights=[arrays[k] for k in range(2, len(arrays), 2)],
-        biases=[arrays[k] for k in range(3, len(arrays), 2)],
-    )
-    return net, header["seed"]
+        arrays = [data[f"param_{k:02d}"] for k in range(len(cfg.param_shapes()))]
+    return Network.from_arrays(cfg, arrays), header["seed"]

@@ -1,4 +1,9 @@
-"""First-order optimizers operating in place on a Network."""
+"""First-order optimizers operating in place on a Network.
+
+The gradient is itself a ``Network`` of the same config, as returned by
+``losses.loss_and_grads``; its arrays pair up with the parameters'
+through ``param_arrays``.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import Gradients, Network
+from .network import Network
 
 __all__ = ["OptimizerState", "make_optimizer", "apply_update"]
 
@@ -37,7 +42,7 @@ def make_optimizer(net: Network, kind: str = "adam", learning_rate: float = 1e-3
     return opt
 
 
-def apply_update(opt: OptimizerState, net: Network, grads: Gradients) -> None:
+def apply_update(opt: OptimizerState, net: Network, grads: Network) -> None:
     """One in-place parameter update; rejects non-finite gradients.
 
     The network is left untouched when the gradients are rejected, so a

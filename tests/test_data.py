@@ -18,7 +18,6 @@ from distilrec.data import (
     pack,
     partition_batches,
     read_canonical_tsv,
-    sample_unobserved,
     split_uniform,
     write_canonical_tsv,
 )
@@ -251,9 +250,11 @@ class TestUnobservedSampler:
         se = np.sqrt(n * (1 / 50) * (1 - 1 / 50))
         assert np.all(np.abs(counts[free] - expected) < 3 * se)
 
-    def test_sample_unobserved_wrapper(self):
-        sampler = UnobservedSampler(1, 2, np.array([[0, 0]]), RngStream(1))
-        assert sample_unobserved(sampler, 3).shape == (3, 2)
+    def test_nothing_observed_samples_whole_grid(self):
+        sampler = UnobservedSampler(3, 4, np.empty((0, 2), np.int64), RngStream(0))
+        draws = sampler.sample(5)
+        assert draws.shape == (5, 2)
+        assert np.all((draws >= 0) & (draws < [3, 4]))
 
 
 class TestGenerateSynthetic:

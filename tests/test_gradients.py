@@ -9,7 +9,7 @@ from distilrec.losses import (
     UnobservedBatch,
     loss_and_grads,
 )
-from distilrec.network import ForwardMode, Gradients, NetworkConfig, init_network
+from distilrec.network import ForwardMode, NetworkConfig, init_network
 from distilrec.optim import apply_update, make_optimizer
 from distilrec.rng import RngStream
 
@@ -149,7 +149,7 @@ class TestOptimizer:
         net = init_network(NetworkConfig(1, 1, 1, (1,)), RngStream(1))
         for arr in net.param_arrays():
             arr[...] = 1.0
-        g = Gradients.zeros_like(net)
+        g = net.zeros_like()
         for arr in g.param_arrays():
             arr[...] = 1.0
         opt = make_optimizer(net, "sgd", learning_rate=0.1)
@@ -161,7 +161,7 @@ class TestOptimizer:
         net = init_network(NetworkConfig(2, 2, 2, (2,)), RngStream(3))
         before = [a.copy() for a in net.param_arrays()]
         opt = make_optimizer(net, "sgd", learning_rate=0.5)
-        apply_update(opt, net, Gradients.zeros_like(net))
+        apply_update(opt, net, net.zeros_like())
         for a, b in zip(net.param_arrays(), before):
             np.testing.assert_array_equal(a, b)
 
@@ -169,7 +169,7 @@ class TestOptimizer:
         net = init_network(NetworkConfig(1, 1, 1, (1,)), RngStream(1))
         for arr in net.param_arrays():
             arr[...] = 1.0
-        g = Gradients.zeros_like(net)
+        g = net.zeros_like()
         for arr in g.param_arrays():
             arr[...] = 0.5
         opt = make_optimizer(net, "adam", learning_rate=0.1)
@@ -182,7 +182,7 @@ class TestOptimizer:
     def test_rejects_nonfinite_grads_and_leaves_net_untouched(self):
         net = init_network(NetworkConfig(2, 2, 2, (2,)), RngStream(3))
         before = [a.copy() for a in net.param_arrays()]
-        g = Gradients.zeros_like(net)
+        g = net.zeros_like()
         g.weights[0][0, 0] = np.nan
         opt = make_optimizer(net, "adam", learning_rate=0.1)
         with pytest.raises(ValueError, match="non-finite"):
@@ -196,4 +196,4 @@ class TestOptimizer:
         other = init_network(NetworkConfig(2, 2, 3, (2,)), RngStream(3))
         opt = make_optimizer(net, "sgd", learning_rate=0.1)
         with pytest.raises(ValueError, match="shape"):
-            apply_update(opt, net, Gradients.zeros_like(other))
+            apply_update(opt, net, other.zeros_like())

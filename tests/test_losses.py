@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from distilrec.data import Source, interaction
+from distilrec.data import Source, interaction, pack
 from distilrec.losses import (
     ClampPolicy,
     LossBreakdown,
@@ -15,8 +15,6 @@ from distilrec.losses import (
     l2_reg,
     loss_and_grads,
     reg_loss,
-    student_loss,
-    teacher_loss,
     weighted_empirical_risk,
 )
 from distilrec.network import NetworkConfig, init_network
@@ -152,78 +150,91 @@ class TestLossBreakdown:
         assert exc.value.term == "data_term"
 
 
+def observed(*interactions):
+    return ObservedBatch(*pack(list(interactions)))
+
+
+def unobserved(pairs, targets):
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return UnobservedBatch(pairs[:, 0], pairs[:, 1], np.asarray(targets, dtype=np.float64))
+
+
 class TestTeacherLoss:
+    """The teacher objective: ``loss_and_grads`` with no unobserved batch."""
+
     def test_single_sample_ln2(self):
         net = zero_net()
-        batch = [interaction(0, 0, 5, Source.UNIFORM)]
-        bd = teacher_loss(net, batch, lam_t=0.0)
+        batch = observed(interaction(0, 0, 5, Source.UNIFORM))
+        bd, _ = loss_and_grads(net, batch, l2_coeff=0.0)
         assert bd.total == pytest.approx(LN2, abs=1e-12)
         assert bd.distill_term == 0.0
 
     def test_zero_net_reg_term_zero(self):
         net = zero_net()
-        batch = [interaction(0, 0, 5, Source.UNIFORM), interaction(1, 1, 2, Source.UNIFORM)]
-        bd = teacher_loss(net, batch, lam_t=1.0)
+        batch = observed(interaction(0, 0, 5, Source.UNIFORM), interaction(1, 1, 2, Source.UNIFORM))
+        bd, _ = loss_and_grads(net, batch, l2_coeff=1.0)
         assert bd.reg_term == 0.0
         assert bd.total == pytest.approx(LN2, abs=1e-12)
 
     def test_lambda_scaling(self):
         net = init_network(NetworkConfig(3, 3, 2, (3,)), RngStream(5))
-        batch = [interaction(0, 0, 5, Source.UNIFORM), interaction(1, 2, 3, Source.UNIFORM)]
-        bd1 = teacher_loss(net, batch, lam_t=0.5)
-        bd2 = teacher_loss(net, batch, lam_t=1.0)
+        batch = observed(interaction(0, 0, 5, Source.UNIFORM), interaction(1, 2, 3, Source.UNIFORM))
+        bd1, _ = loss_and_grads(net, batch, l2_coeff=0.5)
+        bd2, _ = loss_and_grads(net, batch, l2_coeff=1.0)
         assert bd1.data_term == bd2.data_term
         assert bd1.reg_term == bd2.reg_term
         assert bd2.total - bd2.data_term == pytest.approx(2 * (bd1.total - bd1.data_term))
 
-    def test_rejects_biased_contamination(self):
-        with pytest.raises(ValueError, match="uniform"):
-            teacher_loss(zero_net(), [interaction(0, 0, 5, Source.BIASED)], 0.0)
-
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError, match="nonempty"):
-            teacher_loss(zero_net(), [], 0.0)
+            loss_and_grads(zero_net(), observed(), l2_coeff=0.0)
+
+    def test_label_length_mismatch(self):
+        with pytest.raises(ValueError, match="ObservedBatch: 1 labels for 2 users"):
+            ObservedBatch(np.array([0, 1]), np.array([0, 1]), np.array([1.0]))
 
 
 class TestStudentLoss:
+    """The student objective: ``loss_and_grads`` with a distillation term."""
+
     def test_closed_form_sum(self):
         # Observed (p=0.5, y=1) and one unobserved pair with KL(0.9, 0.5).
         net = zero_net()
-        bd = student_loss(
+        bd, _ = loss_and_grads(
             net,
-            teacher_targets=[0.9],
-            observed=[interaction(0, 0, 5, Source.BIASED)],
-            unobserved_pairs=[(0, 1)],
+            observed(interaction(0, 0, 5, Source.BIASED)),
+            unobserved([(0, 1)], [0.9]),
             gamma_reg=1.0,
-            lam_s=0.0,
-            kind=RegLossKind.KL,
+            reg_kind=RegLossKind.KL,
+            l2_coeff=0.0,
         )
         assert bd.total == pytest.approx(LN2 + KL_09_05, abs=1e-12)
         assert bd.total == pytest.approx(1.061211, abs=5e-7)
 
     def test_gamma_zero_matches_teacher_form(self):
         net = init_network(NetworkConfig(3, 3, 2, (3,)), RngStream(5))
-        obs = [interaction(0, 0, 5, Source.UNIFORM), interaction(1, 2, 3, Source.UNIFORM)]
-        bd_s = student_loss(net, [], obs, [], gamma_reg=0.0, lam_s=0.3, kind=RegLossKind.KL)
-        bd_t = teacher_loss(net, obs, lam_t=0.3)
+        obs = observed(interaction(0, 0, 5, Source.UNIFORM), interaction(1, 2, 3, Source.UNIFORM))
+        bd_s, _ = loss_and_grads(net, obs, unobserved([], []), gamma_reg=0.0,
+                                 reg_kind=RegLossKind.KL, l2_coeff=0.3)
+        bd_t, _ = loss_and_grads(net, obs, l2_coeff=0.3)
         assert bd_s.total == pytest.approx(bd_t.total, rel=1e-15)
 
     def test_matching_outputs_zero_distill(self):
         net = zero_net()
-        bd = student_loss(
-            net, [0.5, 0.5], [interaction(0, 0, 1, Source.BIASED)], [(0, 1), (1, 0)],
-            gamma_reg=5.0, lam_s=0.0, kind=RegLossKind.JEFFREYS,
+        bd, _ = loss_and_grads(
+            net, observed(interaction(0, 0, 1, Source.BIASED)), unobserved([(0, 1), (1, 0)], [0.5, 0.5]),
+            gamma_reg=5.0, reg_kind=RegLossKind.JEFFREYS, l2_coeff=0.0,
         )
         assert bd.distill_term == pytest.approx(0.0, abs=1e-12)
 
     def test_target_length_mismatch(self):
-        with pytest.raises(ValueError, match="targets"):
-            student_loss(zero_net(), [0.5], [interaction(0, 0, 5, Source.BIASED)],
-                         [(0, 1), (1, 1)], 1.0, 0.0, RegLossKind.KL)
+        with pytest.raises(ValueError, match="UnobservedBatch: 1 teacher_targets for 2 users"):
+            UnobservedBatch(np.array([0, 1]), np.array([1, 1]), np.array([0.5]))
 
     def test_empty_observed_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            student_loss(zero_net(), [], [], [], 1.0, 0.0, RegLossKind.KL)
+            loss_and_grads(zero_net(), observed(), unobserved([(0, 1)], [0.5]),
+                           gamma_reg=1.0, reg_kind=RegLossKind.KL, l2_coeff=0.0)
 
 
 class TestLossAndGradsErrors:

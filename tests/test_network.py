@@ -3,6 +3,7 @@ import pytest
 
 from distilrec.network import (
     ForwardMode,
+    Network,
     NetworkConfig,
     forward,
     forward_batch,
@@ -61,6 +62,14 @@ class TestInit:
         assert np.all(np.abs(net.weights[0]) <= limit0)
         emb_limit = np.sqrt(6.0 / (cfg.n_users + cfg.embedding_dim))
         assert np.all(np.abs(net.user_emb) <= emb_limit)
+
+    def test_construction_rejects_arrays_disagreeing_with_config(self):
+        net = init_network(small_config(hidden_sizes=(4, 3)), RngStream(2))
+        with pytest.raises(ValueError, match="2 weights and 3 biases; config expects 3 of each"):
+            Network(net.config, net.user_emb, net.item_emb, net.weights[:2], net.biases)
+        with pytest.raises(ValueError, match=r"weights\[1\] has shape \(3, 4\)"):
+            Network(net.config, net.user_emb, net.item_emb,
+                    [net.weights[0], net.weights[1].T, net.weights[2]], net.biases)
 
 
 class TestParamCount:
@@ -189,4 +198,14 @@ class TestCheckpoint:
         data["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
         np.savez(path, **data)
         with pytest.raises(ValueError, match="version"):
+            load_checkpoint(path)
+
+    def test_rejects_shapes_disagreeing_with_config(self, tmp_path):
+        net = init_network(small_config(n_users=3, embedding_dim=2), RngStream(1))
+        path = tmp_path / "net.npz"
+        save_checkpoint(net, path)
+        data = dict(np.load(path))
+        data["param_00"] = np.zeros((7, 5))
+        np.savez(path, **data)
+        with pytest.raises(ValueError, match=r"user_emb has shape \(7, 5\); config expects \(3, 2\)"):
             load_checkpoint(path)
