@@ -174,6 +174,9 @@ def _parse_matrix(path: Path) -> np.ndarray:
                 row = [int(v) for v in line.split()]
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: non-integer cell") from exc
+            bad = [v for v in row if not 0 <= v <= 5]
+            if bad:
+                raise DataFormatError(f"{path}:{lineno}: rating {bad[0]} outside 0-5")
             if width is None:
                 width = len(row)
             elif len(row) != width:
@@ -201,10 +204,7 @@ def load_coat(train_matrix_path, test_matrix_path) -> Dataset:
     for matrix, src in ((biased_m, Source.BIASED), (uniform_m, Source.UNIFORM)):
         us, its = np.nonzero(matrix)
         for u, i in zip(us.tolist(), its.tolist()):
-            rating = int(matrix[u, i])
-            if not 1 <= rating <= 5:
-                raise DataFormatError(f"rating {rating} outside 1-5 at cell ({u}, {i})")
-            interactions.append(interaction(u, i, rating, src))
+            interactions.append(interaction(u, i, int(matrix[u, i]), src))
     return Dataset(interactions, n_users=n_users, n_items=n_items)
 
 
@@ -412,9 +412,9 @@ def generate_synthetic(
 
     log_w = exposure_skew * prob.reshape(-1)
     biased_cells = _weighted_cells_without_replacement(log_w, n_biased, root.split("biased-cells"))
-    uniform_cells = _weighted_cells_without_replacement(
-        np.zeros(n_users * n_items), n_uniform, root.split("uniform-cells")
-    )
+    # With equal weights the Gumbel top-k reduces to the n largest uniform keys.
+    uniform_keys = root.split("uniform-cells").random(n_users * n_items)
+    uniform_cells = np.argpartition(-uniform_keys, n_uniform - 1)[:n_uniform]
 
     label_rng = root.split("labels").generator
     interactions = []

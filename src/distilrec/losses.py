@@ -1,16 +1,20 @@
 """Scalar losses: BCE, L2 penalty, distillation discrepancies, composites.
 
 ``loss_and_grads`` is the one training objective, value and analytic
-gradient in one pass, sharing dropout masks between the two.  It is a
-binary-cross-entropy data term over an ``ObservedBatch``, plus an L2
-penalty on weights and embeddings, plus (for the student) a
-teacher-alignment term over an ``UnobservedBatch``, measured by one of
-four discrepancies between the two predicted probabilities (MAE, MSE,
-KL with the teacher as reference distribution, or the symmetric
-Jeffreys divergence).  The teacher's objective is the same call without
-the unobserved batch; the caller feeds it uniform-source data only.
-Teacher predictions enter only as constant targets, so no gradient ever
-reaches the teacher.  ``bce`` and ``reg_loss`` score a single pair.
+gradient together.  It is a binary-cross-entropy data term over an
+``ObservedBatch``, plus an L2 penalty on weights and embeddings, plus
+(for the student) a teacher-alignment term over an ``UnobservedBatch``,
+measured by one of four discrepancies between the two predicted
+probabilities (MAE, MSE, KL with the teacher as reference distribution,
+or the symmetric Jeffreys divergence).  Both batches are scored by one
+forward pass over their concatenated rows, so dropout masks are drawn
+once and shared by value and gradient; each slice then gets its own
+logit gradient and one backward pass yields the whole gradient.  The
+teacher's objective is the same call without the unobserved batch; the
+caller feeds it uniform-source data only.  Teacher predictions enter
+only as constant targets, so no gradient ever reaches the teacher.
+``bce`` and ``reg_loss`` score a single pair.  Probabilities are clamped
+into [CLAMP_EPS, 1 - CLAMP_EPS] before any logarithm.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .network import ForwardMode, Network, backprop, forward_cached
 from .rng import RngStream
 
 __all__ = [
-    "ClampPolicy",
     "RegLossKind",
     "LossBreakdown",
     "NonFiniteLossError",
@@ -39,17 +42,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClampPolicy:
-    """Clamp probabilities into [eps, 1-eps] before any logarithm."""
-
-    eps: float = 1e-7
-
-    def apply(self, p):
-        return np.clip(p, self.eps, 1.0 - self.eps)
+CLAMP_EPS = 1e-7
 
 
-DEFAULT_CLAMP = ClampPolicy()
+def _clamp(p) -> np.ndarray:
+    return np.clip(np.asarray(p, dtype=np.float64), CLAMP_EPS, 1.0 - CLAMP_EPS)
 
 
 class NonFiniteLossError(ArithmeticError):
@@ -68,15 +65,15 @@ class RegLossKind(Enum):
     JEFFREYS = "jeffreys"
 
 
-def _bce_terms(p_hat: np.ndarray, y: np.ndarray, clamp: ClampPolicy) -> np.ndarray:
-    p = clamp.apply(np.asarray(p_hat, dtype=np.float64))
+def _bce_terms(p_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
+    p = _clamp(p_hat)
     y = np.asarray(y, dtype=np.float64)
     return -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
 
 
-def bce(p_hat: float, y: int, clamp: ClampPolicy = DEFAULT_CLAMP) -> float:
+def bce(p_hat: float, y: int) -> float:
     """Binary cross-entropy of one prediction against one binary label."""
-    return float(_bce_terms(np.array([p_hat]), np.array([y]), clamp)[0])
+    return float(_bce_terms(np.array([p_hat]), np.array([y]))[0])
 
 
 def weighted_empirical_risk(losses: Sequence[float], weights: Sequence[float]) -> float:
@@ -98,9 +95,9 @@ def l2_reg(net: Network) -> float:
     return total
 
 
-def _reg_terms(kind: RegLossKind, t: np.ndarray, s: np.ndarray, clamp: ClampPolicy) -> np.ndarray:
-    t = clamp.apply(np.asarray(t, dtype=np.float64))
-    s = clamp.apply(np.asarray(s, dtype=np.float64))
+def _reg_terms(kind: RegLossKind, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    t = _clamp(t)
+    s = _clamp(s)
     if kind is RegLossKind.MAE:
         return np.abs(t - s)
     if kind is RegLossKind.MSE:
@@ -112,13 +109,11 @@ def _reg_terms(kind: RegLossKind, t: np.ndarray, s: np.ndarray, clamp: ClampPoli
     return kl_ts + kl_st
 
 
-def _reg_grad_wrt_student(
-    kind: RegLossKind, t: np.ndarray, s: np.ndarray, clamp: ClampPolicy
-) -> np.ndarray:
+def _reg_grad_wrt_student(kind: RegLossKind, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     """d reg / d s, evaluated on clamped values; zero where s is clamped."""
-    inside = (s > clamp.eps) & (s < 1.0 - clamp.eps)
-    t = clamp.apply(np.asarray(t, dtype=np.float64))
-    s = clamp.apply(np.asarray(s, dtype=np.float64))
+    inside = (s > CLAMP_EPS) & (s < 1.0 - CLAMP_EPS)
+    t = _clamp(t)
+    s = _clamp(s)
     if kind is RegLossKind.MAE:
         g = np.sign(s - t)
     elif kind is RegLossKind.MSE:
@@ -130,19 +125,14 @@ def _reg_grad_wrt_student(
     return np.where(inside, g, 0.0)
 
 
-def reg_loss(
-    kind: RegLossKind,
-    p_teacher: float,
-    p_student: float,
-    clamp: ClampPolicy = DEFAULT_CLAMP,
-) -> float:
+def reg_loss(kind: RegLossKind, p_teacher: float, p_student: float) -> float:
     """Discrepancy between teacher and student predicted probabilities.
 
     KL uses the teacher as the reference distribution; Jeffreys is the
     symmetrized sum of both directions.  Always finite after clamping,
     nonnegative, and zero exactly when the clamped inputs coincide.
     """
-    return float(_reg_terms(kind, np.array([p_teacher]), np.array([p_student]), clamp)[0])
+    return float(_reg_terms(kind, np.array([p_teacher]), np.array([p_student]))[0])
 
 
 @dataclass(frozen=True)
@@ -202,46 +192,41 @@ def loss_and_grads(
     l2_coeff: float = 0.0,
     mode: ForwardMode = ForwardMode.DETERMINISTIC,
     rng: RngStream | None = None,
-    clamp: ClampPolicy = DEFAULT_CLAMP,
 ) -> tuple[LossBreakdown, Network]:
     """Composite objective value and its gradient w.r.t. ``net``.
 
-    Dropout masks (in TRAIN_DROPOUT mode) are sampled once per batch and
-    shared between the forward value and the backward pass.  Raises
+    One forward pass scores the observed rows followed by the unobserved
+    ones; a missing batch contributes no rows and a zero term.  Dropout
+    masks (in TRAIN_DROPOUT mode) are drawn once for all rows and shared
+    between the value and the single backward pass.  Raises
     NonFiniteLossError if any term degenerates.
     """
     if observed is None and unobserved is None and l2_coeff == 0.0:
         raise ValueError("loss requires a batch or a nonzero l2 coefficient")
-    grads = net.zeros_like()
+    if observed is not None and observed.users.size == 0:
+        raise ValueError("observed batch must be nonempty")
+    no_rows = np.empty(0, dtype=np.int64)
+    obs = observed if observed is not None else ObservedBatch(no_rows, no_rows, no_rows)
+    unobs = unobserved if unobserved is not None else UnobservedBatch(no_rows, no_rows, no_rows)
+    n, m = obs.users.size, unobs.users.size
 
-    data_term = 0.0
-    if observed is not None:
-        if observed.users.size == 0:
-            raise ValueError("observed batch must be nonempty")
-        cache = forward_cached(net, observed.users, observed.items, mode, rng)
-        labels = np.asarray(observed.labels, dtype=np.float64)
-        data_term = float(np.mean(_bce_terms(cache.probs, labels, clamp)))
-        dlogits = (cache.probs - labels) / labels.size
-        part = backprop(net, cache, dlogits)
-        for g, p in zip(grads.param_arrays(), part.param_arrays()):
-            g += p
-
-    distill_term = 0.0
-    if unobserved is not None and unobserved.users.size:
-        cache = forward_cached(net, unobserved.users, unobserved.items, mode, rng)
-        t = np.asarray(unobserved.teacher_targets, dtype=np.float64)
-        distill_term = float(np.mean(_reg_terms(reg_kind, t, cache.probs, clamp)))
-        if gamma_reg != 0.0:
-            dreg_ds = _reg_grad_wrt_student(reg_kind, t, cache.probs, clamp)
-            dlogits = gamma_reg * dreg_ds * cache.probs * (1.0 - cache.probs) / t.size
-            part = backprop(net, cache, dlogits)
-            for g, p in zip(grads.param_arrays(), part.param_arrays()):
-                g += p
+    cache = forward_cached(net, np.concatenate([obs.users, unobs.users]),
+                           np.concatenate([obs.items, unobs.items]), mode, rng)
+    p, s = cache.probs[:n], cache.probs[n:]
+    y = np.asarray(obs.labels, dtype=np.float64)
+    t = np.asarray(unobs.teacher_targets, dtype=np.float64)
+    # sum / max(count, 1) is np.mean bit for bit, and 0 for a missing batch.
+    data_term = float(np.sum(_bce_terms(p, y)) / max(n, 1))
+    distill_term = float(np.sum(_reg_terms(reg_kind, t, s)) / max(m, 1))
+    dreg_ds = _reg_grad_wrt_student(reg_kind, t, s)
+    dlogits = np.concatenate([(p - y) / max(n, 1),
+                              gamma_reg * dreg_ds * s * (1.0 - s) / max(m, 1)])
+    grads = backprop(net, cache, dlogits)
 
     reg_term = l2_reg(net)
     if l2_coeff != 0.0:
-        for g, p in zip(grads.l2_arrays(), net.l2_arrays()):
-            g += 2.0 * l2_coeff * p
+        for g, a in zip(grads.l2_arrays(), net.l2_arrays()):
+            g += 2.0 * l2_coeff * a
 
     breakdown = LossBreakdown.compose(data_term, distill_term, reg_term, gamma_reg, l2_coeff)
     return breakdown, grads

@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import rankdata
 
-from .losses import DEFAULT_CLAMP, ClampPolicy, _bce_terms
+from .losses import _bce_terms
 from .network import ForwardMode, Network, forward_batch
 from .data import Interaction, pack
 
@@ -49,15 +49,13 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def bce_eval(
-    scores: Sequence[float], labels: Sequence[int], clamp: ClampPolicy = DEFAULT_CLAMP
-) -> float:
+def bce_eval(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Mean clamped binary cross-entropy."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if s.size == 0:
         raise ValueError("bce_eval requires a nonempty input")
-    return float(np.mean(_bce_terms(s, y, clamp)))
+    return float(np.mean(_bce_terms(s, y)))
 
 
 def evaluate(net: Network, testset: Sequence[Interaction]) -> MetricsResult:

@@ -12,6 +12,10 @@ gradients for this fixed architecture; there is no general autodiff.
 ``Network`` is the one parameter container: ``backprop`` returns the
 gradient as a ``Network`` of the same config, and every construction,
 checkpoint loads included, checks each array's shape against the config.
+A training step runs ``forward_cached`` once over all its rows, observed
+and unobserved concatenated, and ``backprop`` once over the per-row
+logit gradients; ``backprop`` is the step's only gradient allocation and
+its only scatter into the embedding tables.
 """
 
 from __future__ import annotations
@@ -192,12 +196,14 @@ def forward_cached(
     In TRAIN_DROPOUT / STOCHASTIC_INFERENCE a fresh Bernoulli mask is
     drawn for every element and every hidden layer, scaled by
     1/(1-dropout_rate) so the expectation matches DETERMINISTIC output.
+    No rows draw no masks, so an empty batch needs no stream.
     """
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     _check_ids(net, users, items)
     cfg = net.config
-    use_dropout = mode is not ForwardMode.DETERMINISTIC and cfg.dropout_rate > 0.0
+    use_dropout = (users.size > 0 and mode is not ForwardMode.DETERMINISTIC
+                   and cfg.dropout_rate > 0.0)
     if use_dropout and rng is None:
         raise ValueError(f"mode {mode} requires an rng stream")
 
@@ -227,16 +233,17 @@ def backprop(net: Network, cache: ForwardCache, dlogits: np.ndarray) -> Network:
     """Reverse-mode gradients given d(loss)/d(final pre-activation).
 
     Reuses the dropout masks stored in the cache, so the gradient is
-    taken of exactly the function the forward pass evaluated.
+    taken of exactly the function the forward pass evaluated.  Dense
+    gradients are the GEMM outputs themselves; only the two embedding
+    tables are zero-filled, to scatter the rows' gradients into.
     """
-    grads = net.zeros_like()
     cfg = net.config
     n_hidden = len(cfg.hidden_sizes)
+    weights, biases = [None] * (n_hidden + 1), [None] * (n_hidden + 1)
     g = np.asarray(dlogits, dtype=np.float64).reshape(-1, 1)   # (B, 1)
 
-    a_prev = cache.acts[-1] if n_hidden else cache.x
-    grads.weights[-1][...] = a_prev.T @ g
-    grads.biases[-1][...] = g.sum(axis=0)
+    weights[-1] = cache.acts[-1].T @ g
+    biases[-1] = g.sum(axis=0)
     da = g @ net.weights[-1].T
 
     for k in range(n_hidden - 1, -1, -1):
@@ -244,14 +251,16 @@ def backprop(net: Network, cache: ForwardCache, dlogits: np.ndarray) -> Network:
             da = da * cache.masks[k]
         dz = da * (cache.pre_acts[k] > 0.0)
         a_prev = cache.acts[k - 1] if k > 0 else cache.x
-        grads.weights[k][...] = a_prev.T @ dz
-        grads.biases[k][...] = dz.sum(axis=0)
+        weights[k] = a_prev.T @ dz
+        biases[k] = dz.sum(axis=0)
         da = dz @ net.weights[k].T
 
     d = cfg.embedding_dim
-    np.add.at(grads.user_emb, cache.users, da[:, :d])
-    np.add.at(grads.item_emb, cache.items, da[:, d:])
-    return grads
+    user_emb = np.zeros_like(net.user_emb)
+    item_emb = np.zeros_like(net.item_emb)
+    np.add.at(user_emb, cache.users, da[:, :d])
+    np.add.at(item_emb, cache.items, da[:, d:])
+    return Network(cfg, user_emb, item_emb, weights, biases)
 
 
 def forward_batch(

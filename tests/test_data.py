@@ -135,6 +135,14 @@ class TestCoatLoader:
         with pytest.raises(DataFormatError, match="ragged"):
             load_coat(train, test)
 
+    def test_out_of_range_cell_reports_location(self, tmp_path):
+        train = tmp_path / "train.ascii"
+        test = tmp_path / "test.ascii"
+        train.write_text("0 5\n7 0\n")
+        self.write_matrix(test, [[0, 0], [0, 0]])
+        with pytest.raises(DataFormatError, match="train.ascii:2"):
+            load_coat(train, test)
+
 
 class TestCanonicalTsv:
     def test_round_trip_exact(self, tmp_path):
@@ -288,6 +296,17 @@ class TestGenerateSynthetic:
         pr_flat = flat.positive_ratio(Source.BIASED)
         pr_skewed = skewed.positive_ratio(Source.BIASED)
         assert pr_skewed > pr_flat
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 1000])
+    def test_uniform_cells_equal_zero_weight_gumbel_top_k(self, seed):
+        n_users, n_items, n_uniform = 40, 30, 200
+        _, ds = generate_synthetic(n_users, n_items, 4, 2.0, 100, n_uniform, seed=seed)
+        # Exact weighted sampling without replacement, every log-weight zero.
+        u = RngStream(seed).split("uniform-cells").random(n_users * n_items)
+        gumbel = -np.log(-np.log(u))
+        cells = np.argpartition(-(np.zeros(u.size) + gumbel), n_uniform - 1)[:n_uniform]
+        rows = [(i.user, i.item) for i in ds.by_source(Source.UNIFORM)]
+        assert rows == [divmod(int(c), n_items) for c in cells]
 
 
 class TestPack:

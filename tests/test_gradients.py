@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 
+from distilrec import losses
 from distilrec.losses import (
+    LossBreakdown,
     ObservedBatch,
     RegLossKind,
     UnobservedBatch,
+    _bce_terms,
+    _reg_grad_wrt_student,
+    _reg_terms,
+    l2_reg,
     loss_and_grads,
 )
-from distilrec.network import ForwardMode, NetworkConfig, init_network
+from distilrec.network import ForwardMode, NetworkConfig, backprop, forward_cached, init_network
 from distilrec.optim import apply_update, make_optimizer
 from distilrec.rng import RngStream
 
@@ -142,6 +148,100 @@ class TestFiniteDifferenceOracle:
         )
         err = max_relative_error(grads.param_arrays(), finite_difference_grads(loss_fn, net))
         assert err < 1e-4
+
+
+def two_pass_reference(net, obs, unobs, gamma, kind, lam):
+    """The objective with one forward and one backward per batch, summed."""
+    grads = net.zeros_like()
+    data_term = distill_term = 0.0
+    if obs is not None:
+        cache = forward_cached(net, obs.users, obs.items, ForwardMode.DETERMINISTIC)
+        data_term = float(np.mean(_bce_terms(cache.probs, obs.labels)))
+        part = backprop(net, cache, (cache.probs - obs.labels) / obs.labels.size)
+        for g, p in zip(grads.param_arrays(), part.param_arrays()):
+            g += p
+    if unobs is not None:
+        cache = forward_cached(net, unobs.users, unobs.items, ForwardMode.DETERMINISTIC)
+        t, s = unobs.teacher_targets, cache.probs
+        distill_term = float(np.mean(_reg_terms(kind, t, s)))
+        if gamma != 0.0:
+            dlogits = gamma * _reg_grad_wrt_student(kind, t, s) * s * (1.0 - s) / t.size
+            part = backprop(net, cache, dlogits)
+            for g, p in zip(grads.param_arrays(), part.param_arrays()):
+                g += p
+    for g, a in zip(grads.l2_arrays(), net.l2_arrays()):
+        g += 2.0 * lam * a
+    return LossBreakdown.compose(data_term, distill_term, l2_reg(net), gamma, lam), grads
+
+
+class TestOnePassMatchesTwoPassReference:
+    @staticmethod
+    def setup(seed):
+        rng = RngStream(seed)
+        net = random_net(rng, dropout=0.3, hidden=(5, 3))
+        obs, unobs = random_batches(net, rng.split("batch"), n_obs=40, n_unobs=30)
+        return net, obs, unobs
+
+    @staticmethod
+    def assert_close(net, obs, unobs, gamma, kind, lam, **kwargs):
+        bd, grads = loss_and_grads(net, obs, unobs, gamma_reg=gamma, reg_kind=kind,
+                                   l2_coeff=lam, **kwargs)
+        ref_bd, ref = two_pass_reference(net, obs, unobs, gamma, kind, lam)
+        for name in ("data_term", "distill_term", "reg_term", "total"):
+            assert getattr(bd, name) == pytest.approx(getattr(ref_bd, name), rel=1e-10, abs=0.0)
+        for a, b in zip(grads.param_arrays(), ref.param_arrays()):
+            np.testing.assert_allclose(a, b, rtol=1e-10)
+        return bd
+
+    @pytest.mark.parametrize("kind", list(RegLossKind))
+    def test_both_batches_all_reg_kinds(self, kind):
+        net, obs, unobs = self.setup(400)
+        self.assert_close(net, obs, unobs, 0.8, kind, 0.03)
+
+    @pytest.mark.parametrize("kind", list(RegLossKind))
+    def test_distill_only(self, kind):
+        net, _, unobs = self.setup(401)
+        bd = self.assert_close(net, None, unobs, 0.8, kind, 0.0)
+        assert bd.data_term == 0.0
+
+    def test_gamma_zero_reports_distill_with_zero_gradient(self):
+        net, obs, unobs = self.setup(402)
+        bd = self.assert_close(net, obs, unobs, 0.0, RegLossKind.KL, 0.03)
+        assert bd.distill_term > 0.0
+
+    def test_l2_only_needs_no_rng_in_dropout_mode(self):
+        net, _, _ = self.setup(403)
+        self.assert_close(net, None, None, 0.0, RegLossKind.KL, 0.2,
+                          mode=ForwardMode.TRAIN_DROPOUT, rng=None)
+
+    def test_observed_only_is_exact(self):
+        net, obs, _ = self.setup(404)
+        bd, grads = loss_and_grads(net, obs, l2_coeff=0.03)
+        ref_bd, ref = two_pass_reference(net, obs, None, 0.0, RegLossKind.KL, 0.03)
+        assert bd == ref_bd
+        for a, b in zip(grads.param_arrays(), ref.param_arrays()):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("with_obs, with_unobs",
+                             [(True, False), (False, True), (True, True), (False, False)])
+    def test_one_forward_and_one_backward_per_call(self, monkeypatch, with_obs, with_unobs):
+        calls = {"forward_cached": 0, "backprop": 0}
+
+        def counted(name):
+            fn = getattr(losses, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(losses, name, counted(name))
+        net, obs, unobs = self.setup(405)
+        loss_and_grads(net, obs if with_obs else None, unobs if with_unobs else None,
+                       gamma_reg=0.5, l2_coeff=0.01, mode=ForwardMode.TRAIN_DROPOUT,
+                       rng=RngStream(7))
+        assert calls == {"forward_cached": 1, "backprop": 1}
 
 
 class TestOptimizer:

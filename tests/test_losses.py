@@ -5,7 +5,6 @@ import pytest
 
 from distilrec.data import Source, interaction, pack
 from distilrec.losses import (
-    ClampPolicy,
     LossBreakdown,
     NonFiniteLossError,
     ObservedBatch,
@@ -94,7 +93,7 @@ class TestRegLoss:
         t = gen.uniform(1e-6, 1 - 1e-6, size=10_000)
         from distilrec.losses import _reg_terms
 
-        vals = _reg_terms(kind, t, t, ClampPolicy())
+        vals = _reg_terms(kind, t, t)
         assert np.all(vals >= 0.0)
         np.testing.assert_allclose(vals, 0.0, atol=1e-12)
 
@@ -114,7 +113,7 @@ class TestRegLoss:
         s = gen.uniform(0, 1, size=5000)
         from distilrec.losses import _reg_terms
 
-        assert np.all(_reg_terms(RegLossKind.KL, t, s, ClampPolicy()) >= 0.0)
+        assert np.all(_reg_terms(RegLossKind.KL, t, s) >= 0.0)
 
     def test_clamp_keeps_boundary_finite(self):
         # Unclamped KL(1, s -> 0) diverges; the clamp keeps it finite.
@@ -129,8 +128,8 @@ class TestRegLoss:
         s = gen.uniform(0, 1, size=2000)
         from distilrec.losses import _reg_terms
 
-        mse = _reg_terms(RegLossKind.MSE, t, s, ClampPolicy())
-        mae = _reg_terms(RegLossKind.MAE, t, s, ClampPolicy())
+        mse = _reg_terms(RegLossKind.MSE, t, s)
+        mae = _reg_terms(RegLossKind.MAE, t, s)
         assert np.all(mse <= mae + 1e-15)
 
 
