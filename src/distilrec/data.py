@@ -290,16 +290,7 @@ def partition_batches(
         raise ValueError("m must be >= 1")
     if m > n:
         raise ValueError(f"cannot split {n} records into {m} batches")
-    order = rng.permutation(n)
-    shuffled = [data[k] for k in order]
-    base, extra = divmod(n, m)
-    batches = []
-    start = 0
-    for k in range(m):
-        size = base + (1 if k < extra else 0)
-        batches.append(shuffled[start:start + size])
-        start += size
-    return batches
+    return [[data[k] for k in part.tolist()] for part in np.array_split(rng.permutation(n), m)]
 
 
 # ---------------------------------------------------------------------------

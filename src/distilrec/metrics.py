@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .losses import _bce_terms
 from .network import ForwardMode, Network, forward_batch
@@ -27,6 +26,12 @@ class MetricsResult:
     n_neg: int
 
 
+def _reject_nan(s: np.ndarray) -> None:
+    nan = np.flatnonzero(np.isnan(s))
+    if nan.size:
+        raise ValueError(f"score at index {nan[0]} is NaN")
+
+
 def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Probability that a random positive outscores a random negative.
 
@@ -37,6 +42,7 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
         raise ValueError("scores and labels must be equal-length 1-D sequences")
+    _reject_nan(s)
     pos = y == 1
     n_pos = int(pos.sum())
     n_neg = int(y.size - n_pos)
@@ -44,7 +50,8 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
         raise UndefinedMetricError(
             f"AUC undefined: {n_pos} positives, {n_neg} negatives"
         )
-    ranks = rankdata(s, method="average")
+    _, tie_group, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[tie_group]
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
@@ -55,6 +62,7 @@ def bce_eval(scores: Sequence[float], labels: Sequence[int]) -> float:
     y = np.asarray(labels, dtype=np.float64)
     if s.size == 0:
         raise ValueError("bce_eval requires a nonempty input")
+    _reject_nan(s)
     return float(np.mean(_bce_terms(s, y)))
 
 

@@ -15,7 +15,10 @@ checkpoint loads included, checks each array's shape against the config.
 A training step runs ``forward_cached`` once over all its rows, observed
 and unobserved concatenated, and ``backprop`` once over the per-row
 logit gradients; ``backprop`` is the step's only gradient allocation and
-its only scatter into the embedding tables.
+its only scatter into the embedding tables.  The tape ``forward_cached``
+keeps is its activations: ``backprop`` recovers the ReLU gates and the
+dropout masks from them, since a unit is live exactly when its activation
+is positive, and every live unit was scaled by 1/(1-dropout_rate).
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
+import zipfile
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import expit
 
 from .rng import RngStream
 
@@ -172,14 +175,13 @@ def _check_ids(net: Network, users: np.ndarray, items: np.ndarray) -> None:
 
 @dataclass
 class ForwardCache:
-    """Intermediate activations retained for the backward pass."""
+    """What ``backprop`` reads: inputs, activations and outputs."""
 
     users: np.ndarray
     items: np.ndarray
     x: np.ndarray                      # concatenated embeddings, (B, 2d)
-    pre_acts: list[np.ndarray]         # z_k per hidden layer, (B, w_k)
     acts: list[np.ndarray]             # post-ReLU, post-dropout, (B, w_k)
-    masks: list[np.ndarray | None]     # inverted-dropout masks, or None
+    scale: float                       # 1/(1-dropout_rate) if masks were drawn, else 1
     logits: np.ndarray                 # final pre-activation, (B,)
     probs: np.ndarray                  # sigmoid(logits), (B,)
 
@@ -207,35 +209,32 @@ def forward_cached(
     if use_dropout and rng is None:
         raise ValueError(f"mode {mode} requires an rng stream")
 
+    scale = 1.0 / (1.0 - cfg.dropout_rate) if use_dropout else 1.0
     x = np.concatenate([net.user_emb[users], net.item_emb[items]], axis=1)
+    acts = []
     a = x
-    pre_acts, acts, masks = [], [], []
-    n_hidden = len(cfg.hidden_sizes)
-    for k in range(n_hidden):
-        z = a @ net.weights[k] + net.biases[k]
-        h = np.maximum(z, 0.0)
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        a = a @ w
+        a += b
+        np.maximum(a, 0.0, out=a)
         if use_dropout:
-            keep = rng.random(h.shape) >= cfg.dropout_rate
-            mask = keep / (1.0 - cfg.dropout_rate)
-            h = h * mask
-        else:
-            mask = None
-        pre_acts.append(z)
-        acts.append(h)
-        masks.append(mask)
-        a = h
+            a *= rng.random(a.shape) >= cfg.dropout_rate
+            a *= scale
+        acts.append(a)
     logits = (a @ net.weights[-1] + net.biases[-1]).reshape(-1)
-    probs = expit(logits)
-    return ForwardCache(users, items, x, pre_acts, acts, masks, logits, probs)
+    with np.errstate(over="ignore"):  # exp(-logit) = inf gives the limit 0.0
+        probs = 1.0 / (1.0 + np.exp(-logits))
+    return ForwardCache(users, items, x, acts, scale, logits, probs)
 
 
 def backprop(net: Network, cache: ForwardCache, dlogits: np.ndarray) -> Network:
     """Reverse-mode gradients given d(loss)/d(final pre-activation).
 
-    Reuses the dropout masks stored in the cache, so the gradient is
-    taken of exactly the function the forward pass evaluated.  Dense
-    gradients are the GEMM outputs themselves; only the two embedding
-    tables are zero-filled, to scatter the rows' gradients into.
+    Recovers the ReLU gates and dropout masks from the activations, so
+    the gradient is taken of exactly the function the forward pass
+    evaluated.  Dense gradients are the GEMM outputs themselves; only
+    the two embedding tables are zero-filled, to scatter the rows'
+    gradients into.
     """
     cfg = net.config
     n_hidden = len(cfg.hidden_sizes)
@@ -247,9 +246,7 @@ def backprop(net: Network, cache: ForwardCache, dlogits: np.ndarray) -> Network:
     da = g @ net.weights[-1].T
 
     for k in range(n_hidden - 1, -1, -1):
-        if cache.masks[k] is not None:
-            da = da * cache.masks[k]
-        dz = da * (cache.pre_acts[k] > 0.0)
+        dz = da * ((cache.acts[k] > 0.0) * cache.scale)
         a_prev = cache.acts[k - 1] if k > 0 else cache.x
         weights[k] = a_prev.T @ dz
         biases[k] = dz.sum(axis=0)
@@ -270,10 +267,7 @@ def forward_batch(
     rng: RngStream | None = None,
 ) -> np.ndarray:
     """Probabilities for a batch of (user, item) pairs."""
-    arr = np.asarray(pairs, dtype=np.int64)
-    if arr.size == 0:
-        return np.empty(0, dtype=np.float64)
-    arr = arr.reshape(-1, 2)
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     return forward_cached(net, arr[:, 0], arr[:, 1], mode, rng).probs
 
 
@@ -290,17 +284,10 @@ def forward(
 
 def save_checkpoint(net: Network, path, seed: int | None = None) -> None:
     """Serialize (config, parameters, seed); round-trips bit-exactly."""
-    cfg = net.config
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "seed": seed,
-        "config": {
-            "n_users": cfg.n_users,
-            "n_items": cfg.n_items,
-            "embedding_dim": cfg.embedding_dim,
-            "hidden_sizes": list(cfg.hidden_sizes),
-            "dropout_rate": cfg.dropout_rate,
-        },
+        "config": asdict(net.config),
     }
     arrays = {f"param_{k:02d}": a for k, a in enumerate(net.param_arrays())}
     buf = io.BytesIO()
@@ -310,17 +297,14 @@ def save_checkpoint(net: Network, path, seed: int | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[Network, int | None]:
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        if header["format_version"] != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header['format_version']}")
-        cfg_d = header["config"]
-        cfg = NetworkConfig(
-            n_users=cfg_d["n_users"],
-            n_items=cfg_d["n_items"],
-            embedding_dim=cfg_d["embedding_dim"],
-            hidden_sizes=tuple(cfg_d["hidden_sizes"]),
-            dropout_rate=cfg_d["dropout_rate"],
-        )
-        arrays = [data[f"param_{k:02d}"] for k in range(len(cfg.param_shapes()))]
+    with open(path, "rb") as fh:
+        if not zipfile.is_zipfile(fh):
+            raise ValueError(f"{path}: not a checkpoint (truncated or not a zip file)")
+        fh.seek(0)
+        with np.load(fh) as data:
+            header = json.loads(bytes(data["header"]).decode())
+            if header["format_version"] != CHECKPOINT_FORMAT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {header['format_version']}")
+            cfg = NetworkConfig(**header["config"])
+            arrays = [data[f"param_{k:02d}"] for k in range(len(cfg.param_shapes()))]
     return Network.from_arrays(cfg, arrays), header["seed"]

@@ -221,6 +221,16 @@ class TestPartitionBatches:
         with pytest.raises(ValueError):
             partition_batches(TestSplitUniform.fake_uniform(3), 4, RngStream(0))
 
+    def test_consecutive_slices_of_seeded_permutation(self):
+        data = TestSplitUniform.fake_uniform(53)
+        shuffled = [data[k] for k in RngStream(9).permutation(53)]
+        expected, start = [], 0
+        for k in range(7):
+            size = 53 // 7 + (1 if k < 53 % 7 else 0)
+            expected.append(shuffled[start:start + size])
+            start += size
+        assert partition_batches(data, 7, RngStream(9)) == expected
+
 
 class TestUnobservedSampler:
     def test_single_free_cell(self):

@@ -150,6 +150,54 @@ class TestFiniteDifferenceOracle:
         assert err < 1e-4
 
 
+class TestTapeMatchesStoredMaskReference:
+    def test_dropout_backprop_bit_exact(self):
+        # The reference keeps each layer's pre-activation and float mask, as
+        # a tape that stores them would; backprop recovers both from the
+        # activations and must agree to the last bit.
+        rng = RngStream(77)
+        net = random_net(rng, dropout=0.4, hidden=(4, 3))
+        users = rng.generator.integers(0, net.config.n_users, size=50)
+        items = rng.generator.integers(0, net.config.n_items, size=50)
+        dlogits = rng.generator.normal(size=50)
+        stream = rng.split("dropout")
+        cache = forward_cached(net, users, items, ForwardMode.TRAIN_DROPOUT, stream.clone())
+        grads = backprop(net, cache, dlogits)
+
+        p = net.config.dropout_rate
+        masks_rng = stream.clone()
+        x = np.concatenate([net.user_emb[users], net.item_emb[items]], axis=1)
+        a, pre_acts, acts, masks = x, [], [], []
+        for w, b in zip(net.weights[:-1], net.biases[:-1]):
+            z = a @ w + b
+            mask = (masks_rng.random(z.shape) >= p) / (1.0 - p)
+            a = np.maximum(z, 0.0) * mask
+            pre_acts.append(z)
+            acts.append(a)
+            masks.append(mask)
+        logits = (a @ net.weights[-1] + net.biases[-1]).reshape(-1)
+        np.testing.assert_array_equal(cache.logits, logits)
+
+        g = dlogits.reshape(-1, 1)
+        ref_w, ref_b = [acts[-1].T @ g], [g.sum(axis=0)]
+        da = g @ net.weights[-1].T
+        for k in (1, 0):
+            dz = da * masks[k] * (pre_acts[k] > 0.0)
+            ref_w.insert(0, (acts[k - 1] if k > 0 else x).T @ dz)
+            ref_b.insert(0, dz.sum(axis=0))
+            da = dz @ net.weights[k].T
+        d = net.config.embedding_dim
+        ref_u, ref_i = np.zeros_like(net.user_emb), np.zeros_like(net.item_emb)
+        np.add.at(ref_u, users, da[:, :d])
+        np.add.at(ref_i, items, da[:, d:])
+
+        assert any(np.any((m == 0.0) & (z > 0.0)) for m, z in zip(masks, pre_acts))
+        np.testing.assert_array_equal(grads.user_emb, ref_u)
+        np.testing.assert_array_equal(grads.item_emb, ref_i)
+        for got, want in zip(grads.weights + grads.biases, ref_w + ref_b):
+            np.testing.assert_array_equal(got, want)
+
+
 def two_pass_reference(net, obs, unobs, gamma, kind, lam):
     """The objective with one forward and one backward per batch, summed."""
     grads = net.zeros_like()

@@ -19,6 +19,10 @@ class TestAuc:
     def test_all_ties_half(self):
         assert auc([0.3, 0.3, 0.3, 0.3], [1, 0, 1, 0]) == 0.5
 
+    def test_nan_score_rejected_with_index(self):
+        with pytest.raises(ValueError, match="index 2 is NaN"):
+            auc([0.9, 0.1, np.nan, 0.5, np.nan], [1, 0, 1, 0, 0])
+
     def test_single_class_rejected(self):
         with pytest.raises(UndefinedMetricError):
             auc([0.1, 0.2], [1, 1])
@@ -87,6 +91,10 @@ class TestBceEval:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             bce_eval([], [])
+
+    def test_nan_score_rejected_with_index(self):
+        with pytest.raises(ValueError, match="index 1 is NaN"):
+            bce_eval([0.3, np.nan, 0.7], [1, 0, 1])
 
 
 class TestEvaluate:

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,6 +105,15 @@ class TestForward:
         p = forward_batch(net, [(u, i) for u in range(5) for i in range(6)])
         assert np.all((p > 0.0) & (p < 1.0))
 
+    def test_sigmoid_limits_without_warning(self):
+        net = init_network(small_config(), RngStream(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            net.biases[-1][...] = -1000.0
+            assert forward(net, 2, 3) == 0.0
+            net.biases[-1][...] = 1000.0
+            assert forward(net, 2, 3) == 1.0
+
     def test_out_of_range_ids_rejected(self):
         net = init_network(small_config(), RngStream(1))
         with pytest.raises(ValueError, match="out of range"):
@@ -198,6 +210,14 @@ class TestCheckpoint:
         data["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
         np.savez(path, **data)
         with pytest.raises(ValueError, match="version"):
+            load_checkpoint(path)
+
+    def test_truncated_file_rejected_naming_path(self, tmp_path):
+        path = tmp_path / "net.npz"
+        save_checkpoint(init_network(small_config(), RngStream(1)), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:len(blob) // 2])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a checkpoint")):
             load_checkpoint(path)
 
     def test_rejects_shapes_disagreeing_with_config(self, tmp_path):
