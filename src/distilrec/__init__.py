@@ -9,7 +9,7 @@ exploration when the student selects its own future training data.
 from .data import Dataset, Interaction, Source, SplitSpec, UnobservedSampler
 from .losses import LossBreakdown, RegLossKind
 from .metrics import MetricsResult, auc, bce_eval, evaluate
-from .network import ForwardMode, Network, NetworkConfig, forward, forward_batch, param_count
+from .network import ForwardMode, Network, NetworkConfig, forward_batch, param_count
 from .rng import RngStream
 
 __version__ = "0.1.0"
@@ -29,7 +29,6 @@ __all__ = [
     "ForwardMode",
     "Network",
     "NetworkConfig",
-    "forward",
     "forward_batch",
     "param_count",
     "RngStream",

@@ -6,16 +6,15 @@ and a large slice logged by a deployed recommender (exposure-biased).
 Ratings on a 1-5 scale are binarized: only a 5 counts as a positive.
 
 The module also builds synthetic ground-truth worlds with a known
-preference matrix; these serve as oracles for debiasing experiments and
-as generators for pristine-format dataset files.
+preference matrix; these serve as oracles for debiasing experiments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,8 +31,6 @@ __all__ = [
     "binarize",
     "load_yahoo",
     "load_coat",
-    "read_canonical_tsv",
-    "write_canonical_tsv",
     "split_uniform",
     "partition_batches",
     "generate_synthetic",
@@ -94,12 +91,6 @@ class Dataset:
 
     def by_source(self, source: Source) -> list[Interaction]:
         return [inter for inter in self.interactions if inter.source is source]
-
-    def positive_ratio(self, source: Source | None = None) -> float:
-        subset = self.interactions if source is None else self.by_source(source)
-        if not subset:
-            return float("nan")
-        return sum(inter.label for inter in subset) / len(subset)
 
     def observed_pairs(self) -> np.ndarray:
         """Distinct (user, item) pairs over both sources, shape (n, 2)."""
@@ -209,43 +200,6 @@ def load_coat(train_matrix_path, test_matrix_path) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Canonical interchange format
-# ---------------------------------------------------------------------------
-
-
-def write_canonical_tsv(dataset: Dataset, path) -> None:
-    """0-based ``user<TAB>item<TAB>rating<TAB>source`` lines, UTF-8."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for inter in dataset.interactions:
-            fh.write(f"{inter.user}\t{inter.item}\t{inter.rating}\t{inter.source.value}\n")
-
-
-def read_canonical_tsv(path, n_users: int | None = None, n_items: int | None = None) -> Dataset:
-    interactions = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataFormatError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            try:
-                user, item, rating = int(parts[0]), int(parts[1]), int(parts[2])
-                source = Source(parts[3])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad field") from exc
-            if not 1 <= rating <= 5:
-                raise DataFormatError(f"{path}:{lineno}: rating {rating} outside 1-5")
-            interactions.append(interaction(user, item, rating, source))
-    if n_users is None:
-        n_users = 1 + max((i.user for i in interactions), default=-1)
-    if n_items is None:
-        n_items = 1 + max((i.item for i in interactions), default=-1)
-    return Dataset(interactions, n_users=n_users, n_items=n_items)
-
-
-# ---------------------------------------------------------------------------
 # Splits and batches
 # ---------------------------------------------------------------------------
 
@@ -310,7 +264,12 @@ class UnobservedSampler:
         self.n_users = n_users
         self.n_items = n_items
         pairs = np.asarray(observed_pairs, dtype=np.int64).reshape(-1, 2)
-        self._observed_keys = np.unique(pairs[:, 0] * n_items + pairs[:, 1])
+        users, items = pairs[:, 0], pairs[:, 1]
+        bad = np.flatnonzero((users < 0) | (users >= n_users) | (items < 0) | (items >= n_items))
+        if bad.size:
+            raise ValueError(f"observed pair at row {bad[0]} {tuple(pairs[bad[0]].tolist())} "
+                             f"outside the {n_users} x {n_items} grid")
+        self._observed_keys = np.unique(users * n_items + items)
         self._rng = rng
         self._n_cells = n_users * n_items
         if self._observed_keys.size >= self._n_cells:
@@ -350,16 +309,9 @@ class UnobservedSampler:
 
 @dataclass
 class SyntheticWorld:
-    """Known preference matrix plus the two logging policies over it."""
+    """Ground truth of a generated world: the matrix both logs were drawn from."""
 
     prob: np.ndarray          # P[u, i] = p(label=1 | u, i), entries in (0, 1)
-    exposure_skew: float
-    seed: int
-
-    def exposure_weights(self) -> np.ndarray:
-        """Cell weights of the biased policy, proportional to exp(skew * P)."""
-        w = np.exp(self.exposure_skew * self.prob)
-        return w / w.sum()
 
 
 def _weighted_cells_without_replacement(
@@ -399,7 +351,7 @@ def generate_synthetic(
     i_f = fr.normal(size=(n_items, latent_dim))
     logits = scale * (u_f @ i_f.T) + bias
     prob = 1.0 / (1.0 + np.exp(-logits))
-    world = SyntheticWorld(prob=prob, exposure_skew=exposure_skew, seed=seed)
+    world = SyntheticWorld(prob=prob)
 
     log_w = exposure_skew * prob.reshape(-1)
     biased_cells = _weighted_cells_without_replacement(log_w, n_biased, root.split("biased-cells"))

@@ -1,4 +1,4 @@
-"""Scalar losses: BCE, L2 penalty, distillation discrepancies, composites.
+"""Losses: BCE, L2 penalty, distillation discrepancies, composites.
 
 ``loss_and_grads`` is the one training objective, value and analytic
 gradient together.  It is a binary-cross-entropy data term over an
@@ -13,15 +13,14 @@ logit gradient and one backward pass yields the whole gradient.  The
 teacher's objective is the same call without the unobserved batch; the
 caller feeds it uniform-source data only.  Teacher predictions enter
 only as constant targets, so no gradient ever reaches the teacher.
-``bce`` and ``reg_loss`` score a single pair.  Probabilities are clamped
-into [CLAMP_EPS, 1 - CLAMP_EPS] before any logarithm.
+Probabilities are clamped into [CLAMP_EPS, 1 - CLAMP_EPS] before any
+logarithm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -32,10 +31,7 @@ __all__ = [
     "RegLossKind",
     "LossBreakdown",
     "NonFiniteLossError",
-    "bce",
-    "weighted_empirical_risk",
     "l2_reg",
-    "reg_loss",
     "ObservedBatch",
     "UnobservedBatch",
     "loss_and_grads",
@@ -71,22 +67,6 @@ def _bce_terms(p_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
 
 
-def bce(p_hat: float, y: int) -> float:
-    """Binary cross-entropy of one prediction against one binary label."""
-    return float(_bce_terms(np.array([p_hat]), np.array([y]))[0])
-
-
-def weighted_empirical_risk(losses: Sequence[float], weights: Sequence[float]) -> float:
-    """sum_i w_i * l_i; with weights 1/n this is the plain mean."""
-    l = np.asarray(losses, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if l.shape != w.shape:
-        raise ValueError(f"length mismatch: {l.shape} losses vs {w.shape} weights")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    return float(np.dot(w, l))
-
-
 def l2_reg(net: Network) -> float:
     """Sum of squared entries over ``net.l2_arrays()``; biases excluded."""
     total = 0.0
@@ -96,6 +76,12 @@ def l2_reg(net: Network) -> float:
 
 
 def _reg_terms(kind: RegLossKind, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Per-pair discrepancy between teacher ``t`` and student ``s`` probabilities.
+
+    KL uses the teacher as the reference distribution; Jeffreys is the
+    symmetrized sum of both directions.  Always finite after clamping,
+    nonnegative, and zero exactly when the clamped inputs coincide.
+    """
     t = _clamp(t)
     s = _clamp(s)
     if kind is RegLossKind.MAE:
@@ -123,16 +109,6 @@ def _reg_grad_wrt_student(kind: RegLossKind, t: np.ndarray, s: np.ndarray) -> np
     else:
         g = (s - t) / (s * (1.0 - s)) + np.log(s) - np.log(t) - np.log1p(-s) + np.log1p(-t)
     return np.where(inside, g, 0.0)
-
-
-def reg_loss(kind: RegLossKind, p_teacher: float, p_student: float) -> float:
-    """Discrepancy between teacher and student predicted probabilities.
-
-    KL uses the teacher as the reference distribution; Jeffreys is the
-    symmetrized sum of both directions.  Always finite after clamping,
-    nonnegative, and zero exactly when the clamped inputs coincide.
-    """
-    return float(_reg_terms(kind, np.array([p_teacher]), np.array([p_student]))[0])
 
 
 @dataclass(frozen=True)

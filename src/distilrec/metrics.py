@@ -26,10 +26,20 @@ class MetricsResult:
     n_neg: int
 
 
-def _reject_nan(s: np.ndarray) -> None:
+def _checked(scores: Sequence[float], labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-length 1-D float scores and 0/1 labels; names the first bad entry."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    if s.ndim != 1 or s.shape != y.shape:
+        raise ValueError(f"scores and labels must be equal-length 1-D sequences, "
+                         f"got shapes {s.shape} and {y.shape}")
     nan = np.flatnonzero(np.isnan(s))
     if nan.size:
         raise ValueError(f"score at index {nan[0]} is NaN")
+    bad = np.flatnonzero((y != 0) & (y != 1))
+    if bad.size:
+        raise ValueError(f"label at index {bad[0]} is {y[bad[0]]}, not 0 or 1")
+    return s, y
 
 
 def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
@@ -38,11 +48,7 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     Pairwise definition with half credit for ties, computed via average
     ranks (Mann-Whitney) in O(n log n).  Requires both classes present.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
-    if s.shape != y.shape or s.ndim != 1:
-        raise ValueError("scores and labels must be equal-length 1-D sequences")
-    _reject_nan(s)
+    s, y = _checked(scores, labels)
     pos = y == 1
     n_pos = int(pos.sum())
     n_neg = int(y.size - n_pos)
@@ -58,11 +64,9 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
 
 def bce_eval(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Mean clamped binary cross-entropy."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
+    s, y = _checked(scores, labels)
     if s.size == 0:
         raise ValueError("bce_eval requires a nonempty input")
-    _reject_nan(s)
     return float(np.mean(_bce_terms(s, y)))
 
 

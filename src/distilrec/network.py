@@ -39,7 +39,6 @@ __all__ = [
     "NetworkConfig",
     "Network",
     "init_network",
-    "forward",
     "forward_batch",
     "param_count",
     "save_checkpoint",
@@ -266,20 +265,13 @@ def forward_batch(
     mode: ForwardMode = ForwardMode.DETERMINISTIC,
     rng: RngStream | None = None,
 ) -> np.ndarray:
-    """Probabilities for a batch of (user, item) pairs."""
-    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    """Probabilities for (user, item) pairs shaped (n, 2); ``[]`` is n = 0."""
+    arr = np.asarray(pairs, dtype=np.int64)
+    if arr.shape == (0,):
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"pairs must have shape (n, 2), got {arr.shape}")
     return forward_cached(net, arr[:, 0], arr[:, 1], mode, rng).probs
-
-
-def forward(
-    net: Network,
-    user: int,
-    item: int,
-    mode: ForwardMode = ForwardMode.DETERMINISTIC,
-    rng: RngStream | None = None,
-) -> float:
-    """Probability for a single (user, item) pair."""
-    return float(forward_batch(net, [(user, item)], mode, rng)[0])
 
 
 def save_checkpoint(net: Network, path, seed: int | None = None) -> None:

@@ -15,14 +15,14 @@ from .network import Network
 
 __all__ = ["OptimizerState", "make_optimizer", "apply_update"]
 
+# Adam's moment decay rates and denominator guard.
+BETA1, BETA2, EPSILON_HAT = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class OptimizerState:
     kind: str                    # "sgd" | "adam"
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon_hat: float = 1e-8
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -42,6 +42,10 @@ def make_optimizer(net: Network, kind: str = "adam", learning_rate: float = 1e-3
     return opt
 
 
+def _shapes_match(arrays: list[np.ndarray], params: list[np.ndarray]) -> bool:
+    return len(arrays) == len(params) and all(a.shape == p.shape for a, p in zip(arrays, params))
+
+
 def apply_update(opt: OptimizerState, net: Network, grads: Network) -> None:
     """One in-place parameter update; rejects non-finite gradients.
 
@@ -50,8 +54,11 @@ def apply_update(opt: OptimizerState, net: Network, grads: Network) -> None:
     """
     params = net.param_arrays()
     garrs = grads.param_arrays()
-    if len(params) != len(garrs) or any(p.shape != g.shape for p, g in zip(params, garrs)):
+    if not _shapes_match(garrs, params):
         raise ValueError("gradient shapes do not match network parameters")
+    if opt.kind == "adam" and not (_shapes_match(opt.m, params) and _shapes_match(opt.v, params)):
+        raise ValueError("Adam moments m/v do not match network parameters; "
+                         "build the state with make_optimizer")
     if not grads.all_finite():
         raise ValueError("non-finite gradient; network left unchanged")
 
@@ -61,15 +68,14 @@ def apply_update(opt: OptimizerState, net: Network, grads: Network) -> None:
         for p, g in zip(params, garrs):
             p -= lr * g
     else:
-        b1, b2, eps = opt.beta1, opt.beta2, opt.epsilon_hat
-        bias1 = 1.0 - b1 ** opt.step
-        bias2 = 1.0 - b2 ** opt.step
+        bias1 = 1.0 - BETA1 ** opt.step
+        bias2 = 1.0 - BETA2 ** opt.step
         for p, g, m, v in zip(params, garrs, opt.m, opt.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * np.square(g)
-            p -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * np.square(g)
+            p -= lr * (m / bias1) / (np.sqrt(v / bias2) + EPSILON_HAT)
 
     if not net.all_finite():
         raise FloatingPointError("parameters became non-finite after update")

@@ -38,10 +38,6 @@ class RngStream:
         """Derive an independent child stream identified by ``label``."""
         return RngStream(self.seed, self._spawn_key + (_label_key(label),))
 
-    def clone(self) -> "RngStream":
-        """Fresh stream with identical seed/path, rewound to the start."""
-        return RngStream(self.seed, self._spawn_key)
-
     # Thin pass-throughs for the handful of draw shapes the package uses.
 
     def uniform(self, low: float, high: float, size) -> np.ndarray:

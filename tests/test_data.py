@@ -17,11 +17,15 @@ from distilrec.data import (
     load_yahoo,
     pack,
     partition_batches,
-    read_canonical_tsv,
     split_uniform,
-    write_canonical_tsv,
 )
 from distilrec.rng import RngStream
+
+
+def zero_weight_gumbel_top_k(stream, n_cells, k):
+    """Exact weighted sampling without replacement, every log-weight zero."""
+    gumbel = -np.log(-np.log(stream.random(n_cells)))
+    return np.argpartition(-(np.zeros(n_cells) + gumbel), k - 1)[:k]
 
 
 class TestBinarize:
@@ -144,22 +148,6 @@ class TestCoatLoader:
             load_coat(train, test)
 
 
-class TestCanonicalTsv:
-    def test_round_trip_exact(self, tmp_path):
-        _, ds = generate_synthetic(12, 9, 3, 2.0, n_biased=40, n_uniform=20, seed=3)
-        path = tmp_path / "canonical.tsv"
-        write_canonical_tsv(ds, path)
-        back = read_canonical_tsv(path, n_users=ds.n_users, n_items=ds.n_items)
-        assert back.interactions == ds.interactions
-        assert (back.n_users, back.n_items) == (ds.n_users, ds.n_items)
-
-    def test_labels_always_rebinarized(self, tmp_path):
-        path = tmp_path / "c.tsv"
-        path.write_text("0\t0\t5\tuniform\n0\t1\t4\tbiased\n")
-        ds = read_canonical_tsv(path)
-        assert [i.label for i in ds.interactions] == [1, 0]
-
-
 class TestSplitUniform:
     @staticmethod
     def fake_uniform(n):
@@ -274,6 +262,16 @@ class TestUnobservedSampler:
         assert draws.shape == (5, 2)
         assert np.all((draws >= 0) & (draws < [3, 4]))
 
+    def test_pairs_outside_grid_rejected_naming_row(self):
+        # Unchecked, (0, 3) in a 2 x 3 grid would take the key of cell (1, 0),
+        # and that cell would never be sampled.
+        with pytest.raises(ValueError, match=r"row 1 \(0, 3\) outside the 2 x 3 grid"):
+            UnobservedSampler(2, 3, np.array([[0, 0], [0, 3]]), RngStream(1))
+        with pytest.raises(ValueError, match=r"row 0 \(-1, 2\)"):
+            UnobservedSampler(2, 3, np.array([[-1, 2], [1, 1]]), RngStream(1))
+        with pytest.raises(ValueError, match=r"row 0 \(2, 0\)"):
+            UnobservedSampler(2, 3, np.array([[2, 0]]), RngStream(1))
+
 
 class TestGenerateSynthetic:
     def test_determinism(self):
@@ -283,9 +281,13 @@ class TestGenerateSynthetic:
         assert d1.interactions == d2.interactions
 
     def test_zero_skew_policies_coincide(self):
-        w, _ = generate_synthetic(10, 10, 3, 0.0, 20, 20, seed=1)
-        weights = w.exposure_weights()
-        np.testing.assert_allclose(weights, 1.0 / weights.size, rtol=1e-12)
+        # At zero skew the biased logger draws cells as the uniform one does.
+        n_users, n_items, n_biased = 10, 10, 20
+        _, ds = generate_synthetic(n_users, n_items, 3, 0.0, n_biased, 20, seed=1)
+        cells = zero_weight_gumbel_top_k(
+            RngStream(1).split("biased-cells"), n_users * n_items, n_biased)
+        rows = [(i.user, i.item) for i in ds.by_source(Source.BIASED)]
+        assert rows == [divmod(int(c), n_items) for c in cells]
 
     def test_uniform_log_positive_rate_tracks_world_mean(self):
         w, ds = generate_synthetic(60, 60, 4, 2.0, 100, 2000, seed=7)
@@ -303,18 +305,16 @@ class TestGenerateSynthetic:
     def test_positive_skew_raises_positive_rate(self):
         _, flat = generate_synthetic(40, 40, 4, 0.0, 600, 600, seed=3)
         _, skewed = generate_synthetic(40, 40, 4, 12.0, 600, 600, seed=3)
-        pr_flat = flat.positive_ratio(Source.BIASED)
-        pr_skewed = skewed.positive_ratio(Source.BIASED)
+        pr_flat = np.mean([i.label for i in flat.by_source(Source.BIASED)])
+        pr_skewed = np.mean([i.label for i in skewed.by_source(Source.BIASED)])
         assert pr_skewed > pr_flat
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 1000])
     def test_uniform_cells_equal_zero_weight_gumbel_top_k(self, seed):
         n_users, n_items, n_uniform = 40, 30, 200
         _, ds = generate_synthetic(n_users, n_items, 4, 2.0, 100, n_uniform, seed=seed)
-        # Exact weighted sampling without replacement, every log-weight zero.
-        u = RngStream(seed).split("uniform-cells").random(n_users * n_items)
-        gumbel = -np.log(-np.log(u))
-        cells = np.argpartition(-(np.zeros(u.size) + gumbel), n_uniform - 1)[:n_uniform]
+        cells = zero_weight_gumbel_top_k(
+            RngStream(seed).split("uniform-cells"), n_users * n_items, n_uniform)
         rows = [(i.user, i.item) for i in ds.by_source(Source.UNIFORM)]
         assert rows == [divmod(int(c), n_items) for c in cells]
 

@@ -16,7 +16,7 @@ from distilrec.losses import (
     loss_and_grads,
 )
 from distilrec.network import ForwardMode, NetworkConfig, backprop, forward_cached, init_network
-from distilrec.optim import apply_update, make_optimizer
+from distilrec.optim import OptimizerState, apply_update, make_optimizer
 from distilrec.rng import RngStream
 
 from oracles import finite_difference_grads, max_relative_error
@@ -160,12 +160,11 @@ class TestTapeMatchesStoredMaskReference:
         users = rng.generator.integers(0, net.config.n_users, size=50)
         items = rng.generator.integers(0, net.config.n_items, size=50)
         dlogits = rng.generator.normal(size=50)
-        stream = rng.split("dropout")
-        cache = forward_cached(net, users, items, ForwardMode.TRAIN_DROPOUT, stream.clone())
+        cache = forward_cached(net, users, items, ForwardMode.TRAIN_DROPOUT, rng.split("dropout"))
         grads = backprop(net, cache, dlogits)
 
         p = net.config.dropout_rate
-        masks_rng = stream.clone()
+        masks_rng = rng.split("dropout")
         x = np.concatenate([net.user_emb[users], net.item_emb[items]], axis=1)
         a, pre_acts, acts, masks = x, [], [], []
         for w, b in zip(net.weights[:-1], net.biases[:-1]):
@@ -337,6 +336,24 @@ class TestOptimizer:
             apply_update(opt, net, g)
         for a, b in zip(net.param_arrays(), before):
             np.testing.assert_array_equal(a, b)
+        assert opt.step == 0
+
+    def test_rejects_adam_state_without_moments(self):
+        net = init_network(NetworkConfig(2, 2, 2, (2,)), RngStream(3))
+        before = [a.copy() for a in net.param_arrays()]
+        g = net.zeros_like()
+        for arr in g.param_arrays():
+            arr[...] = 0.5
+        opt = OptimizerState(kind="adam", learning_rate=0.1)
+        with pytest.raises(ValueError, match="moments"):
+            apply_update(opt, net, g)
+        for a, b in zip(net.param_arrays(), before):
+            np.testing.assert_array_equal(a, b)
+        assert opt.step == 0
+        other = make_optimizer(init_network(NetworkConfig(2, 3, 2, (2,)), RngStream(3)), "adam")
+        opt.m, opt.v = other.m, other.v
+        with pytest.raises(ValueError, match="moments"):
+            apply_update(opt, net, g)
         assert opt.step == 0
 
     def test_rejects_shape_mismatch(self):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from distilrec.data import Source, interaction
-from distilrec.losses import weighted_empirical_risk
 from distilrec.metrics import MetricsResult, UndefinedMetricError, auc, bce_eval, evaluate
 from distilrec.network import NetworkConfig, init_network
 from distilrec.rng import RngStream
@@ -84,9 +83,7 @@ class TestBceEval:
         scores = gen.uniform(0.01, 0.99, size=10)
         labels = gen.integers(0, 2, size=10)
         per_sample = [-math.log(s) if y else -math.log(1 - s) for s, y in zip(scores, labels)]
-        assert bce_eval(scores, labels) == pytest.approx(
-            weighted_empirical_risk(per_sample, [1 / 10] * 10), rel=1e-9
-        )
+        assert bce_eval(scores, labels) == pytest.approx(math.fsum(per_sample) / 10, rel=1e-9)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -95,6 +92,23 @@ class TestBceEval:
     def test_nan_score_rejected_with_index(self):
         with pytest.raises(ValueError, match="index 1 is NaN"):
             bce_eval([0.3, np.nan, 0.7], [1, 0, 1])
+
+
+@pytest.mark.parametrize("metric", [auc, bce_eval])
+class TestSharedInputCheck:
+    def test_not_equal_length_1d_rejected(self, metric):
+        with pytest.raises(ValueError, match=r"equal-length 1-D.*\(1,\) and \(3,\)"):
+            metric([0.5], [1, 0, 1])
+        with pytest.raises(ValueError, match=r"equal-length 1-D.*\(1, 2\) and \(1, 2\)"):
+            metric([[0.1, 0.9]], [[0, 1]])
+
+    def test_label_outside_zero_one_rejected_with_index(self, metric):
+        with pytest.raises(ValueError, match="label at index 0 is 2, not 0 or 1"):
+            metric([0.1, 0.9, 0.5], [2, 1, 0])
+        with pytest.raises(ValueError, match="label at index 2 is 0.5, not 0 or 1"):
+            metric([0.3, 0.6, 0.7], [1, 0, 0.5])
+        with pytest.raises(ValueError, match="label at index 1 is -1, not 0 or 1"):
+            metric([0.3, 0.6, 0.7], [1, -1, 0])
 
 
 class TestEvaluate:

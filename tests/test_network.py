@@ -8,7 +8,6 @@ from distilrec.network import (
     ForwardMode,
     Network,
     NetworkConfig,
-    forward,
     forward_batch,
     forward_cached,
     init_network,
@@ -98,7 +97,7 @@ class TestForward:
         net = init_network(small_config(), RngStream(1))
         for arr in net.param_arrays():
             arr[...] = 0.0
-        assert forward(net, 2, 3) == 0.5
+        assert forward_batch(net, [(2, 3)])[0] == 0.5
 
     def test_output_in_open_interval(self):
         net = init_network(small_config(), RngStream(1))
@@ -110,28 +109,35 @@ class TestForward:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             net.biases[-1][...] = -1000.0
-            assert forward(net, 2, 3) == 0.0
+            assert forward_batch(net, [(2, 3)])[0] == 0.0
             net.biases[-1][...] = 1000.0
-            assert forward(net, 2, 3) == 1.0
+            assert forward_batch(net, [(2, 3)])[0] == 1.0
 
     def test_out_of_range_ids_rejected(self):
         net = init_network(small_config(), RngStream(1))
         with pytest.raises(ValueError, match="out of range"):
-            forward(net, 5, 0)
+            forward_batch(net, [(5, 0)])
         with pytest.raises(ValueError, match="out of range"):
-            forward(net, 0, 6)
+            forward_batch(net, [(0, 6)])
         with pytest.raises(ValueError, match="out of range"):
-            forward(net, -1, 0)
+            forward_batch(net, [(-1, 0)])
 
     def test_empty_batch(self):
         net = init_network(small_config(), RngStream(1))
         assert forward_batch(net, []).shape == (0,)
+        assert forward_batch(net, np.empty((0, 2), np.int64)).shape == (0,)
+
+    def test_pairs_not_shaped_n_by_2_rejected(self):
+        net = init_network(small_config(), RngStream(1))
+        for pairs in ([[0, 1, 2], [3, 4, 5]], [0, 1], [[[0, 1]]], np.empty((0, 3), np.int64)):
+            with pytest.raises(ValueError, match=r"pairs must have shape \(n, 2\)"):
+                forward_batch(net, pairs)
 
     def test_batch_matches_elementwise(self):
         net = init_network(small_config(), RngStream(1))
         pairs = [(0, 0), (4, 5), (2, 1)]
         batch = forward_batch(net, pairs)
-        single = [forward(net, u, i) for u, i in pairs]
+        single = [forward_batch(net, [(u, i)])[0] for u, i in pairs]
         # BLAS may pick different kernels per batch shape; tolerance is ulp-scale.
         np.testing.assert_allclose(batch, single, rtol=1e-14, atol=1e-15)
 
@@ -149,25 +155,20 @@ class TestDropout:
         b = forward_batch(net, [(1, 2), (3, 4)], ForwardMode.STOCHASTIC_INFERENCE, RngStream(5))
         np.testing.assert_array_equal(a, b)
 
-    def test_singleton_batch_same_stream_protocol(self):
-        net = init_network(small_config(dropout_rate=0.4), RngStream(1))
-        one = forward(net, 1, 2, ForwardMode.STOCHASTIC_INFERENCE, RngStream(5))
-        batch = forward_batch(net, [(1, 2)], ForwardMode.STOCHASTIC_INFERENCE, RngStream(5))
-        assert one == batch[0]
-
     def test_fresh_masks_per_call(self):
         net = init_network(small_config(dropout_rate=0.5, hidden_sizes=(8,)), RngStream(1))
         gen = np.random.default_rng(0)
         for arr in net.param_arrays():
             arr[...] = gen.normal(size=arr.shape)
         rng = RngStream(5)
-        draws = [forward(net, 1, 2, ForwardMode.STOCHASTIC_INFERENCE, rng) for _ in range(64)]
+        draws = [forward_batch(net, [(1, 2)], ForwardMode.STOCHASTIC_INFERENCE, rng)[0]
+                 for _ in range(64)]
         assert len(set(draws)) > 1
 
     def test_requires_rng_in_stochastic_mode(self):
         net = init_network(small_config(dropout_rate=0.5), RngStream(1))
         with pytest.raises(ValueError, match="rng"):
-            forward(net, 0, 0, ForwardMode.TRAIN_DROPOUT)
+            forward_batch(net, [(0, 0)], ForwardMode.TRAIN_DROPOUT)
 
     def test_inverted_dropout_expectation(self):
         # Empirical mean of the stochastic pre-sigmoid output must sit

@@ -39,13 +39,6 @@ def test_nested_splits():
     assert not np.array_equal(a, c)
 
 
-def test_clone_rewinds():
-    s = RngStream(11)
-    s.random(50)
-    fresh = s.clone().random(5)
-    np.testing.assert_array_equal(fresh, RngStream(11).random(5))
-
-
 def test_seed_validation():
     with pytest.raises(ValueError):
         RngStream(-1)
