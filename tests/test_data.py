@@ -273,6 +273,13 @@ class TestUnobservedSampler:
             UnobservedSampler(2, 3, np.array([[2, 0]]), RngStream(1))
 
 
+    def test_every_free_cell_drawn_in_small_grid(self):
+        # The 2 x 3 grid with (0, 0) observed: all five free cells are reached.
+        sampler = UnobservedSampler(2, 3, np.array([[0, 0]]), RngStream(4))
+        draws = sampler.sample(20_000)
+        assert set(map(tuple, draws.tolist())) == {(0, 1), (0, 2), (1, 0), (1, 1), (1, 2)}
+
+
 class TestGenerateSynthetic:
     def test_determinism(self):
         w1, d1 = generate_synthetic(20, 15, 4, 3.0, 60, 30, seed=42)

@@ -338,6 +338,19 @@ class TestOptimizer:
             np.testing.assert_array_equal(a, b)
         assert opt.step == 0
 
+    def test_hand_built_sgd_state_needs_no_moments(self):
+        net = init_network(NetworkConfig(1, 1, 1, (1,)), RngStream(1))
+        for arr in net.param_arrays():
+            arr[...] = 1.0
+        g = net.zeros_like()
+        for arr in g.param_arrays():
+            arr[...] = 1.0
+        opt = OptimizerState(kind="sgd", learning_rate=0.1)
+        apply_update(opt, net, g)
+        for arr in net.param_arrays():
+            np.testing.assert_allclose(arr, 0.9, rtol=0, atol=1e-15)
+        assert opt.step == 1
+
     def test_rejects_adam_state_without_moments(self):
         net = init_network(NetworkConfig(2, 2, 2, (2,)), RngStream(3))
         before = [a.copy() for a in net.param_arrays()]

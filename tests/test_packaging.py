@@ -1,6 +1,7 @@
 """The package's declared surface: exports, console scripts and dependencies."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -25,6 +26,23 @@ def test_every_exported_name_exists():
     missing = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ())
                if not hasattr(m, name)]
     assert not missing
+
+
+def test_names_without_caller_stay_deleted():
+    from distilrec.data import SyntheticWorld
+    from distilrec.optim import OptimizerState
+
+    gone = {"forward", "bce", "reg_loss", "weighted_empirical_risk", "read_canonical_tsv",
+            "write_canonical_tsv", "positive_ratio", "exposure_weights", "clone"}
+    modules = [importlib.import_module(f"distilrec.{info.name}")
+               for info in pkgutil.iter_modules(distilrec.__path__)]
+    classes = [obj for m in modules for obj in vars(m).values()
+               if isinstance(obj, type) and obj.__module__ == m.__name__]
+    found = [f"{owner.__name__}.{name}" for owner in [distilrec, *modules, *classes]
+             for name in gone & set(vars(owner))]
+    assert not found
+    assert [f.name for f in dataclasses.fields(SyntheticWorld)] == ["prob"]
+    assert not {"beta1", "beta2", "epsilon_hat"} & {f.name for f in dataclasses.fields(OptimizerState)}
 
 
 def test_every_script_target_resolves():
