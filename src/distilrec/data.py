@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -73,6 +74,26 @@ def interaction(user: int, item: int, rating: int, source: Source) -> Interactio
     return Interaction(user, item, rating, binarize(rating), source)
 
 
+def _rows(users, items, ratings, source: Source) -> list[Interaction]:
+    """The one place rows are built: one ``Interaction`` per column entry."""
+    return [interaction(u, i, r, source)
+            for u, i, r in zip(users.tolist(), items.tolist(), ratings.tolist())]
+
+
+def _column(interactions: Sequence[Interaction], name: str, dtype=np.int64) -> np.ndarray:
+    return np.fromiter(map(attrgetter(name), interactions), dtype=dtype, count=len(interactions))
+
+
+def _as_pairs(pairs) -> np.ndarray:
+    """(user, item) pairs as an int64 array shaped (n, 2); ``[]`` is n = 0."""
+    arr = np.asarray(pairs, dtype=np.int64)
+    if arr.shape == (0,):
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"pairs must have shape (n, 2), got {arr.shape}")
+    return arr
+
+
 @dataclass
 class Dataset:
     interactions: list[Interaction]
@@ -80,32 +101,38 @@ class Dataset:
     n_items: int
 
     def __post_init__(self):
-        seen = set()
-        for inter in self.interactions:
-            if not (0 <= inter.user < self.n_users and 0 <= inter.item < self.n_items):
-                raise ValueError(f"id out of range: user={inter.user}, item={inter.item}")
-            key = (inter.user, inter.item, inter.source)
-            if key in seen:
-                raise ValueError(f"duplicate interaction {key}")
-            seen.add(key)
+        users = _column(self.interactions, "user")
+        items = _column(self.interactions, "item")
+        bad = np.flatnonzero((users < 0) | (users >= self.n_users)
+                             | (items < 0) | (items >= self.n_items))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"row {k}: id out of range: user={users[k]}, item={items[k]} "
+                             f"in a {self.n_users} x {self.n_items} grid")
+        uniform = np.fromiter((x.source is Source.UNIFORM for x in self.interactions),
+                              dtype=np.int64, count=users.size)
+        keys = (users * self.n_items + items) * 2 + uniform
+        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+        repeat = np.flatnonzero(first[group] != np.arange(keys.size))
+        if repeat.size:
+            k = repeat[0]
+            raise ValueError(f"row {k}: duplicate of row {first[group[k]]}: user={users[k]}, "
+                             f"item={items[k]}, source={self.interactions[k].source.value}")
 
     def by_source(self, source: Source) -> list[Interaction]:
         return [inter for inter in self.interactions if inter.source is source]
 
     def observed_pairs(self) -> np.ndarray:
-        """Distinct (user, item) pairs over both sources, shape (n, 2)."""
-        if not self.interactions:
-            return np.empty((0, 2), dtype=np.int64)
-        arr = np.array([(i.user, i.item) for i in self.interactions], dtype=np.int64)
-        return np.unique(arr, axis=0)
+        """Distinct (user, item) pairs over both sources, shape (n, 2), in key order."""
+        keys = np.unique(_column(self.interactions, "user") * self.n_items
+                         + _column(self.interactions, "item"))
+        return np.column_stack(np.divmod(keys, self.n_items))
 
 
 def pack(interactions: Sequence[Interaction]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(users, items, labels) arrays for vectorized scoring/training."""
-    users = np.fromiter((i.user for i in interactions), dtype=np.int64, count=len(interactions))
-    items = np.fromiter((i.item for i in interactions), dtype=np.int64, count=len(interactions))
-    labels = np.fromiter((i.label for i in interactions), dtype=np.float64, count=len(interactions))
-    return users, items, labels
+    return (_column(interactions, "user"), _column(interactions, "item"),
+            _column(interactions, "label", np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +140,7 @@ def pack(interactions: Sequence[Interaction]) -> tuple[np.ndarray, np.ndarray, n
 # ---------------------------------------------------------------------------
 
 
-def _parse_triples(path: Path, source: Source) -> list[tuple[int, int, int]]:
+def _parse_triples(path: Path) -> list[tuple[int, int, int]]:
     triples = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -140,18 +167,15 @@ def load_yahoo(biased_path, uniform_path) -> Dataset:
     (biased exposure), the second ratings of randomly selected songs.
     Ids are remapped to contiguous 0-based indices over both files.
     """
-    biased = _parse_triples(Path(biased_path), Source.BIASED)
-    uniform = _parse_triples(Path(uniform_path), Source.UNIFORM)
-    users = sorted({u for u, _, _ in biased} | {u for u, _, _ in uniform})
-    items = sorted({i for _, i, _ in biased} | {i for _, i, _ in uniform})
-    umap = {u: k for k, u in enumerate(users)}
-    imap = {i: k for k, i in enumerate(items)}
-    interactions = [
-        interaction(umap[u], imap[i], r, src)
-        for triples, src in ((biased, Source.BIASED), (uniform, Source.UNIFORM))
-        for u, i, r in triples
-    ]
-    return Dataset(interactions, n_users=len(users), n_items=len(items))
+    biased = _parse_triples(Path(biased_path))
+    triples = np.array(biased + _parse_triples(Path(uniform_path)), dtype=np.int64).reshape(-1, 3)
+    user_ids, users = np.unique(triples[:, 0], return_inverse=True)
+    item_ids, items = np.unique(triples[:, 1], return_inverse=True)
+    ratings = triples[:, 2]
+    nb = len(biased)
+    interactions = (_rows(users[:nb], items[:nb], ratings[:nb], Source.BIASED)
+                    + _rows(users[nb:], items[nb:], ratings[nb:], Source.UNIFORM))
+    return Dataset(interactions, n_users=user_ids.size, n_items=item_ids.size)
 
 
 def _parse_matrix(path: Path) -> np.ndarray:
@@ -194,8 +218,7 @@ def load_coat(train_matrix_path, test_matrix_path) -> Dataset:
     interactions = []
     for matrix, src in ((biased_m, Source.BIASED), (uniform_m, Source.UNIFORM)):
         us, its = np.nonzero(matrix)
-        for u, i in zip(us.tolist(), its.tolist()):
-            interactions.append(interaction(u, i, int(matrix[u, i]), src))
+        interactions += _rows(us, its, matrix[us, its], src)
     return Dataset(interactions, n_users=n_users, n_items=n_items)
 
 
@@ -228,7 +251,7 @@ def split_uniform(
     n = len(uniform_data)
     if n < 3:
         raise ValueError(f"need at least 3 uniform interactions, got {n}")
-    order = RngStream(spec.seed).split("uniform-split").permutation(n)
+    order = RngStream(spec.seed).split("uniform-split").generator.permutation(n)
     shuffled = [uniform_data[k] for k in order]
     n_train = int(np.floor(spec.uniform_train_fraction * n))
     n_val = int(np.ceil((n - n_train) / 2))
@@ -244,7 +267,8 @@ def partition_batches(
         raise ValueError("m must be >= 1")
     if m > n:
         raise ValueError(f"cannot split {n} records into {m} batches")
-    return [[data[k] for k in part.tolist()] for part in np.array_split(rng.permutation(n), m)]
+    parts = np.array_split(rng.generator.permutation(n), m)
+    return [[data[k] for k in part.tolist()] for part in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +279,13 @@ def partition_batches(
 class UnobservedSampler:
     """Uniform with-replacement sampler over never-logged (user, item) pairs.
 
-    Membership against the observed set is exact (sorted-key lookup);
-    sampling is rejection from the full grid, which stays cheap as long
-    as the observed set is sparse.
+    Membership against the observed set is exact (sorted-key lookup).
     """
 
     def __init__(self, n_users: int, n_items: int, observed_pairs: np.ndarray, rng: RngStream):
         self.n_users = n_users
         self.n_items = n_items
-        pairs = np.asarray(observed_pairs, dtype=np.int64).reshape(-1, 2)
+        pairs = _as_pairs(observed_pairs)
         users, items = pairs[:, 0], pairs[:, 1]
         bad = np.flatnonzero((users < 0) | (users >= n_users) | (items < 0) | (items >= n_items))
         if bad.size:
@@ -294,7 +316,7 @@ class UnobservedSampler:
         while filled < n:
             want = n - filled
             draw = int(np.ceil(want / max(1e-9, 1.0 - density))) + 16
-            keys = self._rng.integers(0, self._n_cells, size=draw)
+            keys = self._rng.generator.integers(0, self._n_cells, size=draw)
             keys = keys[~self._is_observed(keys)]
             take = min(want, keys.size)
             out[filled:filled + take] = keys[:take]
@@ -314,6 +336,9 @@ class SyntheticWorld:
     prob: np.ndarray          # P[u, i] = p(label=1 | u, i), entries in (0, 1)
 
 
+LOGIT_SCALE = 3.0
+
+
 def _weighted_cells_without_replacement(
     log_w: np.ndarray, n: int, rng: RngStream
 ) -> np.ndarray:
@@ -331,11 +356,10 @@ def generate_synthetic(
     n_uniform: int,
     seed: int,
     bias: float = -2.0,
-    scale: float = 3.0,
 ) -> tuple[SyntheticWorld, Dataset]:
     """Seeded world with latent-factor preferences and a skewed logger.
 
-    P = sigmoid(scale * <u_vec, i_vec> + bias) from standard-normal
+    P = sigmoid(LOGIT_SCALE * <u_vec, i_vec> + bias) from standard-normal
     latent factors.  The biased log draws cells with probability
     proportional to exp(exposure_skew * P) (self-selection toward liked
     items); the uniform log draws cells uniformly.  Labels are Bernoulli
@@ -349,12 +373,11 @@ def generate_synthetic(
     fr = root.split("factors").generator
     u_f = fr.normal(size=(n_users, latent_dim)) / np.sqrt(latent_dim)
     i_f = fr.normal(size=(n_items, latent_dim))
-    logits = scale * (u_f @ i_f.T) + bias
-    prob = 1.0 / (1.0 + np.exp(-logits))
+    prob = 1.0 / (1.0 + np.exp(-(LOGIT_SCALE * (u_f @ i_f.T) + bias)))
     world = SyntheticWorld(prob=prob)
 
-    log_w = exposure_skew * prob.reshape(-1)
-    biased_cells = _weighted_cells_without_replacement(log_w, n_biased, root.split("biased-cells"))
+    biased_cells = _weighted_cells_without_replacement(
+        exposure_skew * prob.reshape(-1), n_biased, root.split("biased-cells"))
     # With equal weights the Gumbel top-k reduces to the n largest uniform keys.
     uniform_keys = root.split("uniform-cells").random(n_users * n_items)
     uniform_cells = np.argpartition(-uniform_keys, n_uniform - 1)[:n_uniform]
@@ -363,8 +386,7 @@ def generate_synthetic(
     interactions = []
     for cells, src in ((biased_cells, Source.BIASED), (uniform_cells, Source.UNIFORM)):
         us, its = np.divmod(cells, n_items)
-        labels = (label_rng.random(cells.size) < prob[us, its]).astype(np.int64)
-        low_ratings = label_rng.integers(1, 5, size=cells.size)
-        for u, i, y, r in zip(us.tolist(), its.tolist(), labels.tolist(), low_ratings.tolist()):
-            interactions.append(interaction(int(u), int(i), 5 if y else int(r), src))
+        labels = label_rng.random(cells.size) < prob[us, its]
+        ratings = np.where(labels, 5, label_rng.integers(1, 5, size=cells.size))
+        interactions += _rows(us, its, ratings, src)
     return world, Dataset(interactions, n_users=n_users, n_items=n_items)

@@ -63,10 +63,13 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
 
 
 def bce_eval(scores: Sequence[float], labels: Sequence[int]) -> float:
-    """Mean clamped binary cross-entropy."""
+    """Mean clamped binary cross-entropy of probabilities in [0, 1]."""
     s, y = _checked(scores, labels)
     if s.size == 0:
         raise ValueError("bce_eval requires a nonempty input")
+    bad = np.flatnonzero((s < 0.0) | (s > 1.0))
+    if bad.size:
+        raise ValueError(f"score at index {bad[0]} is {s[bad[0]]}, outside [0, 1]")
     return float(np.mean(_bce_terms(s, y)))
 
 

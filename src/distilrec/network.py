@@ -32,6 +32,7 @@ from enum import Enum
 
 import numpy as np
 
+from .data import _as_pairs
 from .rng import RngStream
 
 __all__ = [
@@ -149,7 +150,7 @@ def init_network(config: NetworkConfig, rng: RngStream) -> Network:
 
     def fan_uniform(fan_in: int, fan_out: int) -> np.ndarray:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return r.uniform(-limit, limit, size=(fan_in, fan_out))
+        return r.generator.uniform(-limit, limit, size=(fan_in, fan_out))
 
     arrays = [fan_uniform(*shape) if len(shape) == 2 else np.zeros(shape)
               for _, shape in config.param_shapes()]
@@ -266,11 +267,7 @@ def forward_batch(
     rng: RngStream | None = None,
 ) -> np.ndarray:
     """Probabilities for (user, item) pairs shaped (n, 2); ``[]`` is n = 0."""
-    arr = np.asarray(pairs, dtype=np.int64)
-    if arr.shape == (0,):
-        arr = arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"pairs must have shape (n, 2), got {arr.shape}")
+    arr = _as_pairs(pairs)
     return forward_cached(net, arr[:, 0], arr[:, 1], mode, rng).probs
 
 

@@ -38,22 +38,13 @@ class RngStream:
         """Derive an independent child stream identified by ``label``."""
         return RngStream(self.seed, self._spawn_key + (_label_key(label),))
 
-    # Thin pass-throughs for the handful of draw shapes the package uses.
-
-    def uniform(self, low: float, high: float, size) -> np.ndarray:
-        return self.generator.uniform(low, high, size=size)
+    # Methods a tracer can patch; every other draw goes through ``generator``.
 
     def random(self, size=None):
         return self.generator.random(size=size)
 
-    def integers(self, low: int, high: int, size=None):
-        return self.generator.integers(low, high, size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self.generator.permutation(n)
-
-    def choice(self, n: int, size: int, replace: bool = True, p=None) -> np.ndarray:
-        return self.generator.choice(n, size=size, replace=replace, p=p)
+    def choice(self, n: int, size: int, replace: bool = True) -> np.ndarray:
+        return self.generator.choice(n, size=size, replace=replace)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self._spawn_key})"

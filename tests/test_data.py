@@ -58,6 +58,28 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError, match="range"):
             Dataset([interaction(3, 0, 5, Source.UNIFORM)], n_users=2, n_items=1)
 
+    def test_out_of_range_error_names_row(self):
+        inters = [interaction(0, 0, 5, Source.UNIFORM), interaction(1, 1, 3, Source.BIASED),
+                  interaction(1, 2, 3, Source.BIASED)]
+        with pytest.raises(ValueError, match=r"row 2: id out of range: user=1, item=2"):
+            Dataset(inters, n_users=2, n_items=2)
+        with pytest.raises(ValueError, match=r"row 0: id out of range: user=-1"):
+            Dataset([interaction(-1, 0, 5, Source.UNIFORM)], n_users=2, n_items=2)
+
+    def test_duplicate_error_names_row(self):
+        inters = [interaction(0, 1, 5, Source.UNIFORM), interaction(0, 1, 2, Source.BIASED),
+                  interaction(1, 0, 4, Source.UNIFORM), interaction(0, 1, 3, Source.BIASED)]
+        with pytest.raises(ValueError, match=r"row 3: duplicate of row 1"):
+            Dataset(inters, n_users=2, n_items=2)
+
+    def test_observed_pairs_in_key_order(self):
+        inters = [interaction(1, 0, 5, Source.BIASED), interaction(0, 2, 2, Source.BIASED),
+                  interaction(1, 0, 3, Source.UNIFORM), interaction(0, 1, 3, Source.UNIFORM)]
+        pairs = Dataset(inters, n_users=2, n_items=3).observed_pairs()
+        np.testing.assert_array_equal(pairs, [[0, 1], [0, 2], [1, 0]])
+        assert pairs.dtype == np.int64
+        assert Dataset([], n_users=2, n_items=3).observed_pairs().shape == (0, 2)
+
 
 class TestYahooLoader:
     def test_single_line(self, tmp_path):
@@ -211,7 +233,7 @@ class TestPartitionBatches:
 
     def test_consecutive_slices_of_seeded_permutation(self):
         data = TestSplitUniform.fake_uniform(53)
-        shuffled = [data[k] for k in RngStream(9).permutation(53)]
+        shuffled = [data[k] for k in RngStream(9).generator.permutation(53)]
         expected, start = [], 0
         for k in range(7):
             size = 53 // 7 + (1 if k < 53 % 7 else 0)
@@ -261,6 +283,13 @@ class TestUnobservedSampler:
         draws = sampler.sample(5)
         assert draws.shape == (5, 2)
         assert np.all((draws >= 0) & (draws < [3, 4]))
+
+    def test_pairs_not_shaped_n_by_2_rejected(self):
+        # Flattened, [0, 1, 1, 2] would be read as the pairs (0, 1) and (1, 2).
+        for bad in (np.array([0, 1, 1, 2]), np.zeros((2, 3), np.int64), np.zeros((1, 2, 2))):
+            with pytest.raises(ValueError, match=r"pairs must have shape \(n, 2\)"):
+                UnobservedSampler(3, 4, bad, RngStream(1))
+        assert UnobservedSampler(3, 4, [], RngStream(1))._observed_keys.size == 0
 
     def test_pairs_outside_grid_rejected_naming_row(self):
         # Unchecked, (0, 3) in a 2 x 3 grid would take the key of cell (1, 0),
@@ -333,3 +362,71 @@ class TestPack:
         np.testing.assert_array_equal(users, [1, 0])
         np.testing.assert_array_equal(items, [2, 1])
         np.testing.assert_array_equal(labels, [1.0, 0.0])
+
+
+class TestRowsMatchPerRowReference:
+    """Each producer's rows equal those of a per-row loop over the same input."""
+
+    @staticmethod
+    def reference_yahoo(biased_lines, uniform_lines):
+        def triples(lines):
+            return [tuple(int(v) for v in line.split("\t")) for line in lines]
+
+        biased, uniform = triples(biased_lines), triples(uniform_lines)
+        umap = {u: k for k, u in enumerate(sorted({t[0] for t in biased + uniform}))}
+        imap = {i: k for k, i in enumerate(sorted({t[1] for t in biased + uniform}))}
+        return [interaction(umap[u], imap[i], r, src)
+                for rows, src in ((biased, Source.BIASED), (uniform, Source.UNIFORM))
+                for u, i, r in rows], len(umap), len(imap)
+
+    def test_yahoo_with_id_gaps(self, tmp_path):
+        # User ids 3..40 and item ids 2..900 with gaps, some present in one file only.
+        biased_lines = ["40\t900\t5", "3\t17\t2", "12\t2\t4", "3\t900\t1", "40\t17\t5"]
+        uniform_lines = ["7\t17\t3", "12\t300\t5", "3\t2\t1", "40\t900\t2"]
+        (tmp_path / "b.txt").write_text("".join(f"{line}\n" for line in biased_lines))
+        (tmp_path / "u.txt").write_text("".join(f"{line}\n" for line in uniform_lines))
+        ds = load_yahoo(tmp_path / "b.txt", tmp_path / "u.txt")
+        rows, n_users, n_items = self.reference_yahoo(biased_lines, uniform_lines)
+        assert ds.interactions == rows
+        assert (ds.n_users, ds.n_items) == (n_users, n_items) == (4, 4)
+
+    def test_coat_matrices(self, tmp_path):
+        gen = np.random.default_rng(8)
+        matrices = [gen.integers(0, 6, size=(7, 9)) * (gen.random((7, 9)) < p) for p in (0.4, 0.2)]
+        for name, m in zip(("train", "test"), matrices):
+            TestCoatLoader.write_matrix(tmp_path / name, m)
+        ds = load_coat(tmp_path / "train", tmp_path / "test")
+        rows = []
+        for matrix, src in zip(matrices, (Source.BIASED, Source.UNIFORM)):
+            us, its = np.nonzero(matrix)
+            for u, i in zip(us.tolist(), its.tolist()):
+                rows.append(interaction(u, i, int(matrix[u, i]), src))
+        assert len(rows) > 10
+        assert ds.interactions == rows
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 1000])
+    def test_generate_synthetic(self, seed):
+        n_users, n_items, latent_dim, skew, n_biased, n_uniform = 30, 25, 4, 3.0, 120, 90
+        world, ds = generate_synthetic(n_users, n_items, latent_dim, skew, n_biased, n_uniform,
+                                       seed=seed, bias=-1.5)
+        root = RngStream(seed)
+        fr = root.split("factors").generator
+        u_f = fr.normal(size=(n_users, latent_dim)) / np.sqrt(latent_dim)
+        i_f = fr.normal(size=(n_items, latent_dim))
+        logits = 3.0 * (u_f @ i_f.T) - 1.5
+        prob = 1.0 / (1.0 + np.exp(-logits))
+        log_w = skew * prob.reshape(-1)
+        gumbel = -np.log(-np.log(root.split("biased-cells").random(log_w.size)))
+        biased_cells = np.argpartition(-(log_w + gumbel), n_biased - 1)[:n_biased]
+        uniform_keys = root.split("uniform-cells").random(n_users * n_items)
+        uniform_cells = np.argpartition(-uniform_keys, n_uniform - 1)[:n_uniform]
+        label_rng = root.split("labels").generator
+        rows = []
+        for cells, src in ((biased_cells, Source.BIASED), (uniform_cells, Source.UNIFORM)):
+            us, its = np.divmod(cells, n_items)
+            labels = (label_rng.random(cells.size) < prob[us, its]).astype(np.int64)
+            low_ratings = label_rng.integers(1, 5, size=cells.size)
+            for u, i, y, r in zip(us.tolist(), its.tolist(), labels.tolist(), low_ratings.tolist()):
+                rows.append(interaction(int(u), int(i), 5 if y else int(r), src))
+        np.testing.assert_array_equal(world.prob, prob)
+        assert ds.interactions == rows

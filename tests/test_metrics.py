@@ -93,6 +93,14 @@ class TestBceEval:
         with pytest.raises(ValueError, match="index 1 is NaN"):
             bce_eval([0.3, np.nan, 0.7], [1, 0, 1])
 
+    def test_score_outside_unit_interval_rejected_with_index(self):
+        with pytest.raises(ValueError, match=r"index 0 is 1.5, outside \[0, 1\]"):
+            bce_eval([1.5, -0.2], [1, 0])
+        with pytest.raises(ValueError, match=r"index 1 is -0.2, outside"):
+            bce_eval([0.5, -0.2], [1, 0])
+        with pytest.raises(ValueError, match=r"index 0 is inf, outside"):
+            bce_eval([np.inf], [1])
+
 
 @pytest.mark.parametrize("metric", [auc, bce_eval])
 class TestSharedInputCheck:

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 import re
 import subprocess
@@ -29,11 +30,13 @@ def test_every_exported_name_exists():
 
 
 def test_names_without_caller_stay_deleted():
-    from distilrec.data import SyntheticWorld
+    from distilrec.data import SyntheticWorld, _parse_triples, generate_synthetic
     from distilrec.optim import OptimizerState
+    from distilrec.rng import RngStream
 
     gone = {"forward", "bce", "reg_loss", "weighted_empirical_risk", "read_canonical_tsv",
-            "write_canonical_tsv", "positive_ratio", "exposure_weights", "clone"}
+            "write_canonical_tsv", "positive_ratio", "exposure_weights", "clone",
+            "uniform", "integers", "permutation"}
     modules = [importlib.import_module(f"distilrec.{info.name}")
                for info in pkgutil.iter_modules(distilrec.__path__)]
     classes = [obj for m in modules for obj in vars(m).values()
@@ -43,6 +46,9 @@ def test_names_without_caller_stay_deleted():
     assert not found
     assert [f.name for f in dataclasses.fields(SyntheticWorld)] == ["prob"]
     assert not {"beta1", "beta2", "epsilon_hat"} & {f.name for f in dataclasses.fields(OptimizerState)}
+    assert "scale" not in inspect.signature(generate_synthetic).parameters
+    assert "p" not in inspect.signature(RngStream.choice).parameters
+    assert "source" not in inspect.signature(_parse_triples).parameters
 
 
 def test_every_script_target_resolves():
