@@ -109,8 +109,7 @@ class Dataset:
             k = bad[0]
             raise ValueError(f"row {k}: id out of range: user={users[k]}, item={items[k]} "
                              f"in a {self.n_users} x {self.n_items} grid")
-        uniform = np.fromiter((x.source is Source.UNIFORM for x in self.interactions),
-                              dtype=np.int64, count=users.size)
+        uniform = _column(self.interactions, "source", object) == Source.UNIFORM
         keys = (users * self.n_items + items) * 2 + uniform
         _, first, group = np.unique(keys, return_index=True, return_inverse=True)
         repeat = np.flatnonzero(first[group] != np.arange(keys.size))
@@ -279,7 +278,7 @@ def partition_batches(
 class UnobservedSampler:
     """Uniform with-replacement sampler over never-logged (user, item) pairs.
 
-    Membership against the observed set is exact (sorted-key lookup).
+    Each draw is a rank among the free cells, mapped exactly to its key.
     """
 
     def __init__(self, n_users: int, n_items: int, observed_pairs: np.ndarray, rng: RngStream):
@@ -293,35 +292,21 @@ class UnobservedSampler:
                              f"outside the {n_users} x {n_items} grid")
         self._observed_keys = np.unique(users * n_items + items)
         self._rng = rng
-        self._n_cells = n_users * n_items
-        if self._observed_keys.size >= self._n_cells:
+        self._n_free = n_users * n_items - self._observed_keys.size
+        if self._n_free == 0:
             raise ValueError("every (user, item) pair is observed; no complement to sample")
+        self._free_before = self._observed_keys - np.arange(self._observed_keys.size)
 
     @classmethod
     def from_dataset(cls, dataset: Dataset, rng: RngStream) -> "UnobservedSampler":
         return cls(dataset.n_users, dataset.n_items, dataset.observed_pairs(), rng)
 
-    def _is_observed(self, keys: np.ndarray) -> np.ndarray:
-        if self._observed_keys.size == 0:
-            return np.zeros(keys.shape, dtype=bool)
-        pos = np.searchsorted(self._observed_keys, keys)
-        pos = np.minimum(pos, self._observed_keys.size - 1)
-        return self._observed_keys[pos] == keys
-
     def sample(self, n: int) -> np.ndarray:
         """n pairs uniform over the unobserved complement, shape (n, 2)."""
-        out = np.empty(n, dtype=np.int64)
-        filled = 0
-        density = self._observed_keys.size / self._n_cells
-        while filled < n:
-            want = n - filled
-            draw = int(np.ceil(want / max(1e-9, 1.0 - density))) + 16
-            keys = self._rng.generator.integers(0, self._n_cells, size=draw)
-            keys = keys[~self._is_observed(keys)]
-            take = min(want, keys.size)
-            out[filled:filled + take] = keys[:take]
-            filled += take
-        return np.column_stack([out // self.n_items, out % self.n_items])
+        ranks = self._rng.generator.integers(0, self._n_free, size=n)
+        # Rank r's cell lies past each observed key with at most r free cells before it.
+        keys = ranks + np.searchsorted(self._free_before, ranks, side="right")
+        return np.column_stack(np.divmod(keys, self.n_items))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import collections
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -301,6 +302,16 @@ class TestUnobservedSampler:
         with pytest.raises(ValueError, match=r"row 0 \(2, 0\)"):
             UnobservedSampler(2, 3, np.array([[2, 0]]), RngStream(1))
 
+
+    @pytest.mark.parametrize("observed_keys", [[0, 7, 8, 9, 19], []])
+    def test_ranks_map_to_free_cells_in_key_order(self, observed_keys):
+        # In a 4 x 5 grid: the first key, a run of adjacent keys and the last key.
+        arange_ranks = SimpleNamespace(generator=SimpleNamespace(
+            integers=lambda low, high, size: np.arange(low, high)))
+        keys = np.array(observed_keys, dtype=np.int64)
+        sampler = UnobservedSampler(4, 5, np.column_stack(np.divmod(keys, 5)), arange_ranks)
+        free = np.setdiff1d(np.arange(20), keys)
+        np.testing.assert_array_equal(sampler.sample(free.size), np.column_stack(np.divmod(free, 5)))
 
     def test_every_free_cell_drawn_in_small_grid(self):
         # The 2 x 3 grid with (0, 0) observed: all five free cells are reached.

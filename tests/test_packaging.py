@@ -36,7 +36,7 @@ def test_names_without_caller_stay_deleted():
 
     gone = {"forward", "bce", "reg_loss", "weighted_empirical_risk", "read_canonical_tsv",
             "write_canonical_tsv", "positive_ratio", "exposure_weights", "clone",
-            "uniform", "integers", "permutation"}
+            "uniform", "integers", "permutation", "_is_observed"}
     modules = [importlib.import_module(f"distilrec.{info.name}")
                for info in pkgutil.iter_modules(distilrec.__path__)]
     classes = [obj for m in modules for obj in vars(m).values()
