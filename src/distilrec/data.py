@@ -4,6 +4,8 @@ Logged feedback arrives from two logging policies: a small slice where
 items were shown uniformly at random (an unbiased sample of preference)
 and a large slice logged by a deployed recommender (exposure-biased).
 Ratings on a 1-5 scale are binarized: only a 5 counts as a positive.
+Rows are checked in one place, when they enter a ``Dataset``: ratings,
+labels, sources, id ranges and duplicates, each error naming the row.
 
 The module also builds synthetic ground-truth worlds with a known
 preference matrix; these serve as oracles for debiasing experiments.
@@ -11,11 +13,13 @@ preference matrix; these serve as oracles for debiasing experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,7 +33,6 @@ __all__ = [
     "SplitSpec",
     "UnobservedSampler",
     "SyntheticWorld",
-    "binarize",
     "load_yahoo",
     "load_coat",
     "split_uniform",
@@ -48,16 +51,12 @@ class DataFormatError(ValueError):
     """Malformed dataset file; message carries path and line number."""
 
 
-def binarize(rating: int) -> int:
-    """1 for a rating of 5, 0 for ratings 1-4; anything else is invalid."""
-    if not 1 <= rating <= 5:
-        raise ValueError(f"rating {rating} outside 1-5")
-    return 1 if rating == 5 else 0
+class Interaction(NamedTuple):
+    """One logged (user, item, rating) record plus its logging policy.
 
-
-@dataclass(frozen=True, slots=True)
-class Interaction:
-    """One logged (user, item, rating) record plus its logging policy."""
+    Building a row checks nothing: ``Dataset`` checks every row it holds,
+    and every library path that uses rows receives them from a ``Dataset``.
+    """
 
     user: int
     item: int
@@ -65,19 +64,26 @@ class Interaction:
     label: int
     source: Source
 
-    def __post_init__(self):
-        if self.label != binarize(self.rating):
-            raise ValueError(f"label {self.label} inconsistent with rating {self.rating}")
-
-
-def interaction(user: int, item: int, rating: int, source: Source) -> Interaction:
-    return Interaction(user, item, rating, binarize(rating), source)
-
 
 def _rows(users, items, ratings, source: Source) -> list[Interaction]:
     """The one place rows are built: one ``Interaction`` per column entry."""
-    return [interaction(u, i, r, source)
-            for u, i, r in zip(users.tolist(), items.tolist(), ratings.tolist())]
+    labels = (ratings == 5).astype(np.int64)
+    return list(map(Interaction, users.tolist(), items.tolist(), ratings.tolist(),
+                    labels.tolist(), repeat(source)))
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys`` in ascending order: sort, keep each run's first."""
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first true entry of ``mask``, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
 
 def _column(interactions: Sequence[Interaction], name: str, dtype=np.int64) -> np.ndarray:
@@ -101,29 +107,34 @@ class Dataset:
     n_items: int
 
     def __post_init__(self):
+        ratings = _column(self.interactions, "rating")
+        if (k := _first((ratings < 1) | (ratings > 5))) is not None:
+            raise ValueError(f"row {k}: rating {ratings[k]} outside 1-5")
+        labels = _column(self.interactions, "label")
+        if (k := _first(labels != (ratings == 5))) is not None:
+            raise ValueError(f"row {k}: label {labels[k]} inconsistent with rating {ratings[k]}")
+        sources = _column(self.interactions, "source", object)
+        uniform = sources == Source.UNIFORM
+        if (k := _first(~uniform & (sources != Source.BIASED))) is not None:
+            raise ValueError(f"row {k}: source {sources[k]!r} is not a Source")
         users = _column(self.interactions, "user")
         items = _column(self.interactions, "item")
-        bad = np.flatnonzero((users < 0) | (users >= self.n_users)
-                             | (items < 0) | (items >= self.n_items))
-        if bad.size:
-            k = bad[0]
+        if (k := _first((users < 0) | (users >= self.n_users)
+                        | (items < 0) | (items >= self.n_items))) is not None:
             raise ValueError(f"row {k}: id out of range: user={users[k]}, item={items[k]} "
                              f"in a {self.n_users} x {self.n_items} grid")
-        uniform = _column(self.interactions, "source", object) == Source.UNIFORM
         keys = (users * self.n_items + items) * 2 + uniform
         _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-        repeat = np.flatnonzero(first[group] != np.arange(keys.size))
-        if repeat.size:
-            k = repeat[0]
+        if (k := _first(first[group] != np.arange(keys.size))) is not None:
             raise ValueError(f"row {k}: duplicate of row {first[group[k]]}: user={users[k]}, "
-                             f"item={items[k]}, source={self.interactions[k].source.value}")
+                             f"item={items[k]}, source={sources[k].value}")
 
     def by_source(self, source: Source) -> list[Interaction]:
         return [inter for inter in self.interactions if inter.source is source]
 
     def observed_pairs(self) -> np.ndarray:
         """Distinct (user, item) pairs over both sources, shape (n, 2), in key order."""
-        keys = np.unique(_column(self.interactions, "user") * self.n_items
+        keys = _distinct(_column(self.interactions, "user") * self.n_items
                          + _column(self.interactions, "item"))
         return np.column_stack(np.divmod(keys, self.n_items))
 
@@ -286,11 +297,11 @@ class UnobservedSampler:
         self.n_items = n_items
         pairs = _as_pairs(observed_pairs)
         users, items = pairs[:, 0], pairs[:, 1]
-        bad = np.flatnonzero((users < 0) | (users >= n_users) | (items < 0) | (items >= n_items))
-        if bad.size:
-            raise ValueError(f"observed pair at row {bad[0]} {tuple(pairs[bad[0]].tolist())} "
+        if (k := _first((users < 0) | (users >= n_users)
+                        | (items < 0) | (items >= n_items))) is not None:
+            raise ValueError(f"observed pair at row {k} {tuple(pairs[k].tolist())} "
                              f"outside the {n_users} x {n_items} grid")
-        self._observed_keys = np.unique(users * n_items + items)
+        self._observed_keys = _distinct(users * n_items + items)
         self._rng = rng
         self._n_free = n_users * n_items - self._observed_keys.size
         if self._n_free == 0:
@@ -325,11 +336,18 @@ LOGIT_SCALE = 3.0
 
 
 def _weighted_cells_without_replacement(
-    log_w: np.ndarray, n: int, rng: RngStream
+    prob: np.ndarray, skew: float, n: int, rng: RngStream
 ) -> np.ndarray:
-    # Gumbel top-k: exact weighted sampling without replacement.
-    gumbel = -np.log(-np.log(rng.random(log_w.size)))
-    return np.argpartition(-(log_w + gumbel), n - 1)[:n]
+    # Gumbel top-k: exact weighted sampling without replacement.  The n cells
+    # of largest skew * prob + Gumbel noise are those of smallest
+    # log(-log u) - skew * prob, built in place so that one full-grid buffer
+    # sits beside prob.  The copy lets the full-grid index array go.
+    keys = rng.random(prob.size)
+    np.log(keys, out=keys)
+    np.negative(keys, out=keys)
+    np.log(keys, out=keys)
+    keys -= skew * prob.reshape(-1)
+    return np.argpartition(keys, n - 1)[:n].copy()
 
 
 def generate_synthetic(
@@ -354,6 +372,9 @@ def generate_synthetic(
         raise ValueError("all sizes must be positive")
     if n_biased > n_users * n_items or n_uniform > n_users * n_items:
         raise ValueError("log size exceeds the number of distinct cells")
+    for name, value in (("exposure_skew", exposure_skew), ("bias", bias)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     root = RngStream(seed)
     fr = root.split("factors").generator
     u_f = fr.normal(size=(n_users, latent_dim)) / np.sqrt(latent_dim)
@@ -362,10 +383,10 @@ def generate_synthetic(
     world = SyntheticWorld(prob=prob)
 
     biased_cells = _weighted_cells_without_replacement(
-        exposure_skew * prob.reshape(-1), n_biased, root.split("biased-cells"))
+        prob, exposure_skew, n_biased, root.split("biased-cells"))
     # With equal weights the Gumbel top-k reduces to the n largest uniform keys.
-    uniform_keys = root.split("uniform-cells").random(n_users * n_items)
-    uniform_cells = np.argpartition(-uniform_keys, n_uniform - 1)[:n_uniform]
+    uniform_cells = np.argpartition(-root.split("uniform-cells").random(n_users * n_items),
+                                    n_uniform - 1)[:n_uniform].copy()
 
     label_rng = root.split("labels").generator
     interactions = []

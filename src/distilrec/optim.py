@@ -7,6 +7,7 @@ through ``param_arrays``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +31,8 @@ class OptimizerState:
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 def make_optimizer(net: Network, kind: str = "adam", learning_rate: float = 1e-3) -> OptimizerState:

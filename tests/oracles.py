@@ -1,15 +1,22 @@
 """Independent reference implementations used to check the fast paths.
 
 Everything here is deliberately brute force: central finite differences
-for gradients and the O(n^2) pairwise sum for AUC.  These oracles never
-call into the code paths they verify.
+for gradients, the O(n^2) pairwise sum for AUC and a row built with the
+rating rule written out.  These oracles never call into the code paths
+they verify.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from distilrec.data import Interaction, Source
 from distilrec.network import Network
+
+
+def interaction(user: int, item: int, rating: int, source: Source) -> Interaction:
+    """A row labelled by the rating rule: only a 5 counts as a positive."""
+    return Interaction(user, item, rating, 1 if rating == 5 else 0, source)
 
 
 def finite_difference_grads(loss_fn, net: Network, h: float = 1e-5) -> list[np.ndarray]:

@@ -1,4 +1,5 @@
 import collections
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,9 +12,8 @@ from distilrec.data import (
     Source,
     SplitSpec,
     UnobservedSampler,
-    binarize,
+    _distinct,
     generate_synthetic,
-    interaction,
     load_coat,
     load_yahoo,
     pack,
@@ -22,6 +22,8 @@ from distilrec.data import (
 )
 from distilrec.rng import RngStream
 
+from oracles import interaction
+
 
 def zero_weight_gumbel_top_k(stream, n_cells, k):
     """Exact weighted sampling without replacement, every log-weight zero."""
@@ -29,19 +31,50 @@ def zero_weight_gumbel_top_k(stream, n_cells, k):
     return np.argpartition(-(np.zeros(n_cells) + gumbel), k - 1)[:k]
 
 
-class TestBinarize:
+class TestDatasetRowChecks:
     @pytest.mark.parametrize("rating,label", [(5, 1), (4, 0), (3, 0), (2, 0), (1, 0)])
-    def test_rule(self, rating, label):
-        assert binarize(rating) == label
+    def test_rating_accepted_with_its_label(self, rating, label):
+        ds = Dataset([Interaction(0, 0, rating, label, Source.UNIFORM)], n_users=1, n_items=1)
+        assert ds.interactions[0].label == label
 
     @pytest.mark.parametrize("rating", [0, 6, -1])
-    def test_out_of_range(self, rating):
-        with pytest.raises(ValueError):
-            binarize(rating)
+    def test_rating_out_of_range_names_row(self, rating):
+        inters = [interaction(0, 0, 5, Source.UNIFORM), Interaction(0, 1, rating, 0, Source.UNIFORM)]
+        with pytest.raises(ValueError, match=rf"row 1: rating {rating} outside 1-5"):
+            Dataset(inters, n_users=1, n_items=2)
 
-    def test_interaction_label_must_match_rating(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            Interaction(0, 0, 5, 0, Source.UNIFORM)
+    def test_label_must_match_rating(self):
+        with pytest.raises(ValueError, match=r"row 0: label 0 inconsistent with rating 5"):
+            Dataset([Interaction(0, 0, 5, 0, Source.UNIFORM)], n_users=1, n_items=1)
+        inters = [interaction(0, 0, 5, Source.UNIFORM), Interaction(0, 1, 4, 1, Source.BIASED)]
+        with pytest.raises(ValueError, match=r"row 1: label 1 inconsistent with rating 4"):
+            Dataset(inters, n_users=1, n_items=2)
+
+    def test_source_must_be_a_source(self):
+        # Unchecked, a string source would sit in neither by_source slice.
+        with pytest.raises(ValueError, match=r"row 0: source 'uniform' is not a Source"):
+            Dataset([Interaction(0, 0, 5, 1, "uniform")], n_users=1, n_items=1)
+        inters = [interaction(0, 0, 5, Source.BIASED), Interaction(0, 1, 3, 0, None)]
+        with pytest.raises(ValueError, match=r"row 1: source None is not a Source"):
+            Dataset(inters, n_users=1, n_items=2)
+
+    def test_row_cannot_be_changed(self):
+        row = interaction(0, 0, 5, Source.UNIFORM)
+        with pytest.raises(AttributeError):
+            row.label = 0
+
+
+class TestDistinct:
+    @pytest.mark.parametrize("keys", [
+        np.empty(0, np.int64),
+        np.array([7]),
+        np.full(5, 3),
+        np.random.default_rng(6).integers(0, 40, size=200),
+    ], ids=["zero", "one", "all-equal", "random-with-repeats"])
+    def test_equals_np_unique(self, keys):
+        distinct = _distinct(keys)
+        np.testing.assert_array_equal(distinct, np.unique(keys))
+        assert distinct.dtype == keys.dtype
 
 
 class TestDatasetInvariants:
@@ -321,6 +354,26 @@ class TestUnobservedSampler:
 
 
 class TestGenerateSynthetic:
+    @pytest.mark.parametrize("name,value", [
+        ("exposure_skew", float("nan")), ("exposure_skew", float("inf")),
+        ("bias", float("nan")), ("bias", float("-inf")),
+    ])
+    def test_non_finite_parameter_rejected(self, name, value):
+        # Unchecked, bias=nan gave a world whose prob is all NaN and every label 0.
+        with pytest.raises(ValueError, match=rf"{name} must be finite"):
+            generate_synthetic(5, 5, 2, **{"exposure_skew": 1.0, name: value},
+                               n_biased=5, n_uniform=5, seed=0)
+
+    def test_peak_memory_is_three_full_grid_arrays(self):
+        # prob, one key buffer and one argpartition index array at a time.
+        tracemalloc.start()
+        try:
+            generate_synthetic(1000, 1000, 4, 4.0, 100, 100, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 1000 * 1000 * 8
+
     def test_determinism(self):
         w1, d1 = generate_synthetic(20, 15, 4, 3.0, 60, 30, seed=42)
         w2, d2 = generate_synthetic(20, 15, 4, 3.0, 60, 30, seed=42)

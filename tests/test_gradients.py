@@ -369,6 +369,13 @@ class TestOptimizer:
             apply_update(opt, net, g)
         assert opt.step == 0
 
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("learning_rate", [float("nan"), float("inf"), -float("inf"), 0.0])
+    def test_learning_rate_must_be_finite_and_positive(self, kind, learning_rate):
+        # Unchecked, a NaN rate let the first update change the network and set step to 1.
+        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+            OptimizerState(kind, learning_rate)
+
     def test_rejects_shape_mismatch(self):
         net = init_network(NetworkConfig(2, 2, 2, (2,)), RngStream(3))
         other = init_network(NetworkConfig(2, 2, 3, (2,)), RngStream(3))

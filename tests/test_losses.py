@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from distilrec.data import Source, interaction, pack
+from distilrec.data import Source, pack
 from distilrec.losses import (
     LossBreakdown,
     NonFiniteLossError,
@@ -17,6 +17,8 @@ from distilrec.losses import (
 from distilrec.metrics import bce_eval
 from distilrec.network import NetworkConfig, init_network
 from distilrec.rng import RngStream
+
+from oracles import interaction
 
 LN2 = math.log(2.0)
 KL_09_05 = 0.9 * math.log(0.9 / 0.5) + 0.1 * math.log(0.1 / 0.5)

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from distilrec.data import Source, interaction
+from distilrec.data import Source
 from distilrec.metrics import MetricsResult, UndefinedMetricError, auc, bce_eval, evaluate
 from distilrec.network import NetworkConfig, init_network
 from distilrec.rng import RngStream
 
-from oracles import pairwise_auc
+from oracles import interaction, pairwise_auc
 
 
 class TestAuc:
