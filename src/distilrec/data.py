@@ -4,8 +4,9 @@ Logged feedback arrives from two logging policies: a small slice where
 items were shown uniformly at random (an unbiased sample of preference)
 and a large slice logged by a deployed recommender (exposure-biased).
 Ratings on a 1-5 scale are binarized: only a 5 counts as a positive.
-Rows are checked in one place, when they enter a ``Dataset``: ratings,
-labels, sources, id ranges and duplicates, each error naming the row.
+Rows are checked in one place, when they enter a ``Dataset``: whole-number
+ids and ratings, rating and id ranges, labels, sources and duplicates,
+each error naming the row.
 
 The module also builds synthetic ground-truth worlds with a known
 preference matrix; these serve as oracles for debiasing experiments.
@@ -14,6 +15,7 @@ preference matrix; these serve as oracles for debiasing experiments.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -90,14 +92,27 @@ def _column(interactions: Sequence[Interaction], name: str, dtype=np.int64) -> n
     return np.fromiter(map(attrgetter(name), interactions), dtype=dtype, count=len(interactions))
 
 
+def _as_int64(values, what: str) -> np.ndarray:
+    """``values`` as int64, naming the row of the first entry that is not a whole number
+    within int64.  Input of a dtype that casts safely to int64 pays only that test."""
+    arr = np.asarray(values)
+    if not np.can_cast(arr.dtype, np.int64):
+        # As objects, a mixed list keeps its entries rather than numpy's common type.
+        for k, v in enumerate(np.asarray(values, dtype=object).reshape(-1).tolist()):
+            if not (isinstance(v, numbers.Real) and -2**63 <= v < 2**63 and v % 1 == 0):
+                raise ValueError(f"row {k // arr.shape[1] if arr.ndim == 2 else k}: "
+                                 f"{what} {v!r} is not an integer within int64")
+    return arr.astype(np.int64, copy=False)
+
+
 def _as_pairs(pairs) -> np.ndarray:
     """(user, item) pairs as an int64 array shaped (n, 2); ``[]`` is n = 0."""
-    arr = np.asarray(pairs, dtype=np.int64)
+    arr = np.asarray(pairs)
     if arr.shape == (0,):
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"pairs must have shape (n, 2), got {arr.shape}")
-    return arr
+    return _as_int64(arr, "pair id")
 
 
 @dataclass
@@ -107,18 +122,17 @@ class Dataset:
     n_items: int
 
     def __post_init__(self):
-        ratings = _column(self.interactions, "rating")
+        users, items, ratings, labels = (
+            _as_int64(list(map(attrgetter(name), self.interactions)), name)
+            for name in ("user", "item", "rating", "label"))
         if (k := _first((ratings < 1) | (ratings > 5))) is not None:
             raise ValueError(f"row {k}: rating {ratings[k]} outside 1-5")
-        labels = _column(self.interactions, "label")
         if (k := _first(labels != (ratings == 5))) is not None:
             raise ValueError(f"row {k}: label {labels[k]} inconsistent with rating {ratings[k]}")
         sources = _column(self.interactions, "source", object)
         uniform = sources == Source.UNIFORM
         if (k := _first(~uniform & (sources != Source.BIASED))) is not None:
             raise ValueError(f"row {k}: source {sources[k]!r} is not a Source")
-        users = _column(self.interactions, "user")
-        items = _column(self.interactions, "item")
         if (k := _first((users < 0) | (users >= self.n_users)
                         | (items < 0) | (items >= self.n_items))) is not None:
             raise ValueError(f"row {k}: id out of range: user={users[k]}, item={items[k]} "

@@ -1,18 +1,17 @@
 """Losses: BCE, L2 penalty, distillation discrepancies, composites.
 
 ``loss_and_grads`` is the one training objective, value and analytic
-gradient together.  It is a binary-cross-entropy data term over an
-``ObservedBatch``, plus an L2 penalty on weights and embeddings, plus
-(for the student) a teacher-alignment term over an ``UnobservedBatch``,
-measured by one of four discrepancies between the two predicted
+gradient together: a binary-cross-entropy data term over the required
+``ObservedBatch``, an L2 penalty on weights and embeddings and, for the
+student, a teacher-alignment term over an ``UnobservedBatch``.  That
+term is one of four discrepancies between the two predicted
 probabilities (MAE, MSE, KL with the teacher as reference distribution,
-or the symmetric Jeffreys divergence).  Both batches are scored by one
-forward pass over their concatenated rows, so dropout masks are drawn
-once and shared by value and gradient; each slice then gets its own
-logit gradient and one backward pass yields the whole gradient.  The
-teacher's objective is the same call without the unobserved batch; the
-caller feeds it uniform-source data only.  Teacher predictions enter
-only as constant targets, so no gradient ever reaches the teacher.
+or the symmetric Jeffreys divergence), each written once in
+``_reg_terms`` with its derivative in the student's logit.  One forward
+pass scores both batches, so dropout masks are shared by value and
+gradient, and one backward pass yields the whole gradient.  The teacher
+calls it without the unobserved batch, on uniform-source data only;
+its predictions enter the student's call only as constant targets.
 Probabilities are clamped into [CLAMP_EPS, 1 - CLAMP_EPS] before any
 logarithm.
 """
@@ -69,46 +68,33 @@ def _bce_terms(p_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def l2_reg(net: Network) -> float:
     """Sum of squared entries over ``net.l2_arrays()``; biases excluded."""
-    total = 0.0
-    for a in net.l2_arrays():
-        total += float(np.sum(np.square(a)))
-    return total
+    return float(sum(np.sum(np.square(a)) for a in net.l2_arrays()))
 
 
-def _reg_terms(kind: RegLossKind, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Per-pair discrepancy between teacher ``t`` and student ``s`` probabilities.
+def _reg_terms(kind: RegLossKind, t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair discrepancy of student ``s`` from teacher ``t`` and its logit gradient.
 
-    KL uses the teacher as the reference distribution; Jeffreys is the
-    symmetrized sum of both directions.  Always finite after clamping,
-    nonnegative, and zero exactly when the clamped inputs coincide.
+    The gradient is the derivative in the student's logit, zero where
+    ``s`` is clamped.  KL uses the teacher as the reference distribution;
+    Jeffreys is the symmetrized sum of both directions.  Always finite
+    after clamping, nonnegative, and zero exactly when the clamped inputs
+    coincide.
     """
-    t = _clamp(t)
-    s = _clamp(s)
-    if kind is RegLossKind.MAE:
-        return np.abs(t - s)
-    if kind is RegLossKind.MSE:
-        return np.square(t - s)
-    kl_ts = t * (np.log(t) - np.log(s)) + (1.0 - t) * (np.log1p(-t) - np.log1p(-s))
-    if kind is RegLossKind.KL:
-        return kl_ts
-    kl_st = s * (np.log(s) - np.log(t)) + (1.0 - s) * (np.log1p(-s) - np.log1p(-t))
-    return kl_ts + kl_st
-
-
-def _reg_grad_wrt_student(kind: RegLossKind, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """d reg / d s, evaluated on clamped values; zero where s is clamped."""
     inside = (s > CLAMP_EPS) & (s < 1.0 - CLAMP_EPS)
-    t = _clamp(t)
-    s = _clamp(s)
+    t, s = _clamp(t), _clamp(s)
+    ds = s * (1.0 - s)   # d s / d logit
     if kind is RegLossKind.MAE:
-        g = np.sign(s - t)
+        value, dlogit = np.abs(t - s), np.sign(s - t) * ds
     elif kind is RegLossKind.MSE:
-        g = 2.0 * (s - t)
-    elif kind is RegLossKind.KL:
-        g = (s - t) / (s * (1.0 - s))
+        value, dlogit = np.square(t - s), 2.0 * (s - t) * ds
     else:
-        g = (s - t) / (s * (1.0 - s)) + np.log(s) - np.log(t) - np.log1p(-s) + np.log1p(-t)
-    return np.where(inside, g, 0.0)
+        lt, ls, l1t, l1s = np.log(t), np.log(s), np.log1p(-t), np.log1p(-s)
+        value, dlogit = t * (lt - ls) + (1.0 - t) * (l1t - l1s), s - t
+        if kind is RegLossKind.JEFFREYS:
+            # kl_ts + kl_st, each direction summed alone so that swapping t and s is exact.
+            value = value + (s * (ls - lt) + (1.0 - s) * (l1s - l1t))
+            dlogit = dlogit + (ls - l1s - lt + l1t) * ds
+    return value, np.where(inside, dlogit, 0.0)
 
 
 @dataclass(frozen=True)
@@ -134,9 +120,14 @@ class LossBreakdown:
 def _check_lengths(batch, *fields: str) -> None:
     n = len(batch.users)
     for name in fields:
-        m = len(getattr(batch, name))
-        if m != n:
+        if (m := len(getattr(batch, name))) != n:
             raise ValueError(f"{type(batch).__name__}: {m} {name} for {n} users")
+
+
+def _check_labels(labels: np.ndarray) -> None:
+    """Names the first label that is not 0 or 1; NaN is neither."""
+    if (bad := np.flatnonzero((labels != 0) & (labels != 1))).size:
+        raise ValueError(f"label at index {bad[0]} is {labels[bad[0]]}, not 0 or 1")
 
 
 @dataclass
@@ -147,6 +138,7 @@ class ObservedBatch:
 
     def __post_init__(self):
         _check_lengths(self, "items", "labels")
+        _check_labels(np.asarray(self.labels))
 
 
 @dataclass
@@ -157,11 +149,14 @@ class UnobservedBatch:
 
     def __post_init__(self):
         _check_lengths(self, "items", "teacher_targets")
+        t = np.asarray(self.teacher_targets)
+        if (bad := np.flatnonzero(~((t >= 0.0) & (t <= 1.0)))).size:
+            raise ValueError(f"teacher target at index {bad[0]} is {t[bad[0]]}, outside [0, 1]")
 
 
 def loss_and_grads(
     net: Network,
-    observed: ObservedBatch | None,
+    observed: ObservedBatch,
     unobserved: UnobservedBatch | None = None,
     gamma_reg: float = 0.0,
     reg_kind: RegLossKind = RegLossKind.KL,
@@ -171,38 +166,30 @@ def loss_and_grads(
 ) -> tuple[LossBreakdown, Network]:
     """Composite objective value and its gradient w.r.t. ``net``.
 
-    One forward pass scores the observed rows followed by the unobserved
-    ones; a missing batch contributes no rows and a zero term.  Dropout
-    masks (in TRAIN_DROPOUT mode) are drawn once for all rows and shared
-    between the value and the single backward pass.  Raises
+    The observed batch is required and nonempty; a missing unobserved
+    batch (the teacher's call) adds no rows and a zero distillation term.
+    One forward pass scores all rows, so TRAIN_DROPOUT masks are drawn
+    once; one backward pass takes the logit gradients ``p - y`` of the
+    BCE slice and ``_reg_terms``' of the distillation slice.  Raises
     NonFiniteLossError if any term degenerates.
     """
-    if observed is None and unobserved is None and l2_coeff == 0.0:
-        raise ValueError("loss requires a batch or a nonzero l2 coefficient")
-    if observed is not None and observed.users.size == 0:
-        raise ValueError("observed batch must be nonempty")
-    no_rows = np.empty(0, dtype=np.int64)
-    obs = observed if observed is not None else ObservedBatch(no_rows, no_rows, no_rows)
-    unobs = unobserved if unobserved is not None else UnobservedBatch(no_rows, no_rows, no_rows)
-    n, m = obs.users.size, unobs.users.size
-
-    cache = forward_cached(net, np.concatenate([obs.users, unobs.users]),
-                           np.concatenate([obs.items, unobs.items]), mode, rng)
+    if observed is None or len(observed.users) == 0:
+        raise ValueError("loss_and_grads requires a nonempty observed batch")
+    if unobserved is None:
+        unobserved = UnobservedBatch(*[np.empty(0, dtype=np.int64)] * 3)
+    n, m = len(observed.users), len(unobserved.users)
+    cache = forward_cached(net, np.concatenate([observed.users, unobserved.users]),
+                           np.concatenate([observed.items, unobserved.items]), mode, rng)
     p, s = cache.probs[:n], cache.probs[n:]
-    y = np.asarray(obs.labels, dtype=np.float64)
-    t = np.asarray(unobs.teacher_targets, dtype=np.float64)
-    # sum / max(count, 1) is np.mean bit for bit, and 0 for a missing batch.
-    data_term = float(np.sum(_bce_terms(p, y)) / max(n, 1))
-    distill_term = float(np.sum(_reg_terms(reg_kind, t, s)) / max(m, 1))
-    dreg_ds = _reg_grad_wrt_student(reg_kind, t, s)
-    dlogits = np.concatenate([(p - y) / max(n, 1),
-                              gamma_reg * dreg_ds * s * (1.0 - s) / max(m, 1)])
-    grads = backprop(net, cache, dlogits)
+    y = np.asarray(observed.labels, dtype=np.float64)
+    values, dlogit = _reg_terms(reg_kind, unobserved.teacher_targets, s)
+    # sum / max(m, 1) is np.mean bit for bit, and 0 without unobserved rows.
+    data_term = float(np.sum(_bce_terms(p, y)) / n)
+    distill_term = float(np.sum(values) / max(m, 1))
+    grads = backprop(net, cache, np.concatenate([(p - y) / n, gamma_reg * dlogit / max(m, 1)]))
 
-    reg_term = l2_reg(net)
     if l2_coeff != 0.0:
         for g, a in zip(grads.l2_arrays(), net.l2_arrays()):
             g += 2.0 * l2_coeff * a
 
-    breakdown = LossBreakdown.compose(data_term, distill_term, reg_term, gamma_reg, l2_coeff)
-    return breakdown, grads
+    return LossBreakdown.compose(data_term, distill_term, l2_reg(net), gamma_reg, l2_coeff), grads

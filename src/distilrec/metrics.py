@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .losses import _bce_terms
+from .losses import _bce_terms, _check_labels
 from .network import ForwardMode, Network, forward_batch
 from .data import Interaction, pack
 
@@ -36,9 +36,7 @@ def _checked(scores: Sequence[float], labels: Sequence[int]) -> tuple[np.ndarray
     nan = np.flatnonzero(np.isnan(s))
     if nan.size:
         raise ValueError(f"score at index {nan[0]} is NaN")
-    bad = np.flatnonzero((y != 0) & (y != 1))
-    if bad.size:
-        raise ValueError(f"label at index {bad[0]} is {y[bad[0]]}, not 0 or 1")
+    _check_labels(y)
     return s, y
 
 

@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import _as_pairs
+from .data import _as_int64, _as_pairs
 from .rng import RngStream
 
 __all__ = [
@@ -198,14 +198,13 @@ def forward_cached(
     In TRAIN_DROPOUT / STOCHASTIC_INFERENCE a fresh Bernoulli mask is
     drawn for every element and every hidden layer, scaled by
     1/(1-dropout_rate) so the expectation matches DETERMINISTIC output.
-    No rows draw no masks, so an empty batch needs no stream.
+    Ids must be whole numbers; integer arrays pass with a dtype test.
     """
-    users = np.asarray(users, dtype=np.int64)
-    items = np.asarray(items, dtype=np.int64)
+    users = _as_int64(users, "user id")
+    items = _as_int64(items, "item id")
     _check_ids(net, users, items)
     cfg = net.config
-    use_dropout = (users.size > 0 and mode is not ForwardMode.DETERMINISTIC
-                   and cfg.dropout_rate > 0.0)
+    use_dropout = mode is not ForwardMode.DETERMINISTIC and cfg.dropout_rate > 0.0
     if use_dropout and rng is None:
         raise ValueError(f"mode {mode} requires an rng stream")
 

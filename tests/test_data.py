@@ -58,6 +58,18 @@ class TestDatasetRowChecks:
         with pytest.raises(ValueError, match=r"row 1: source None is not a Source"):
             Dataset(inters, n_users=1, n_items=2)
 
+    @pytest.mark.parametrize("field,value", [("rating", 4.5), ("user", 0.5), ("item", float("nan")),
+                                             ("rating", 2**70), ("label", None)])
+    def test_value_not_an_integer_names_row(self, field, value):
+        # Unchecked, 4.5 and 0.5 were truncated to 4 and 0, and 2**70 raised OverflowError.
+        bad = interaction(0, 1, 4, Source.UNIFORM)._replace(**{field: value})
+        with pytest.raises(ValueError, match=rf"row 1: {field} {value!r} is not an integer"):
+            Dataset([interaction(0, 0, 5, Source.UNIFORM), bad], n_users=1, n_items=2)
+
+    def test_whole_float_values_accepted(self):
+        ds = Dataset([Interaction(0.0, 1.0, 5.0, 1.0, Source.UNIFORM)], n_users=1, n_items=2)
+        np.testing.assert_array_equal(ds.observed_pairs(), [[0, 1]])
+
     def test_row_cannot_be_changed(self):
         row = interaction(0, 0, 5, Source.UNIFORM)
         with pytest.raises(AttributeError):
@@ -230,6 +242,11 @@ class TestSplitUniform:
         with pytest.raises(ValueError):
             split_uniform(self.fake_uniform(2), SplitSpec(seed=0))
 
+    def test_fraction_outside_open_unit_interval_rejected(self):
+        for fraction in (0.0, 1.0, -0.2, 1.5, float("nan")):
+            with pytest.raises(ValueError, match=r"uniform_train_fraction must lie in \(0, 1\)"):
+                SplitSpec(uniform_train_fraction=fraction)
+
 
 class TestPartitionBatches:
     def test_remainder_rule_10_3(self):
@@ -260,6 +277,10 @@ class TestPartitionBatches:
         assert sorted(flat, key=lambda i: (i.user, i.item)) == sorted(
             data, key=lambda i: (i.user, i.item)
         )
+
+    def test_zero_batches_rejected(self):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            partition_batches(TestSplitUniform.fake_uniform(3), 0, RngStream(0))
 
     def test_more_batches_than_items_rejected(self):
         with pytest.raises(ValueError):
@@ -325,6 +346,13 @@ class TestUnobservedSampler:
                 UnobservedSampler(3, 4, bad, RngStream(1))
         assert UnobservedSampler(3, 4, [], RngStream(1))._observed_keys.size == 0
 
+    def test_pairs_not_integers_rejected_naming_row(self):
+        # Unchecked, (0.5, 1.0) was truncated to (0, 1) and masked key 1.
+        with pytest.raises(ValueError, match=r"row 0: pair id 0.5 is not an integer"):
+            UnobservedSampler(2, 2, [[0.5, 1.0]], RngStream(1))
+        with pytest.raises(ValueError, match=r"row 1: pair id 1.25 is not an integer"):
+            UnobservedSampler(2, 2, np.array([[0, 1], [1, 1.25]]), RngStream(1))
+
     def test_pairs_outside_grid_rejected_naming_row(self):
         # Unchecked, (0, 3) in a 2 x 3 grid would take the key of cell (1, 0),
         # and that cell would never be sampled.
@@ -363,6 +391,18 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match=rf"{name} must be finite"):
             generate_synthetic(5, 5, 2, **{"exposure_skew": 1.0, name: value},
                                n_biased=5, n_uniform=5, seed=0)
+
+    @pytest.mark.parametrize("size", ["n_users", "n_items", "latent_dim", "n_biased", "n_uniform"])
+    def test_non_positive_size_rejected(self, size):
+        sizes = dict(n_users=5, n_items=5, latent_dim=2, n_biased=5, n_uniform=5)
+        with pytest.raises(ValueError, match="all sizes must be positive"):
+            generate_synthetic(**{**sizes, size: 0}, exposure_skew=1.0, seed=0)
+
+    @pytest.mark.parametrize("log", ["n_biased", "n_uniform"])
+    def test_log_larger_than_grid_rejected(self, log):
+        sizes = dict(n_biased=5, n_uniform=5)
+        with pytest.raises(ValueError, match="log size exceeds the number of distinct cells"):
+            generate_synthetic(3, 4, 2, 1.0, **{**sizes, log: 13}, seed=0)
 
     def test_peak_memory_is_three_full_grid_arrays(self):
         # prob, one key buffer and one argpartition index array at a time.

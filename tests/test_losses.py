@@ -5,6 +5,7 @@ import pytest
 
 from distilrec.data import Source, pack
 from distilrec.losses import (
+    CLAMP_EPS,
     LossBreakdown,
     NonFiniteLossError,
     ObservedBatch,
@@ -32,8 +33,18 @@ def zero_net(n_users=2, n_items=2):
 
 
 def reg_one(kind, p_teacher, p_student):
-    """``_reg_terms`` of one (teacher, student) pair."""
-    return _reg_terms(kind, np.array([p_teacher]), np.array([p_student]))[0]
+    """``_reg_terms``' value for one (teacher, student) pair."""
+    return _reg_terms(kind, np.array([p_teacher]), np.array([p_student]))[0][0]
+
+
+def closed_form(kind, t, s):
+    """Each discrepancy's value on clamped inputs, written out directly."""
+    t = np.clip(t, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    s = np.clip(s, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    kl_ts = t * (np.log(t) - np.log(s)) + (1.0 - t) * (np.log1p(-t) - np.log1p(-s))
+    kl_st = s * (np.log(s) - np.log(t)) + (1.0 - s) * (np.log1p(-s) - np.log1p(-t))
+    return {RegLossKind.MAE: np.abs(t - s), RegLossKind.MSE: np.square(t - s),
+            RegLossKind.KL: kl_ts, RegLossKind.JEFFREYS: kl_ts + kl_st}[kind]
 
 
 class TestBce:
@@ -76,7 +87,7 @@ class TestRegLoss:
     def test_zero_at_identity(self, kind):
         gen = np.random.default_rng(42)
         t = gen.uniform(1e-6, 1 - 1e-6, size=10_000)
-        vals = _reg_terms(kind, t, t)
+        vals, _ = _reg_terms(kind, t, t)
         assert np.all(vals >= 0.0)
         np.testing.assert_allclose(vals, 0.0, atol=1e-12)
 
@@ -94,7 +105,7 @@ class TestRegLoss:
         gen = np.random.default_rng(8)
         t = gen.uniform(0, 1, size=5000)
         s = gen.uniform(0, 1, size=5000)
-        assert np.all(_reg_terms(RegLossKind.KL, t, s) >= 0.0)
+        assert np.all(_reg_terms(RegLossKind.KL, t, s)[0] >= 0.0)
 
     def test_clamp_keeps_boundary_finite(self):
         # Unclamped KL(1, s -> 0) diverges; the clamp keeps it finite.
@@ -107,9 +118,42 @@ class TestRegLoss:
         gen = np.random.default_rng(9)
         t = gen.uniform(0, 1, size=2000)
         s = gen.uniform(0, 1, size=2000)
-        mse = _reg_terms(RegLossKind.MSE, t, s)
-        mae = _reg_terms(RegLossKind.MAE, t, s)
+        mse, _ = _reg_terms(RegLossKind.MSE, t, s)
+        mae, _ = _reg_terms(RegLossKind.MAE, t, s)
         assert np.all(mse <= mae + 1e-15)
+
+    @pytest.mark.parametrize("kind", list(RegLossKind))
+    def test_values_equal_closed_forms_bit_for_bit(self, kind):
+        gen = np.random.default_rng(10)
+        t = np.concatenate([gen.uniform(0, 1, size=2000), [0.0, 1.0, 1e-9, 0.5]])
+        s = np.concatenate([gen.uniform(0, 1, size=2000), [1.0, 0.0, 0.5, 1e-9]])
+        np.testing.assert_array_equal(_reg_terms(kind, t, s)[0], closed_form(kind, t, s))
+
+    @pytest.mark.parametrize("kind", list(RegLossKind))
+    def test_dlogit_matches_central_difference_in_logit(self, kind):
+        # Teacher and student at least 0.1 apart, so MAE stays off its kink.
+        gen = np.random.default_rng(12)
+        t = np.concatenate([gen.uniform(0.05, 0.45, size=200), gen.uniform(0.55, 0.95, size=200)])
+        s = np.concatenate([gen.uniform(0.55, 0.95, size=200), gen.uniform(0.05, 0.45, size=200)])
+        z, h = np.log(s) - np.log1p(-s), 1e-5
+        up, _ = _reg_terms(kind, t, 1.0 / (1.0 + np.exp(-(z + h))))
+        down, _ = _reg_terms(kind, t, 1.0 / (1.0 + np.exp(-(z - h))))
+        _, dlogit = _reg_terms(kind, t, s)
+        np.testing.assert_allclose(dlogit, (up - down) / (2.0 * h), rtol=1e-6)
+
+    @pytest.mark.parametrize("kind", list(RegLossKind))
+    def test_dlogit_zero_where_student_clamped(self, kind):
+        s = np.array([0.0, 1e-12, CLAMP_EPS, 1.0 - CLAMP_EPS, 1.0 - 1e-12, 1.0])
+        values, dlogit = _reg_terms(kind, np.full(s.size, 0.3), s)
+        assert np.all(np.isfinite(values))
+        np.testing.assert_array_equal(dlogit, 0.0)
+
+    def test_kl_dlogit_is_student_minus_teacher(self):
+        # The same form as the BCE slice's p - y, bit for bit.
+        gen = np.random.default_rng(13)
+        t = gen.uniform(0.001, 0.999, size=5000)
+        s = gen.uniform(0.001, 0.999, size=5000)
+        np.testing.assert_array_equal(_reg_terms(RegLossKind.KL, t, s)[1], s - t)
 
 
 class TestLossBreakdown:
@@ -171,6 +215,13 @@ class TestTeacherLoss:
         with pytest.raises(ValueError, match="ObservedBatch: 1 labels for 2 users"):
             ObservedBatch(np.array([0, 1]), np.array([0, 1]), np.array([1.0]))
 
+    def test_label_outside_zero_one_rejected_with_index(self):
+        # Unchecked, a label of 2.0 gave a negative data term.
+        with pytest.raises(ValueError, match="label at index 0 is 2.0, not 0 or 1"):
+            ObservedBatch(np.array([0]), np.array([1]), np.array([2.0]))
+        with pytest.raises(ValueError, match="label at index 1 is nan, not 0 or 1"):
+            ObservedBatch(np.array([0, 1]), np.array([1, 1]), np.array([1.0, np.nan]))
+
 
 class TestStudentLoss:
     """The student objective: ``loss_and_grads`` with a distillation term."""
@@ -209,6 +260,26 @@ class TestStudentLoss:
         with pytest.raises(ValueError, match="UnobservedBatch: 1 teacher_targets for 2 users"):
             UnobservedBatch(np.array([0, 1]), np.array([1, 1]), np.array([0.5]))
 
+    def test_target_outside_unit_interval_rejected_with_index(self):
+        # Unchecked, a target of 1.5 was clamped silently into the distillation term.
+        for targets, match in (([0.5, 1.5], "index 1 is 1.5"), ([-0.1, 0.5], "index 0 is -0.1"),
+                               ([np.nan, 0.5], "index 0 is nan")):
+            with pytest.raises(ValueError, match=rf"teacher target at {match}, outside \[0, 1\]"):
+                unobserved([(0, 1), (1, 0)], targets)
+        assert unobserved([(0, 1), (1, 0)], [0.0, 1.0]).teacher_targets.size == 2
+
+    def test_batches_from_lists_equal_batches_from_arrays(self):
+        # Batches are sized with len(): read with ``.size``, lists raised AttributeError.
+        net = init_network(NetworkConfig(3, 3, 2, (3,)), RngStream(5))
+        from_lists = loss_and_grads(net, ObservedBatch([0, 2], [1, 2], [1, 0]),
+                                    UnobservedBatch([1], [1], [0.25]), gamma_reg=0.5)
+        from_arrays = loss_and_grads(net, observed(interaction(0, 1, 5, Source.BIASED),
+                                                   interaction(2, 2, 3, Source.BIASED)),
+                                     unobserved([(1, 1)], [0.25]), gamma_reg=0.5)
+        assert from_lists[0] == from_arrays[0]
+        for a, b in zip(from_lists[1].param_arrays(), from_arrays[1].param_arrays()):
+            np.testing.assert_array_equal(a, b)
+
     def test_empty_observed_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             loss_and_grads(zero_net(), observed(), unobserved([(0, 1)], [0.5]),
@@ -225,6 +296,8 @@ class TestLossAndGradsErrors:
             loss_and_grads(net, obs, l2_coeff=1.0)
         assert exc.value.term in ("reg_term", "total", "data_term")
 
-    def test_requires_some_objective(self):
-        with pytest.raises(ValueError):
-            loss_and_grads(zero_net(), observed=None, unobserved=None, l2_coeff=0.0)
+    @pytest.mark.parametrize("unobs", [None, unobserved([(0, 1)], [0.5])])
+    def test_observed_batch_required(self, unobs):
+        # Neither an L2-only nor a distillation-only call is an objective.
+        with pytest.raises(ValueError, match="requires a nonempty observed batch"):
+            loss_and_grads(zero_net(), None, unobs, gamma_reg=1.0, l2_coeff=0.5)

@@ -122,6 +122,23 @@ class TestForward:
         with pytest.raises(ValueError, match="out of range"):
             forward_batch(net, [(-1, 0)])
 
+    def test_non_integer_ids_rejected_naming_row(self):
+        # Unchecked, (1.9, 1) was truncated and scored as (1, 1).
+        net = init_network(small_config(), RngStream(1))
+        with pytest.raises(ValueError, match=r"row 0: pair id 1.9 is not an integer"):
+            forward_batch(net, [(1.9, 1)])
+        with pytest.raises(ValueError, match=r"row 1: user id 0.5 is not an integer"):
+            forward_cached(net, [1, 0.5], [0, 0], ForwardMode.DETERMINISTIC)
+        with pytest.raises(ValueError, match=r"row 1: item id 'a' is not an integer"):
+            forward_cached(net, [1, 1], [0, "a"], ForwardMode.DETERMINISTIC)
+
+    def test_integer_and_whole_float_ids_score_alike(self):
+        net = init_network(small_config(), RngStream(1))
+        want = forward_batch(net, [(1, 1), (4, 5)])
+        for pairs in (np.array([[1, 1], [4, 5]], np.int32), np.array([[1, 1], [4, 5]], np.uint8),
+                      [(1.0, 1.0), (4.0, 5.0)]):
+            np.testing.assert_array_equal(forward_batch(net, pairs), want)
+
     def test_empty_batch(self):
         net = init_network(small_config(), RngStream(1))
         assert forward_batch(net, []).shape == (0,)
