@@ -11,7 +11,8 @@ Everything is plain float64 numpy with hand-written reverse-mode
 gradients for this fixed architecture; there is no general autodiff.
 ``Network`` is the one parameter container: ``backprop`` returns the
 gradient as a ``Network`` of the same config, and every construction,
-checkpoint loads included, checks each array's shape against the config.
+checkpoint loads included, checks each array's shape against the config
+and requires float64.
 A training step runs ``forward_cached`` once over all its rows, observed
 and unobserved concatenated, and ``backprop`` once over the per-row
 logit gradients; ``backprop`` is the step's only gradient allocation and
@@ -19,6 +20,13 @@ its only scatter into the embedding tables.  The tape ``forward_cached``
 keeps is its activations: ``backprop`` recovers the ReLU gates and the
 dropout masks from them, since a unit is live exactly when its activation
 is positive, and every live unit was scaled by 1/(1-dropout_rate).
+
+Scoring keeps no tape.  ``forward_batch`` factors the first layer,
+``[e_u; e_i] @ W0 = (user_emb @ W0[:d])[u] + (item_emb @ W0[d:])[i]``,
+projecting each table once per call, then walks the pairs in blocks of
+``SCORE_BLOCK`` rows through the rest of the stack, drawing each block's
+dropout masks layer by layer.  Only the probabilities outlive a block.
+Both forwards share one layer stack, ``_layer_stack``.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 import zipfile
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -47,6 +56,7 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT_VERSION = 1
+SCORE_BLOCK = 4096  # rows per forward_batch block; bounds its temporaries to a few MiB
 
 
 class ForwardMode(Enum):
@@ -55,6 +65,14 @@ class ForwardMode(Enum):
     DETERMINISTIC = "deterministic"
     TRAIN_DROPOUT = "train_dropout"
     STOCHASTIC_INFERENCE = "stochastic_inference"
+
+
+def _whole(value, name: str) -> int:
+    """``value`` as an int if it is a whole number; whole floats such as 64.0 pass."""
+    if not (isinstance(value, numbers.Integral)
+            or isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -66,7 +84,10 @@ class NetworkConfig:
     dropout_rate: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
+        for name in ("n_users", "n_items", "embedding_dim"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
+        object.__setattr__(self, "hidden_sizes", tuple(
+            _whole(h, f"hidden_sizes[{k}]") for k, h in enumerate(self.hidden_sizes)))
         if self.n_users < 1 or self.n_items < 1:
             raise ValueError("n_users and n_items must be >= 1")
         if self.embedding_dim < 1:
@@ -114,6 +135,8 @@ class Network:
         for (name, shape), a in zip(self.config.param_shapes(), self.param_arrays()):
             if a.shape != shape:
                 raise ValueError(f"{name} has shape {a.shape}; config expects {shape}")
+            if a.dtype != np.float64:
+                raise ValueError(f"{name} has dtype {a.dtype}; float64 expected")
 
     @classmethod
     def from_arrays(cls, config: NetworkConfig, arrays: list[np.ndarray]) -> "Network":
@@ -186,6 +209,36 @@ class ForwardCache:
     probs: np.ndarray                  # sigmoid(logits), (B,)
 
 
+def _mask_scale(net: Network, mode: ForwardMode, rng: RngStream | None) -> float | None:
+    """1/(1-dropout_rate) if ``mode`` draws dropout masks, else None."""
+    if mode is ForwardMode.DETERMINISTIC or net.config.dropout_rate == 0.0:
+        return None
+    if rng is None:
+        raise ValueError(f"mode {mode} requires an rng stream")
+    return 1.0 / (1.0 - net.config.dropout_rate)
+
+
+def _layer_stack(net: Network, z0: np.ndarray, scale: float | None, rng: RngStream | None):
+    """(activations, logits, probs) from the first layer's product ``z0`` before its bias.
+
+    ``z0`` is consumed in place.  With a ``scale``, a fresh Bernoulli mask
+    is drawn for every element of every hidden layer, in layer order.
+    """
+    acts = []
+    for k, b in enumerate(net.biases[:-1]):
+        a = z0 if k == 0 else a @ net.weights[k]
+        a += b
+        np.maximum(a, 0.0, out=a)
+        if scale is not None:
+            a *= rng.random(a.shape) >= net.config.dropout_rate
+            a *= scale
+        acts.append(a)
+    logits = (a @ net.weights[-1] + net.biases[-1]).reshape(-1)
+    with np.errstate(over="ignore"):  # exp(-logit) = inf gives the limit 0.0
+        probs = 1.0 / (1.0 + np.exp(-logits))
+    return acts, logits, probs
+
+
 def forward_cached(
     net: Network,
     users: np.ndarray,
@@ -203,27 +256,10 @@ def forward_cached(
     users = _as_int64(users, "user id")
     items = _as_int64(items, "item id")
     _check_ids(net, users, items)
-    cfg = net.config
-    use_dropout = mode is not ForwardMode.DETERMINISTIC and cfg.dropout_rate > 0.0
-    if use_dropout and rng is None:
-        raise ValueError(f"mode {mode} requires an rng stream")
-
-    scale = 1.0 / (1.0 - cfg.dropout_rate) if use_dropout else 1.0
+    scale = _mask_scale(net, mode, rng)
     x = np.concatenate([net.user_emb[users], net.item_emb[items]], axis=1)
-    acts = []
-    a = x
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        a = a @ w
-        a += b
-        np.maximum(a, 0.0, out=a)
-        if use_dropout:
-            a *= rng.random(a.shape) >= cfg.dropout_rate
-            a *= scale
-        acts.append(a)
-    logits = (a @ net.weights[-1] + net.biases[-1]).reshape(-1)
-    with np.errstate(over="ignore"):  # exp(-logit) = inf gives the limit 0.0
-        probs = 1.0 / (1.0 + np.exp(-logits))
-    return ForwardCache(users, items, x, acts, scale, logits, probs)
+    acts, logits, probs = _layer_stack(net, x @ net.weights[0], scale, rng)
+    return ForwardCache(users, items, x, acts, scale or 1.0, logits, probs)
 
 
 def backprop(net: Network, cache: ForwardCache, dlogits: np.ndarray) -> Network:
@@ -265,9 +301,29 @@ def forward_batch(
     mode: ForwardMode = ForwardMode.DETERMINISTIC,
     rng: RngStream | None = None,
 ) -> np.ndarray:
-    """Probabilities for (user, item) pairs shaped (n, 2); ``[]`` is n = 0."""
+    """Probabilities for (user, item) pairs shaped (n, 2); ``[]`` is n = 0.
+
+    Tape-free: each embedding table is projected once through its half of
+    the first layer, then the pairs run in blocks of ``SCORE_BLOCK`` rows
+    and only their probabilities are kept.  Masks are drawn as in
+    ``forward_cached``, one per element, block by block and within a block
+    layer by layer.  Values equal ``forward_cached(...).probs`` up to the
+    rounding of the factored first layer.
+    """
     arr = _as_pairs(pairs)
-    return forward_cached(net, arr[:, 0], arr[:, 1], mode, rng).probs
+    users, items = arr[:, 0], arr[:, 1]
+    _check_ids(net, users, items)
+    scale = _mask_scale(net, mode, rng)
+    d = net.config.embedding_dim
+    proj_u = net.user_emb @ net.weights[0][:d]
+    proj_i = net.item_emb @ net.weights[0][d:]
+    probs = np.empty(len(arr))
+    for start in range(0, len(arr), SCORE_BLOCK):
+        rows = slice(start, start + SCORE_BLOCK)
+        z0 = proj_u[users[rows]]
+        z0 += proj_i[items[rows]]
+        probs[rows] = _layer_stack(net, z0, scale, rng)[2]
+    return probs
 
 
 def save_checkpoint(net: Network, path, seed: int | None = None) -> None:

@@ -1,10 +1,13 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from distilrec import network
 from distilrec.network import (
+    SCORE_BLOCK,
     ForwardMode,
     Network,
     NetworkConfig,
@@ -43,6 +46,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(hidden_sizes=(4, 4, 4, 4))
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_users", 2.5), ("n_items", 6.1), ("embedding_dim", 2.5), ("hidden_sizes", (4, 2.7)),
+        ("n_users", float("nan")), ("embedding_dim", float("inf")), ("n_items", "6"),
+    ])
+    def test_rejects_sizes_that_are_not_whole_numbers(self, field, value):
+        # Unchecked, hidden 2.7 was truncated to 2 and a fractional n_users or
+        # embedding_dim failed later in init_network with an unlocated TypeError.
+        name = "hidden_sizes[1]" if field == "hidden_sizes" else field
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a whole number")):
+            small_config(**{field: value})
+
+    def test_whole_floats_become_ints(self):
+        cfg = NetworkConfig(5.0, np.int32(6), 64.0, (np.float64(4.0), 3))
+        assert (cfg.n_users, cfg.n_items, cfg.embedding_dim, cfg.hidden_sizes) == (5, 6, 64, (4, 3))
+        assert all(type(v) is int for v in (cfg.n_users, cfg.n_items, cfg.embedding_dim,
+                                             *cfg.hidden_sizes))
+
 
 class TestInit:
     def test_same_seed_bit_identical(self):
@@ -72,6 +92,17 @@ class TestInit:
         with pytest.raises(ValueError, match=r"weights\[1\] has shape \(3, 4\)"):
             Network(net.config, net.user_emb, net.item_emb,
                     [net.weights[0], net.weights[1].T, net.weights[2]], net.biases)
+
+    def test_construction_rejects_dtypes_other_than_float64(self):
+        # Unchecked, float32 arrays trained silently in float32 and int64 ones
+        # failed inside the forward pass with an unlocated UFuncTypeError.
+        net = init_network(small_config(hidden_sizes=(4, 3)), RngStream(2))
+        arrays = net.param_arrays()
+        with pytest.raises(ValueError, match="user_emb has dtype float32; float64 expected"):
+            Network.from_arrays(net.config, [arrays[0].astype(np.float32), *arrays[1:]])
+        with pytest.raises(ValueError, match=r"biases\[1\] has dtype int64; float64 expected"):
+            Network(net.config, net.user_emb, net.item_emb, net.weights,
+                    [net.biases[0], net.biases[1].astype(np.int64), net.biases[2]])
 
 
 class TestParamCount:
@@ -157,6 +188,89 @@ class TestForward:
         single = [forward_batch(net, [(u, i)])[0] for u, i in pairs]
         # BLAS may pick different kernels per batch shape; tolerance is ulp-scale.
         np.testing.assert_allclose(batch, single, rtol=1e-14, atol=1e-15)
+
+
+def random_pairs(cfg, n, seed=0):
+    gen = np.random.default_rng(seed)
+    return np.column_stack([gen.integers(0, cfg.n_users, n), gen.integers(0, cfg.n_items, n)])
+
+
+BLOCK_SIZES = [0, 1, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, 2 * SCORE_BLOCK + 3]
+HIDDEN = [(4,), (4, 3), (5, 4, 3)]
+
+
+class TestScorerMatchesTrainingForward:
+    @pytest.mark.parametrize("hidden", HIDDEN)
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_deterministic_equals_forward_cached(self, hidden, n):
+        net = init_network(small_config(hidden_sizes=hidden, dropout_rate=0.3), RngStream(4))
+        pairs = random_pairs(net.config, n)
+        want = forward_cached(net, pairs[:, 0], pairs[:, 1], ForwardMode.DETERMINISTIC).probs
+        np.testing.assert_allclose(forward_batch(net, pairs), want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("hidden", HIDDEN)
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_stochastic_masks_drawn_block_by_block_layer_by_layer(self, hidden, n):
+        cfg = small_config(hidden_sizes=hidden, dropout_rate=0.4)
+        net = init_network(cfg, RngStream(4))
+        pairs = random_pairs(cfg, n)
+        stream = RngStream(8)
+        got = forward_batch(net, pairs, ForwardMode.STOCHASTIC_INFERENCE, stream)
+
+        # Reference: the unfactored first layer, masks from a same-seeded stream.
+        rng = RngStream(8)
+        want = []
+        for start in range(0, n, SCORE_BLOCK):
+            block = pairs[start:start + SCORE_BLOCK]
+            a = np.concatenate([net.user_emb[block[:, 0]], net.item_emb[block[:, 1]]], axis=1)
+            for w, b in zip(net.weights[:-1], net.biases[:-1]):
+                a = np.maximum(a @ w + b, 0.0)
+                a = a * (rng.random((len(block), w.shape[1])) >= cfg.dropout_rate)
+                a = a / (1.0 - cfg.dropout_rate)
+            want.append(1.0 / (1.0 + np.exp(-(a @ net.weights[-1] + net.biases[-1])[:, 0])))
+        want = np.concatenate(want) if want else np.empty(0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        # Both streams end at the same point: no draw was skipped or added.
+        assert stream.random() == rng.random()
+
+    def test_out_of_range_ids_rejected_before_any_projection(self):
+        class Unreadable:
+            def __matmul__(self, other):
+                raise AssertionError("table projected before the ids were checked")
+
+            __getitem__ = __matmul__
+
+        net = init_network(small_config(), RngStream(1))
+        net.user_emb = net.item_emb = Unreadable()
+        for pairs in ([(5, 0)], [(0, 6)], [(-1, 0)]):
+            with pytest.raises(ValueError, match="out of range"):
+                forward_batch(net, pairs)
+
+
+class TestScorerKeepsNoTape:
+    def test_never_calls_forward_cached(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("forward_batch built the backprop tape")
+
+        monkeypatch.setattr(network, "forward_cached", forbidden)
+        net = init_network(small_config(dropout_rate=0.2), RngStream(1))
+        pairs = random_pairs(net.config, SCORE_BLOCK + 1)
+        forward_batch(net, pairs)
+        forward_batch(net, pairs, ForwardMode.STOCHASTIC_INFERENCE, RngStream(2))
+
+    def test_peak_memory_bounded_at_coat_shape(self):
+        # 100,000 pairs on a 290 x 300 grid: the tape (x and both gathered
+        # halves) alone would be 195 MiB; the blocks hold a few MiB.
+        net = init_network(NetworkConfig(290, 300, 64, (64, 32), 0.1), RngStream(1))
+        pairs = random_pairs(net.config, 100_000)
+        tracemalloc.start()
+        try:
+            forward_batch(net, pairs)
+            forward_batch(net, pairs, ForwardMode.STOCHASTIC_INFERENCE, RngStream(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestDropout:
@@ -246,4 +360,14 @@ class TestCheckpoint:
         data["param_00"] = np.zeros((7, 5))
         np.savez(path, **data)
         with pytest.raises(ValueError, match=r"user_emb has shape \(7, 5\); config expects \(3, 2\)"):
+            load_checkpoint(path)
+
+    def test_rejects_float32_checkpoint(self, tmp_path):
+        net = init_network(small_config(), RngStream(1))
+        path = tmp_path / "net.npz"
+        save_checkpoint(net, path)
+        data = dict(np.load(path))
+        data["param_02"] = data["param_02"].astype(np.float32)
+        np.savez(path, **data)
+        with pytest.raises(ValueError, match=r"weights\[0\] has dtype float32; float64 expected"):
             load_checkpoint(path)
