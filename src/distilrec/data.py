@@ -68,10 +68,16 @@ class Interaction(NamedTuple):
 
 
 def _rows(users, items, ratings, source: Source) -> list[Interaction]:
-    """The one place rows are built: one ``Interaction`` per column entry."""
+    """The one place rows are built: one ``Interaction`` per column entry.
+
+    ``tuple.__new__`` builds each row from its fields, skipping the
+    Python-level ``__new__`` that ``Interaction(...)`` runs per row; the
+    rows are equal.
+    """
     labels = (ratings == 5).astype(np.int64)
-    return list(map(Interaction, users.tolist(), items.tolist(), ratings.tolist(),
-                    labels.tolist(), repeat(source)))
+    return list(map(tuple.__new__, repeat(Interaction),
+                    zip(users.tolist(), items.tolist(), ratings.tolist(), labels.tolist(),
+                        repeat(source))))
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -164,6 +170,35 @@ def pack(interactions: Sequence[Interaction]) -> tuple[np.ndarray, np.ndarray, n
 # ---------------------------------------------------------------------------
 
 
+FIELD_DIGITS = 18  # a field of at most 18 digits is below 2**63
+
+
+def _whole_file_fields(path: Path, sep: bytes) -> np.ndarray | None:
+    """The fields of a canonical file as an int64 array shaped (lines, fields), else None.
+
+    Canonical: only ASCII digits, ``sep`` and ``\\n``; every line ends with
+    ``\\n`` and holds the same number of fields of 1 to ``FIELD_DIGITS``
+    digits, so one ``np.fromstring`` parses the whole file exactly.  Any
+    other file, an empty one included, is left to the line loop.
+    """
+    raw = path.read_bytes()
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    if buf.size == 0 or buf[-1] != ord("\n"):
+        return None
+    newline = buf == ord("\n")
+    ends = np.flatnonzero(newline | (buf == ord(sep)))
+    if np.count_nonzero((buf >= ord("0")) & (buf <= ord("9"))) + ends.size != buf.size:
+        return None
+    lengths = np.diff(ends, prepend=-1) - 1
+    if lengths.min() < 1 or lengths.max() > FIELD_DIGITS:
+        return None
+    line_ends = np.flatnonzero(newline[ends])
+    width = int(line_ends[0]) + 1
+    if not np.array_equal(line_ends, np.arange(width - 1, ends.size, width)):
+        return None
+    return np.fromstring(raw, dtype=np.int64, sep=" ").reshape(-1, width)
+
+
 def _parse_triples(path: Path) -> list[tuple[int, int, int]]:
     triples = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -180,8 +215,20 @@ def _parse_triples(path: Path) -> list[tuple[int, int, int]]:
                 raise DataFormatError(f"{path}:{lineno}: non-integer field") from exc
             if not 1 <= rating <= 5:
                 raise DataFormatError(f"{path}:{lineno}: rating {rating} outside 1-5")
+            for name, value in (("user", user), ("item", item)):
+                if not -2**63 <= value < 2**63:
+                    raise DataFormatError(f"{path}:{lineno}: {name} id {value} outside int64")
             triples.append((user, item, rating))
     return triples
+
+
+def _read_triples(path: Path) -> np.ndarray:
+    """(user, item, rating) rows of a triple file, shaped (n, 3)."""
+    triples = _whole_file_fields(path, b"\t")
+    if triples is not None and triples.shape[1] == 3 and np.all(
+            (triples[:, 2] >= 1) & (triples[:, 2] <= 5)):
+        return triples
+    return np.array(_parse_triples(path), dtype=np.int64).reshape(-1, 3)
 
 
 def load_yahoo(biased_path, uniform_path) -> Dataset:
@@ -190,9 +237,15 @@ def load_yahoo(biased_path, uniform_path) -> Dataset:
     The first file holds interactions logged during regular service
     (biased exposure), the second ratings of randomly selected songs.
     Ids are remapped to contiguous 0-based indices over both files.
+
+    A canonical file (digits, tabs and ``\\n`` only, three fields on every
+    line, each of at most 18 digits, ratings 1-5) is parsed whole by one
+    ``np.fromstring``.  Any other file goes through a line loop, the only
+    path that accepts CRLF endings, blank lines, signs or spaces, and the
+    one that names ``path:line`` in every ``DataFormatError``.
     """
-    biased = _parse_triples(Path(biased_path))
-    triples = np.array(biased + _parse_triples(Path(uniform_path)), dtype=np.int64).reshape(-1, 3)
+    biased = _read_triples(Path(biased_path))
+    triples = np.concatenate([biased, _read_triples(Path(uniform_path))])
     user_ids, users = np.unique(triples[:, 0], return_inverse=True)
     item_ids, items = np.unique(triples[:, 1], return_inverse=True)
     ratings = triples[:, 2]
@@ -226,14 +279,29 @@ def _parse_matrix(path: Path) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
+def _read_matrix(path: Path) -> np.ndarray:
+    """The rating matrix of a matrix file."""
+    matrix = _whole_file_fields(path, b" ")
+    if matrix is not None and np.all((matrix >= 0) & (matrix <= 5)):
+        return matrix
+    return _parse_matrix(path)
+
+
 def load_coat(train_matrix_path, test_matrix_path) -> Dataset:
     """Space-separated rating matrices, 0 = unobserved.
 
     The training matrix holds self-selected ratings (biased source), the
     test matrix ratings of randomly assigned items (uniform source).
+
+    A canonical file (digits, single spaces and ``\\n`` only, the same
+    number of cells on every line, each cell 0-5 and of at most 18 digits)
+    is parsed whole by one ``np.fromstring``.  Any other file goes through
+    a line loop, the only path that accepts CRLF endings, blank lines,
+    signs or runs of spaces, and the one that names ``path:line`` in every
+    ``DataFormatError``.
     """
-    biased_m = _parse_matrix(Path(train_matrix_path))
-    uniform_m = _parse_matrix(Path(test_matrix_path))
+    biased_m = _read_matrix(Path(train_matrix_path))
+    uniform_m = _read_matrix(Path(test_matrix_path))
     if biased_m.shape != uniform_m.shape:
         raise DataFormatError(
             f"matrix shapes differ: {biased_m.shape} vs {uniform_m.shape}"
@@ -347,21 +415,31 @@ class SyntheticWorld:
 
 
 LOGIT_SCALE = 3.0
+GRID_CHUNK = 1 << 16  # cells whose selection keys are drawn and held at once
 
 
-def _weighted_cells_without_replacement(
-    prob: np.ndarray, skew: float, n: int, rng: RngStream
-) -> np.ndarray:
-    # Gumbel top-k: exact weighted sampling without replacement.  The n cells
-    # of largest skew * prob + Gumbel noise are those of smallest
-    # log(-log u) - skew * prob, built in place so that one full-grid buffer
-    # sits beside prob.  The copy lets the full-grid index array go.
-    keys = rng.random(prob.size)
-    np.log(keys, out=keys)
-    np.negative(keys, out=keys)
-    np.log(keys, out=keys)
-    keys -= skew * prob.reshape(-1)
-    return np.argpartition(keys, n - 1)[:n].copy()
+def _smallest_cells(n: int, n_cells: int, keys_of) -> np.ndarray:
+    """The ``n`` cells of smallest key, in ascending cell order.
+
+    ``keys_of(start, stop)`` returns the keys of cells ``start..stop-1``;
+    it is called on consecutive chunks of ``GRID_CHUNK`` cells, so a stream
+    behind it is read exactly as by one full-grid draw.  A cell is kept as
+    a candidate only if its key is at most the n-th smallest kept so far,
+    and the candidates are cut back to the n smallest whenever they reach
+    2n, so no key or index array spans the grid.
+    """
+    parts, held, bound = [], 0, np.inf
+    for start in range(0, n_cells, GRID_CHUNK):
+        stop = min(start + GRID_CHUNK, n_cells)
+        chunk = keys_of(start, stop)
+        hit = np.flatnonzero(chunk <= bound)
+        parts.append((hit + start, chunk[hit]))
+        held += hit.size
+        if held >= 2 * n or stop == n_cells:
+            cells, keys = (np.concatenate(column) for column in zip(*parts))
+            keep = np.argpartition(keys, n - 1)[:n]
+            parts, held, bound = [(cells[keep], keys[keep])], n, keys[keep].max()
+    return np.sort(parts[0][0])
 
 
 def generate_synthetic(
@@ -381,6 +459,12 @@ def generate_synthetic(
     proportional to exp(exposure_skew * P) (self-selection toward liked
     items); the uniform log draws cells uniformly.  Labels are Bernoulli
     draws from P, ratings 5 for positives and uniform 1-4 otherwise.
+
+    Both logs are exact top-n selections over per-cell keys (Gumbel top-k
+    for the biased log, the n largest uniform draws for the uniform one),
+    drawn ``GRID_CHUNK`` cells at a time, so ``prob`` is the only array
+    over the whole grid.  Each log's rows come in ascending cell order
+    (user, then item), and its labels are drawn in that order.
     """
     if min(n_users, n_items, latent_dim, n_biased, n_uniform) < 1:
         raise ValueError("all sizes must be positive")
@@ -393,14 +477,38 @@ def generate_synthetic(
     fr = root.split("factors").generator
     u_f = fr.normal(size=(n_users, latent_dim)) / np.sqrt(latent_dim)
     i_f = fr.normal(size=(n_items, latent_dim))
-    prob = 1.0 / (1.0 + np.exp(-(LOGIT_SCALE * (u_f @ i_f.T) + bias)))
+    # sigmoid(LOGIT_SCALE * (u_f @ i_f.T) + bias), in place.
+    prob = u_f @ i_f.T
+    prob *= LOGIT_SCALE
+    prob += bias
+    np.negative(prob, out=prob)
+    np.exp(prob, out=prob)
+    prob += 1.0
+    np.divide(1.0, prob, out=prob)
     world = SyntheticWorld(prob=prob)
+    flat_prob = prob.reshape(-1)
 
-    biased_cells = _weighted_cells_without_replacement(
-        prob, exposure_skew, n_biased, root.split("biased-cells"))
+    # Gumbel top-k, exact weighted sampling without replacement: the n
+    # cells of largest skew * prob + Gumbel noise are those of smallest
+    # log(-log u) - skew * prob.
+    biased_rng = root.split("biased-cells")
+
+    def gumbel_keys(start, stop):
+        keys = biased_rng.random(stop - start)
+        np.log(keys, out=keys)
+        np.negative(keys, out=keys)
+        np.log(keys, out=keys)
+        keys -= exposure_skew * flat_prob[start:stop]
+        return keys
+
     # With equal weights the Gumbel top-k reduces to the n largest uniform keys.
-    uniform_cells = np.argpartition(-root.split("uniform-cells").random(n_users * n_items),
-                                    n_uniform - 1)[:n_uniform].copy()
+    uniform_rng = root.split("uniform-cells")
+
+    def negated_uniform_keys(start, stop):
+        return np.negative(uniform_rng.random(stop - start))
+
+    biased_cells = _smallest_cells(n_biased, prob.size, gumbel_keys)
+    uniform_cells = _smallest_cells(n_uniform, prob.size, negated_uniform_keys)
 
     label_rng = root.split("labels").generator
     interactions = []

@@ -23,7 +23,8 @@ is positive, and every live unit was scaled by 1/(1-dropout_rate).
 
 Scoring keeps no tape.  ``forward_batch`` factors the first layer,
 ``[e_u; e_i] @ W0 = (user_emb @ W0[:d])[u] + (item_emb @ W0[d:])[i]``,
-projecting each table once per call, then walks the pairs in blocks of
+projecting once per call only the table rows its pairs touch (the whole
+table when they touch every row), then walks the pairs in blocks of
 ``SCORE_BLOCK`` rows through the rest of the stack, drawing each block's
 dropout masks layer by layer.  Only the probabilities outlive a block.
 Both forwards share one layer stack, ``_layer_stack``.
@@ -295,6 +296,20 @@ def backprop(net: Network, cache: ForwardCache, dlogits: np.ndarray) -> Network:
     return Network(cfg, user_emb, item_emb, weights, biases)
 
 
+def _projected(table: np.ndarray, ids: np.ndarray,
+               w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``table @ w`` over the rows ``ids`` touch, and each id's row in it.
+
+    A presence mask over the table finds the rows; when every row is
+    present the whole table is projected and the ids are returned as given.
+    """
+    present = np.zeros(len(table), dtype=bool)
+    present[ids] = True
+    if present.all():
+        return table @ w, ids
+    return table[present] @ w, np.cumsum(present)[ids] - 1
+
+
 def forward_batch(
     net: Network,
     pairs,
@@ -303,9 +318,11 @@ def forward_batch(
 ) -> np.ndarray:
     """Probabilities for (user, item) pairs shaped (n, 2); ``[]`` is n = 0.
 
-    Tape-free: each embedding table is projected once through its half of
-    the first layer, then the pairs run in blocks of ``SCORE_BLOCK`` rows
-    and only their probabilities are kept.  Masks are drawn as in
+    Tape-free: the rows of each embedding table that the pairs touch,
+    found with a presence mask over the table, are projected once through
+    its half of the first layer (the whole table when every row is
+    touched).  Then the pairs run in blocks of ``SCORE_BLOCK`` rows and
+    only their probabilities are kept.  Masks are drawn as in
     ``forward_cached``, one per element, block by block and within a block
     layer by layer.  Values equal ``forward_cached(...).probs`` up to the
     rounding of the factored first layer.
@@ -315,8 +332,8 @@ def forward_batch(
     _check_ids(net, users, items)
     scale = _mask_scale(net, mode, rng)
     d = net.config.embedding_dim
-    proj_u = net.user_emb @ net.weights[0][:d]
-    proj_i = net.item_emb @ net.weights[0][d:]
+    proj_u, users = _projected(net.user_emb, users, net.weights[0][:d])
+    proj_i, items = _projected(net.item_emb, items, net.weights[0][d:])
     probs = np.empty(len(arr))
     for start in range(0, len(arr), SCORE_BLOCK):
         rows = slice(start, start + SCORE_BLOCK)

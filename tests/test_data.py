@@ -1,10 +1,12 @@
 import collections
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from distilrec import data
 from distilrec.data import (
     DataFormatError,
     Dataset,
@@ -26,9 +28,9 @@ from oracles import interaction
 
 
 def zero_weight_gumbel_top_k(stream, n_cells, k):
-    """Exact weighted sampling without replacement, every log-weight zero."""
+    """Exact weighted sampling without replacement, every log-weight zero, in cell order."""
     gumbel = -np.log(-np.log(stream.random(n_cells)))
-    return np.argpartition(-(np.zeros(n_cells) + gumbel), k - 1)[:k]
+    return np.sort(np.argpartition(-(np.zeros(n_cells) + gumbel), k - 1)[:k])
 
 
 class TestDatasetRowChecks:
@@ -166,6 +168,41 @@ class TestYahooLoader:
             load_yahoo(biased, uniform)
 
 
+    def test_id_outside_int64_reports_location(self, tmp_path):
+        # Unchecked, the line loop's ids reached np.array and raised a bare OverflowError.
+        biased = tmp_path / "b.txt"
+        uniform = tmp_path / "u.txt"
+        biased.write_text("99999999999999999999\t2\t3\n")
+        uniform.write_text("1\t1\t5\n2\t-99999999999999999999\t1\n")
+        with pytest.raises(DataFormatError,
+                           match=r"b.txt:1: user id 99999999999999999999 outside int64"):
+            load_yahoo(biased, uniform)
+        biased.write_text("")
+        with pytest.raises(DataFormatError, match=r"u.txt:2: item id -99999999999999999999"):
+            load_yahoo(biased, uniform)
+        # 19 digits, above 2**63: a whole-file parse would saturate it silently.
+        biased.write_text("9999999999999999999\t2\t3\n")
+        uniform.write_text("1\t1\t5\n")
+        with pytest.raises(DataFormatError, match=r"b.txt:1: user id 9999999999999999999 outside"):
+            load_yahoo(biased, uniform)
+
+    def test_nineteen_digit_id_within_int64_loads(self, tmp_path):
+        # Longer than a whole-file field may be, so the line loop reads it exactly.
+        (tmp_path / "b.txt").write_text("9223372036854775807\t5\t4\n1000000000000000000\t5\t5\n")
+        (tmp_path / "u.txt").write_text("")
+        ds = load_yahoo(tmp_path / "b.txt", tmp_path / "u.txt")
+        assert [(r.user, r.item, r.rating) for r in ds.interactions] == [(1, 0, 4), (0, 0, 5)]
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_bad_first_or_last_line_reports_location(self, tmp_path, where):
+        good = [f"{k}\t{k % 3 + 1}\t{k % 5 + 1}\n" for k in range(1, 6)]
+        lines = ["4\t1\n"] + good if where == "first" else good + ["4\t1\t0\n"]
+        (tmp_path / "b.txt").write_text("")
+        (tmp_path / "u.txt").write_text("".join(lines))
+        with pytest.raises(DataFormatError, match=rf"u.txt:{1 if where == 'first' else 6}: "):
+            load_yahoo(tmp_path / "b.txt", tmp_path / "u.txt")
+
+
 class TestCoatLoader:
     @staticmethod
     def write_matrix(path, m):
@@ -214,6 +251,128 @@ class TestCoatLoader:
         self.write_matrix(test, [[0, 0], [0, 0]])
         with pytest.raises(DataFormatError, match="train.ascii:2"):
             load_coat(train, test)
+
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_bad_first_or_last_line_reports_location(self, tmp_path, where):
+        good = ["0 5 1\n", "2 0 0\n", "0 0 3\n"]
+        lines = ["0 x 1\n"] + good if where == "first" else good + ["0 9 1\n"]
+        (tmp_path / "train").write_text("".join(lines))
+        self.write_matrix(tmp_path / "test", [[0, 0, 0]] * 4)
+        with pytest.raises(DataFormatError, match=rf"train:{1 if where == 'first' else 4}: "):
+            load_coat(tmp_path / "train", tmp_path / "test")
+
+
+def loop_only(monkeypatch):
+    """Send every file to the line loop, the reference for the whole-file path."""
+    monkeypatch.setattr(data, "_whole_file_fields", lambda path, sep: None)
+
+
+def forbid_loops(monkeypatch):
+    def forbidden(path):
+        raise AssertionError(f"{path} went to the line loop")
+
+    monkeypatch.setattr(data, "_parse_triples", forbidden)
+    monkeypatch.setattr(data, "_parse_matrix", forbidden)
+
+
+def no_warnings(load, *paths):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ds = load(*paths)
+    assert [str(w.message) for w in caught] == []
+    return ds
+
+
+class TestWholeFileEqualsLineLoop:
+    """A canonical file parsed whole gives the line loop's rows."""
+
+    @staticmethod
+    def random_yahoo_lines(gen, n):
+        fields = np.column_stack([gen.integers(1, 10**6, n), gen.integers(1, 40, n),
+                                  gen.integers(1, 6, n)])
+        zeros = "0" * gen.integers(1, 4)   # leading zeros on some fields
+        return [f"{zeros}{u}\t{i}\t{r}\n" if k % 3 == 0 else f"{u}\t{i:03d}\t{zeros}{r}\n"
+                for k, (u, i, r) in enumerate(fields.tolist())]
+
+    @pytest.mark.parametrize("n_biased,n_uniform", [(0, 0), (1, 0), (0, 1), (1, 1), (200, 57),
+                                                    (1000, 3)])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_yahoo(self, tmp_path, monkeypatch, seed, n_biased, n_uniform):
+        gen = np.random.default_rng(seed)
+        b, u = tmp_path / "b.txt", tmp_path / "u.txt"
+        b.write_text("".join(self.random_yahoo_lines(gen, n_biased)))
+        u.write_text("".join(self.random_yahoo_lines(gen, n_uniform)))
+        with monkeypatch.context() as m:
+            if n_biased and n_uniform:
+                forbid_loops(m)
+            whole = no_warnings(load_yahoo, b, u)
+        loop_only(monkeypatch)
+        loop = load_yahoo(b, u)
+        assert whole.interactions == loop.interactions
+        assert (whole.n_users, whole.n_items) == (loop.n_users, loop.n_items)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1), (29, 30)])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_coat(self, tmp_path, monkeypatch, seed, shape):
+        gen = np.random.default_rng(seed)
+        paths = [tmp_path / "train", tmp_path / "test"]
+        for path in paths:
+            matrix = gen.integers(0, 6, shape) * (gen.random(shape) < 0.4)
+            # Up to two leading zeros on each cell.
+            path.write_text("".join(" ".join("0" * gen.integers(0, 3) + str(v) for v in row) + "\n"
+                                    for row in matrix.tolist()))
+        with monkeypatch.context() as m:
+            forbid_loops(m)
+            whole = no_warnings(load_coat, *paths)
+        loop_only(monkeypatch)
+        loop = load_coat(*paths)
+        assert whole.interactions == loop.interactions
+        assert (whole.n_users, whole.n_items) == (loop.n_users, loop.n_items)
+
+
+class TestNonCanonicalFilesLoadAsBefore:
+    """Files the whole-file path declines still load, through the line loop, to the same rows."""
+
+    YAHOO = {
+        "crlf": "3\t7\t5\r\n1\t2\t4\r\n",
+        "no-final-newline": "3\t7\t5\n1\t2\t4",
+        "blank-lines": "\n3\t7\t5\n\n\n1\t2\t4\n\n",
+        "spaces-around-fields": " 3\t7 \t 5\n1\t2\t4  \n",
+        "plus-signs": "+3\t7\t+5\n1\t+2\t4\n",
+    }
+
+    @pytest.mark.parametrize("case", YAHOO)
+    def test_yahoo(self, tmp_path, monkeypatch, case):
+        (tmp_path / "b.txt").write_bytes(self.YAHOO[case].encode())
+        (tmp_path / "u.txt").write_text("1\t7\t1\n")
+        spy = []
+        monkeypatch.setattr(data, "_parse_triples", lambda path, f=data._parse_triples:
+                            spy.append(path.name) or f(path))
+        ds = no_warnings(load_yahoo, tmp_path / "b.txt", tmp_path / "u.txt")
+        assert spy == ["b.txt"]
+        assert [(r.user, r.item, r.rating, r.source) for r in ds.interactions] == [
+            (1, 1, 5, Source.BIASED), (0, 0, 4, Source.BIASED), (0, 1, 1, Source.UNIFORM)]
+
+    COAT = {
+        "crlf": "0 5\r\n3 0\r\n",
+        "no-final-newline": "0 5\n3 0",
+        "blank-lines": "\n0 5\n\n3 0\n\n",
+        "spaces-around-fields": " 0  5 \n3\t0\n",
+        "plus-signs": "0 +5\n+3 0\n",
+    }
+
+    @pytest.mark.parametrize("case", COAT)
+    def test_coat(self, tmp_path, monkeypatch, case):
+        (tmp_path / "train").write_bytes(self.COAT[case].encode())
+        (tmp_path / "test").write_text("1 0\n0 0\n")
+        spy = []
+        monkeypatch.setattr(data, "_parse_matrix", lambda path, f=data._parse_matrix:
+                            spy.append(path.name) or f(path))
+        ds = no_warnings(load_coat, tmp_path / "train", tmp_path / "test")
+        assert spy == ["train"]
+        assert [(r.user, r.item, r.rating, r.source) for r in ds.interactions] == [
+            (0, 1, 5, Source.BIASED), (1, 0, 3, Source.BIASED), (0, 0, 1, Source.UNIFORM)]
 
 
 class TestSplitUniform:
@@ -414,6 +573,16 @@ class TestGenerateSynthetic:
             tracemalloc.stop()
         assert peak < 3.5 * 1000 * 1000 * 8
 
+    def test_peak_memory_under_two_full_grid_arrays(self):
+        # prob is the only full-grid array; the selection keys are drawn a chunk at a time.
+        tracemalloc.start()
+        try:
+            generate_synthetic(1000, 1000, 4, 4.0, 100, 100, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1000 * 1000 * 8
+
     def test_determinism(self):
         w1, d1 = generate_synthetic(20, 15, 4, 3.0, 60, 30, seed=42)
         w2, d2 = generate_synthetic(20, 15, 4, 3.0, 60, 30, seed=42)
@@ -457,6 +626,41 @@ class TestGenerateSynthetic:
             RngStream(seed).split("uniform-cells"), n_users * n_items, n_uniform)
         rows = [(i.user, i.item) for i in ds.by_source(Source.UNIFORM)]
         assert rows == [divmod(int(c), n_items) for c in cells]
+
+
+class TestChunkedSelection:
+    """Cells picked chunk by chunk equal the full-grid top-n, in ascending cell order."""
+
+    N_USERS, N_ITEMS, CHUNK = 9, 11, 7   # 99 cells in 15 chunks
+
+    @classmethod
+    def full_grid_cells(cls, seed, skew, n):
+        n_cells = cls.N_USERS * cls.N_ITEMS
+        world, _ = generate_synthetic(cls.N_USERS, cls.N_ITEMS, 3, skew, n, n, seed=seed)
+        root = RngStream(seed)
+        gumbel_keys = np.log(-np.log(root.split("biased-cells").random(n_cells)))
+        biased_keys = gumbel_keys - skew * world.prob.reshape(-1)
+        uniform_keys = -root.split("uniform-cells").random(n_cells)
+        return [np.sort(np.argpartition(keys, n - 1)[:n]) for keys in (biased_keys, uniform_keys)]
+
+    @pytest.mark.parametrize("n", [3, 20, 99],
+                             ids=["below-a-chunk", "above-a-chunk", "whole-grid"])
+    @pytest.mark.parametrize("skew", [0.0, 12.0])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_cells_equal_full_grid_argpartition(self, monkeypatch, seed, skew, n):
+        want = self.full_grid_cells(seed, skew, n)
+        monkeypatch.setattr(data, "GRID_CHUNK", self.CHUNK)
+        _, ds = generate_synthetic(self.N_USERS, self.N_ITEMS, 3, skew, n, n, seed=seed)
+        for source, cells in zip((Source.BIASED, Source.UNIFORM), want):
+            got = [r.user * self.N_ITEMS + r.item for r in ds.by_source(source)]
+            assert got == cells.tolist()
+
+    def test_chunk_size_changes_no_row(self, monkeypatch):
+        _, whole = generate_synthetic(self.N_USERS, self.N_ITEMS, 3, 4.0, 30, 20, seed=5)
+        for chunk in (1, 7, 64):
+            monkeypatch.setattr(data, "GRID_CHUNK", chunk)
+            _, chunked = generate_synthetic(self.N_USERS, self.N_ITEMS, 3, 4.0, 30, 20, seed=5)
+            assert chunked.interactions == whole.interactions
 
 
 class TestPack:
@@ -521,9 +725,9 @@ class TestRowsMatchPerRowReference:
         prob = 1.0 / (1.0 + np.exp(-logits))
         log_w = skew * prob.reshape(-1)
         gumbel = -np.log(-np.log(root.split("biased-cells").random(log_w.size)))
-        biased_cells = np.argpartition(-(log_w + gumbel), n_biased - 1)[:n_biased]
+        biased_cells = np.sort(np.argpartition(-(log_w + gumbel), n_biased - 1)[:n_biased])
         uniform_keys = root.split("uniform-cells").random(n_users * n_items)
-        uniform_cells = np.argpartition(-uniform_keys, n_uniform - 1)[:n_uniform]
+        uniform_cells = np.sort(np.argpartition(-uniform_keys, n_uniform - 1)[:n_uniform])
         label_rng = root.split("labels").generator
         rows = []
         for cells, src in ((biased_cells, Source.BIASED), (uniform_cells, Source.UNIFORM)):

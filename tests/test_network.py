@@ -247,6 +247,48 @@ class TestScorerMatchesTrainingForward:
                 forward_batch(net, pairs)
 
 
+class TestScorerProjectsTouchedRows:
+    @staticmethod
+    def whole_table(table, ids, w):
+        return table @ w, ids
+
+    @pytest.mark.parametrize("mode", [ForwardMode.DETERMINISTIC, ForwardMode.STOCHASTIC_INFERENCE])
+    @pytest.mark.parametrize("pairs", [
+        [(3, 0), (3, 5), (0, 2), (3, 2)],                        # some users, some items
+        [(u, u % 6) for u in range(5)] + [(1, 1)] * (SCORE_BLOCK + 2),   # every user, some items
+        [(u % 5, i) for u in range(5) for i in range(6)],       # every user and item
+        [],
+    ], ids=["some-rows", "every-user", "every-row", "zero-pairs"])
+    def test_equals_whole_table_projection(self, monkeypatch, mode, pairs):
+        net = init_network(small_config(hidden_sizes=(4, 3), dropout_rate=0.4), RngStream(4))
+        gen = np.random.default_rng(2)
+        for arr in net.param_arrays():
+            arr[...] = gen.normal(size=arr.shape)
+        stream = RngStream(8)
+        got = forward_batch(net, pairs, mode, stream)
+        monkeypatch.setattr(network, "_projected", self.whole_table)
+        rng = RngStream(8)
+        want = forward_batch(net, pairs, mode, rng)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert stream.random() == rng.random()
+
+    def test_projects_only_the_rows_ids_touch(self):
+        gen = np.random.default_rng(3)
+        table, w = gen.normal(size=(50, 4)), gen.normal(size=(4, 3))
+        ids = np.array([7, 3, 7, 49, 0, 3])
+        proj, rows = network._projected(table, ids, w)
+        assert proj.shape == (4, 3)
+        np.testing.assert_allclose(proj[rows], (table @ w)[ids], rtol=1e-12, atol=0.0)
+
+    def test_every_row_present_projects_whole_table(self):
+        gen = np.random.default_rng(3)
+        table, w = gen.normal(size=(5, 4)), gen.normal(size=(4, 3))
+        ids = np.array([4, 0, 1, 2, 3, 3])
+        proj, rows = network._projected(table, ids, w)
+        assert rows is ids
+        np.testing.assert_array_equal(proj, table @ w)
+
+
 class TestScorerKeepsNoTape:
     def test_never_calls_forward_cached(self, monkeypatch):
         def forbidden(*args, **kwargs):
