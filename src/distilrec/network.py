@@ -23,10 +23,9 @@ is positive, and every live unit was scaled by 1/(1-dropout_rate).
 
 Scoring keeps no tape.  ``forward_batch`` factors the first layer,
 ``[e_u; e_i] @ W0 = (user_emb @ W0[:d])[u] + (item_emb @ W0[d:])[i]``,
-projecting once per call only the table rows its pairs touch (the whole
-table when they touch every row), then walks the pairs in blocks of
-``SCORE_BLOCK`` rows through the rest of the stack, drawing each block's
-dropout masks layer by layer.  Only the probabilities outlive a block.
+projecting once per call only the table rows its pairs touch, then walks
+the pairs in blocks of ``SCORE_BLOCK`` rows through the rest of the stack,
+drawing each block's dropout masks layer by layer.  Only the probabilities outlive a block.
 Both forwards share one layer stack, ``_layer_stack``.
 """
 
@@ -300,13 +299,10 @@ def _projected(table: np.ndarray, ids: np.ndarray,
                w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``table @ w`` over the rows ``ids`` touch, and each id's row in it.
 
-    A presence mask over the table finds the rows; when every row is
-    present the whole table is projected and the ids are returned as given.
+    A presence mask over the table finds the rows.
     """
     present = np.zeros(len(table), dtype=bool)
     present[ids] = True
-    if present.all():
-        return table @ w, ids
     return table[present] @ w, np.cumsum(present)[ids] - 1
 
 
@@ -320,9 +316,8 @@ def forward_batch(
 
     Tape-free: the rows of each embedding table that the pairs touch,
     found with a presence mask over the table, are projected once through
-    its half of the first layer (the whole table when every row is
-    touched).  Then the pairs run in blocks of ``SCORE_BLOCK`` rows and
-    only their probabilities are kept.  Masks are drawn as in
+    its half of the first layer.  Then the pairs run in blocks of
+    ``SCORE_BLOCK`` rows and only their probabilities are kept.  Masks are drawn as in
     ``forward_cached``, one per element, block by block and within a block
     layer by layer.  Values equal ``forward_cached(...).probs`` up to the
     rounding of the factored first layer.

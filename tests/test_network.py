@@ -280,14 +280,6 @@ class TestScorerProjectsTouchedRows:
         assert proj.shape == (4, 3)
         np.testing.assert_allclose(proj[rows], (table @ w)[ids], rtol=1e-12, atol=0.0)
 
-    def test_every_row_present_projects_whole_table(self):
-        gen = np.random.default_rng(3)
-        table, w = gen.normal(size=(5, 4)), gen.normal(size=(4, 3))
-        ids = np.array([4, 0, 1, 2, 3, 3])
-        proj, rows = network._projected(table, ids, w)
-        assert rows is ids
-        np.testing.assert_array_equal(proj, table @ w)
-
 
 class TestScorerKeepsNoTape:
     def test_never_calls_forward_cached(self, monkeypatch):
