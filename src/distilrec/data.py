@@ -8,6 +8,10 @@ Rows are checked in one place, when they enter a ``Dataset``: whole-number
 ids and ratings, rating and id ranges, labels, sources and duplicates,
 each error naming the row.
 
+The native loaders parse each file with one ``np.loadtxt``.  Only a file
+it rejects, or one whose values fail a range check, is read again line by
+line, to name the first bad line as ``path:line``.
+
 The module also builds synthetic ground-truth worlds with a known
 preference matrix; these serve as oracles for debiasing experiments.
 """
@@ -16,6 +20,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -170,65 +176,69 @@ def pack(interactions: Sequence[Interaction]) -> tuple[np.ndarray, np.ndarray, n
 # ---------------------------------------------------------------------------
 
 
-FIELD_DIGITS = 18  # a field of at most 18 digits is below 2**63
+def _table(path: Path, sep: str | None) -> np.ndarray | None:
+    """Every non-blank line of ``path`` as a row of int64 fields, by one
+    ``np.loadtxt``; None if it rejects the file.  A file of blank lines gives
+    shape (0, 1), and ``comments=None`` keeps a ``#`` line a fault.
 
-
-def _whole_file_fields(path: Path, sep: bytes) -> np.ndarray | None:
-    """The fields of a canonical file as an int64 array shaped (lines, fields), else None.
-
-    Canonical: only ASCII digits, ``sep`` and ``\\n``; every line ends with
-    ``\\n`` and holds the same number of fields of 1 to ``FIELD_DIGITS``
-    digits, so one ``np.fromstring`` parses the whole file exactly.  Any
-    other file, an empty one included, is left to the line loop.
+    The file is read as Latin-1, so no character beyond it reaches numpy's
+    integer parser, which misreads some of them as digits and may crash on
+    others; a non-ASCII character of a UTF-8 file fails its field.
     """
-    raw = path.read_bytes()
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    if buf.size == 0 or buf[-1] != ord("\n"):
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(path, dtype=np.int64, delimiter=sep, comments=None, ndmin=2,
+                              encoding="latin-1")
+    except ValueError:
         return None
-    newline = buf == ord("\n")
-    ends = np.flatnonzero(newline | (buf == ord(sep)))
-    if np.count_nonzero((buf >= ord("0")) & (buf <= ord("9"))) + ends.size != buf.size:
-        return None
-    lengths = np.diff(ends, prepend=-1) - 1
-    if lengths.min() < 1 or lengths.max() > FIELD_DIGITS:
-        return None
-    line_ends = np.flatnonzero(newline[ends])
-    width = int(line_ends[0]) + 1
-    if not np.array_equal(line_ends, np.arange(width - 1, ends.size, width)):
-        return None
-    return np.fromstring(raw, dtype=np.int64, sep=" ").reshape(-1, width)
 
 
-def _parse_triples(path: Path) -> list[tuple[int, int, int]]:
-    triples = []
-    with open(path, "r", encoding="utf-8") as fh:
+def _fault(path: Path, sep: str | None, line_fault) -> DataFormatError:
+    """The error naming the first bad line of a file that failed its parse or range check.
+
+    Only such a file is read line by line, as Latin-1.  Blank lines are
+    skipped as by ``np.loadtxt``; ``line_fault(n, values, width)`` gives the
+    message for a line of ``n`` fields split at ``sep``, or None: ``values``
+    are the fields as ints, or None unless each is a signed or unsigned run
+    of ASCII digits within whitespace, and ``width`` is the first line's count.
+    """
+    width = None
+    with open(path, "r", encoding="latin-1") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
+            fields = line.rstrip("\n").split(sep)
+            if fields in ([], [""]):
                 continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            try:
-                user, item, rating = (int(p) for p in parts)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: non-integer field") from exc
-            if not 1 <= rating <= 5:
-                raise DataFormatError(f"{path}:{lineno}: rating {rating} outside 1-5")
-            for name, value in (("user", user), ("item", item)):
-                if not -2**63 <= value < 2**63:
-                    raise DataFormatError(f"{path}:{lineno}: {name} id {value} outside int64")
-            triples.append((user, item, rating))
-    return triples
+            width = width or len(fields)
+            digits = [field.strip() for field in fields]
+            values = ([int(d) for d in digits]
+                      if all(re.fullmatch(r"[+-]?[0-9]+", d) for d in digits) else None)
+            if message := line_fault(len(fields), values, width):
+                return DataFormatError(f"{path}:{lineno}: {message}")
+    return DataFormatError(f"{path}: np.loadtxt rejected the file, but no line is at fault")
+
+
+def _triple_fault(n: int, values: list[int] | None, width: int) -> str | None:
+    if n != 3:
+        return "expected 3 tab-separated fields"
+    if values is None:
+        return "non-integer field"
+    user, item, rating = values
+    if not 1 <= rating <= 5:
+        return f"rating {rating} outside 1-5"
+    for name, value in (("user", user), ("item", item)):
+        if not -2**63 <= value < 2**63:
+            return f"{name} id {value} outside int64"
+    return None
 
 
 def _read_triples(path: Path) -> np.ndarray:
     """(user, item, rating) rows of a triple file, shaped (n, 3)."""
-    triples = _whole_file_fields(path, b"\t")
-    if triples is not None and triples.shape[1] == 3 and np.all(
-            (triples[:, 2] >= 1) & (triples[:, 2] <= 5)):
-        return triples
-    return np.array(_parse_triples(path), dtype=np.int64).reshape(-1, 3)
+    table = _table(path, "\t")
+    if table is not None and (len(table) == 0 or (
+            table.shape[1] == 3 and np.all((table[:, 2] >= 1) & (table[:, 2] <= 5)))):
+        return table.reshape(-1, 3)
+    raise _fault(path, "\t", _triple_fault)
 
 
 def load_yahoo(biased_path, uniform_path) -> Dataset:
@@ -238,11 +248,11 @@ def load_yahoo(biased_path, uniform_path) -> Dataset:
     (biased exposure), the second ratings of randomly selected songs.
     Ids are remapped to contiguous 0-based indices over both files.
 
-    A canonical file (digits, tabs and ``\\n`` only, three fields on every
-    line, each of at most 18 digits, ratings 1-5) is parsed whole by one
-    ``np.fromstring``.  Any other file goes through a line loop, the only
-    path that accepts CRLF endings, blank lines, signs or spaces, and the
-    one that names ``path:line`` in every ``DataFormatError``.
+    Each file is parsed by one ``np.loadtxt``, which takes CRLF endings,
+    blank lines, signs and spaces around fields, but no non-ASCII text.
+    Only if it rejects the file, or a line lacks 3 fields or holds a rating
+    outside 1-5, are the lines read one by one, to name the bad one as
+    ``path:line`` in a ``DataFormatError``.
     """
     biased = _read_triples(Path(biased_path))
     triples = np.concatenate([biased, _read_triples(Path(uniform_path))])
@@ -255,36 +265,24 @@ def load_yahoo(biased_path, uniform_path) -> Dataset:
     return Dataset(interactions, n_users=user_ids.size, n_items=item_ids.size)
 
 
-def _parse_matrix(path: Path) -> np.ndarray:
-    rows = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = [int(v) for v in line.split()]
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: non-integer cell") from exc
-            bad = [v for v in row if not 0 <= v <= 5]
-            if bad:
-                raise DataFormatError(f"{path}:{lineno}: rating {bad[0]} outside 0-5")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DataFormatError(f"{path}:{lineno}: ragged row ({len(row)} != {width})")
-            rows.append(row)
-    if not rows:
-        raise DataFormatError(f"{path}: empty matrix")
-    return np.array(rows, dtype=np.int64)
+def _row_fault(n: int, values: list[int] | None, width: int) -> str | None:
+    if values is None:
+        return "non-integer cell"
+    if bad := [v for v in values if not 0 <= v <= 5]:
+        return f"rating {bad[0]} outside 0-5"
+    if n != width:
+        return f"ragged row ({n} != {width})"
+    return None
 
 
 def _read_matrix(path: Path) -> np.ndarray:
     """The rating matrix of a matrix file."""
-    matrix = _whole_file_fields(path, b" ")
-    if matrix is not None and np.all((matrix >= 0) & (matrix <= 5)):
-        return matrix
-    return _parse_matrix(path)
+    matrix = _table(path, None)
+    if matrix is None or not np.all((matrix >= 0) & (matrix <= 5)):
+        raise _fault(path, None, _row_fault)
+    if matrix.size == 0:
+        raise DataFormatError(f"{path}: empty matrix")
+    return matrix
 
 
 def load_coat(train_matrix_path, test_matrix_path) -> Dataset:
@@ -293,11 +291,10 @@ def load_coat(train_matrix_path, test_matrix_path) -> Dataset:
     The training matrix holds self-selected ratings (biased source), the
     test matrix ratings of randomly assigned items (uniform source).
 
-    A canonical file (digits, single spaces and ``\\n`` only, the same
-    number of cells on every line, each cell 0-5 and of at most 18 digits)
-    is parsed whole by one ``np.fromstring``.  Any other file goes through
-    a line loop, the only path that accepts CRLF endings, blank lines,
-    signs or runs of spaces, and the one that names ``path:line`` in every
+    Each file is parsed by one ``np.loadtxt``, which takes CRLF endings,
+    blank lines, signs and runs of whitespace, but no non-ASCII text.  Only
+    if it rejects the file or a cell lies outside 0-5 are the lines read
+    one by one, to name the bad one as ``path:line`` in a
     ``DataFormatError``.
     """
     biased_m = _read_matrix(Path(train_matrix_path))

@@ -358,9 +358,19 @@ def load_checkpoint(path) -> tuple[Network, int | None]:
             raise ValueError(f"{path}: not a checkpoint (truncated or not a zip file)")
         fh.seek(0)
         with np.load(fh) as data:
-            header = json.loads(bytes(data["header"]).decode())
-            if header["format_version"] != CHECKPOINT_FORMAT_VERSION:
-                raise ValueError(f"unsupported checkpoint version {header['format_version']}")
-            cfg = NetworkConfig(**header["config"])
-            arrays = [data[f"param_{k:02d}"] for k in range(len(cfg.param_shapes()))]
-    return Network.from_arrays(cfg, arrays), header["seed"]
+            def entry(name):
+                if name not in data.files:
+                    raise ValueError(f"{path}: not a checkpoint (no {name} entry)")
+                return data[name]
+
+            raw = bytes(entry("header"))
+            try:
+                header = json.loads(raw.decode())
+                version, config, seed = header["format_version"], header["config"], header["seed"]
+            except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}: corrupt checkpoint header ({exc!r})") from exc
+            if version != CHECKPOINT_FORMAT_VERSION:
+                raise ValueError(f"{path}: unsupported checkpoint version {version}")
+            cfg = NetworkConfig(**config)
+            arrays = [entry(f"param_{k:02d}") for k in range(len(cfg.param_shapes()))]
+    return Network.from_arrays(cfg, arrays), seed

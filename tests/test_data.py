@@ -169,7 +169,7 @@ class TestYahooLoader:
 
 
     def test_id_outside_int64_reports_location(self, tmp_path):
-        # Unchecked, the line loop's ids reached np.array and raised a bare OverflowError.
+        # Unchecked, such an id raised a bare OverflowError naming no line.
         biased = tmp_path / "b.txt"
         uniform = tmp_path / "u.txt"
         biased.write_text("99999999999999999999\t2\t3\n")
@@ -180,14 +180,13 @@ class TestYahooLoader:
         biased.write_text("")
         with pytest.raises(DataFormatError, match=r"u.txt:2: item id -99999999999999999999"):
             load_yahoo(biased, uniform)
-        # 19 digits, above 2**63: a whole-file parse would saturate it silently.
+        # 19 digits, just above 2**63 - 1.
         biased.write_text("9999999999999999999\t2\t3\n")
         uniform.write_text("1\t1\t5\n")
         with pytest.raises(DataFormatError, match=r"b.txt:1: user id 9999999999999999999 outside"):
             load_yahoo(biased, uniform)
 
     def test_nineteen_digit_id_within_int64_loads(self, tmp_path):
-        # Longer than a whole-file field may be, so the line loop reads it exactly.
         (tmp_path / "b.txt").write_text("9223372036854775807\t5\t4\n1000000000000000000\t5\t5\n")
         (tmp_path / "u.txt").write_text("")
         ds = load_yahoo(tmp_path / "b.txt", tmp_path / "u.txt")
@@ -263,19 +262,6 @@ class TestCoatLoader:
             load_coat(tmp_path / "train", tmp_path / "test")
 
 
-def loop_only(monkeypatch):
-    """Send every file to the line loop, the reference for the whole-file path."""
-    monkeypatch.setattr(data, "_whole_file_fields", lambda path, sep: None)
-
-
-def forbid_loops(monkeypatch):
-    def forbidden(path):
-        raise AssertionError(f"{path} went to the line loop")
-
-    monkeypatch.setattr(data, "_parse_triples", forbidden)
-    monkeypatch.setattr(data, "_parse_matrix", forbidden)
-
-
 def no_warnings(load, *paths):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -284,8 +270,43 @@ def no_warnings(load, *paths):
     return ds
 
 
-class TestWholeFileEqualsLineLoop:
-    """A canonical file parsed whole gives the line loop's rows."""
+def nonblank_lines(path):
+    with open(path, encoding="utf-8") as fh:
+        return [line for line in fh if line.strip()]
+
+
+def reference_yahoo(biased, uniform):
+    """Rows and grid of ``load_yahoo`` by a per-line parse with ``int``."""
+    return TestRowsMatchPerRowReference.reference_yahoo(nonblank_lines(biased),
+                                                        nonblank_lines(uniform))
+
+
+def reference_coat(train, test):
+    """Rows and grid of ``load_coat`` by a per-line parse with ``int``."""
+    matrices = [np.array([[int(v) for v in line.split()] for line in nonblank_lines(path)])
+                for path in (train, test)]
+    return TestRowsMatchPerRowReference.reference_coat(matrices), *matrices[0].shape
+
+
+YAHOO_NON_CANONICAL = {
+    "crlf": "3\t7\t5\r\n1\t2\t4\r\n",
+    "no-final-newline": "3\t7\t5\n1\t2\t4",
+    "blank-lines": "\n3\t7\t5\n\n\n1\t2\t4\n\n",
+    "spaces-around-fields": " 3\t7 \t 5\n1\t2\t4  \n",
+    "plus-signs": "+3\t7\t+5\n1\t+2\t4\n",
+}
+
+COAT_NON_CANONICAL = {
+    "crlf": "0 5\r\n3 0\r\n",
+    "no-final-newline": "0 5\n3 0",
+    "blank-lines": "\n0 5\n\n3 0\n\n",
+    "spaces-around-fields": " 0  5 \n3\t0\n",
+    "plus-signs": "0 +5\n+3 0\n",
+}
+
+
+class TestLoadersEqualPerLineReference:
+    """Each loader's rows equal those of a per-line reference parser."""
 
     @staticmethod
     def random_yahoo_lines(gen, n):
@@ -295,26 +316,26 @@ class TestWholeFileEqualsLineLoop:
         return [f"{zeros}{u}\t{i}\t{r}\n" if k % 3 == 0 else f"{u}\t{i:03d}\t{zeros}{r}\n"
                 for k, (u, i, r) in enumerate(fields.tolist())]
 
+    @staticmethod
+    def assert_equal(load, reference, *paths):
+        ds = no_warnings(load, *paths)
+        rows, n_users, n_items = reference(*paths)
+        assert ds.interactions == rows
+        assert (ds.n_users, ds.n_items) == (n_users, n_items)
+
     @pytest.mark.parametrize("n_biased,n_uniform", [(0, 0), (1, 0), (0, 1), (1, 1), (200, 57),
                                                     (1000, 3)])
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_yahoo(self, tmp_path, monkeypatch, seed, n_biased, n_uniform):
+    def test_yahoo(self, tmp_path, seed, n_biased, n_uniform):
         gen = np.random.default_rng(seed)
         b, u = tmp_path / "b.txt", tmp_path / "u.txt"
         b.write_text("".join(self.random_yahoo_lines(gen, n_biased)))
         u.write_text("".join(self.random_yahoo_lines(gen, n_uniform)))
-        with monkeypatch.context() as m:
-            if n_biased and n_uniform:
-                forbid_loops(m)
-            whole = no_warnings(load_yahoo, b, u)
-        loop_only(monkeypatch)
-        loop = load_yahoo(b, u)
-        assert whole.interactions == loop.interactions
-        assert (whole.n_users, whole.n_items) == (loop.n_users, loop.n_items)
+        self.assert_equal(load_yahoo, reference_yahoo, b, u)
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1), (29, 30)])
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_coat(self, tmp_path, monkeypatch, seed, shape):
+    def test_coat(self, tmp_path, seed, shape):
         gen = np.random.default_rng(seed)
         paths = [tmp_path / "train", tmp_path / "test"]
         for path in paths:
@@ -322,57 +343,154 @@ class TestWholeFileEqualsLineLoop:
             # Up to two leading zeros on each cell.
             path.write_text("".join(" ".join("0" * gen.integers(0, 3) + str(v) for v in row) + "\n"
                                     for row in matrix.tolist()))
-        with monkeypatch.context() as m:
-            forbid_loops(m)
-            whole = no_warnings(load_coat, *paths)
-        loop_only(monkeypatch)
-        loop = load_coat(*paths)
-        assert whole.interactions == loop.interactions
-        assert (whole.n_users, whole.n_items) == (loop.n_users, loop.n_items)
+        self.assert_equal(load_coat, reference_coat, *paths)
+
+    @pytest.mark.parametrize("case", YAHOO_NON_CANONICAL)
+    def test_yahoo_non_canonical(self, tmp_path, case):
+        (tmp_path / "b.txt").write_bytes(YAHOO_NON_CANONICAL[case].encode())
+        (tmp_path / "u.txt").write_text("1\t7\t1\n")
+        self.assert_equal(load_yahoo, reference_yahoo, tmp_path / "b.txt", tmp_path / "u.txt")
+
+    @pytest.mark.parametrize("case", COAT_NON_CANONICAL)
+    def test_coat_non_canonical(self, tmp_path, case):
+        (tmp_path / "train").write_bytes(COAT_NON_CANONICAL[case].encode())
+        (tmp_path / "test").write_text("1 0\n0 0\n")
+        self.assert_equal(load_coat, reference_coat, tmp_path / "train", tmp_path / "test")
 
 
 class TestNonCanonicalFilesLoadAsBefore:
-    """Files the whole-file path declines still load, through the line loop, to the same rows."""
+    """Files beyond digits, one separator and ``\\n`` load to the same rows as canonical ones."""
 
-    YAHOO = {
-        "crlf": "3\t7\t5\r\n1\t2\t4\r\n",
-        "no-final-newline": "3\t7\t5\n1\t2\t4",
-        "blank-lines": "\n3\t7\t5\n\n\n1\t2\t4\n\n",
-        "spaces-around-fields": " 3\t7 \t 5\n1\t2\t4  \n",
-        "plus-signs": "+3\t7\t+5\n1\t+2\t4\n",
-    }
-
-    @pytest.mark.parametrize("case", YAHOO)
-    def test_yahoo(self, tmp_path, monkeypatch, case):
-        (tmp_path / "b.txt").write_bytes(self.YAHOO[case].encode())
+    @pytest.mark.parametrize("case", YAHOO_NON_CANONICAL)
+    def test_yahoo(self, tmp_path, case):
+        (tmp_path / "b.txt").write_bytes(YAHOO_NON_CANONICAL[case].encode())
         (tmp_path / "u.txt").write_text("1\t7\t1\n")
-        spy = []
-        monkeypatch.setattr(data, "_parse_triples", lambda path, f=data._parse_triples:
-                            spy.append(path.name) or f(path))
         ds = no_warnings(load_yahoo, tmp_path / "b.txt", tmp_path / "u.txt")
-        assert spy == ["b.txt"]
         assert [(r.user, r.item, r.rating, r.source) for r in ds.interactions] == [
             (1, 1, 5, Source.BIASED), (0, 0, 4, Source.BIASED), (0, 1, 1, Source.UNIFORM)]
 
-    COAT = {
-        "crlf": "0 5\r\n3 0\r\n",
-        "no-final-newline": "0 5\n3 0",
-        "blank-lines": "\n0 5\n\n3 0\n\n",
-        "spaces-around-fields": " 0  5 \n3\t0\n",
-        "plus-signs": "0 +5\n+3 0\n",
-    }
-
-    @pytest.mark.parametrize("case", COAT)
-    def test_coat(self, tmp_path, monkeypatch, case):
-        (tmp_path / "train").write_bytes(self.COAT[case].encode())
+    @pytest.mark.parametrize("case", COAT_NON_CANONICAL)
+    def test_coat(self, tmp_path, case):
+        (tmp_path / "train").write_bytes(COAT_NON_CANONICAL[case].encode())
         (tmp_path / "test").write_text("1 0\n0 0\n")
-        spy = []
-        monkeypatch.setattr(data, "_parse_matrix", lambda path, f=data._parse_matrix:
-                            spy.append(path.name) or f(path))
         ds = no_warnings(load_coat, tmp_path / "train", tmp_path / "test")
-        assert spy == ["train"]
         assert [(r.user, r.item, r.rating, r.source) for r in ds.interactions] == [
             (0, 1, 5, Source.BIASED), (1, 0, 3, Source.BIASED), (0, 0, 1, Source.UNIFORM)]
+
+
+class TestOneParsePerFile:
+    """A valid file is parsed by one ``np.loadtxt`` call and never read line by line."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        def forbidden(path, *args):
+            raise AssertionError(f"{path} was read line by line")
+
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(data, "_fault", forbidden)
+        monkeypatch.setattr(np, "loadtxt", lambda path, *args, **kwargs:
+                            calls.append(path.name) or loadtxt(path, *args, **kwargs))
+        return calls
+
+    @pytest.mark.parametrize("text", ["3\t7\t5\n1\t2\t4\n", "", *YAHOO_NON_CANONICAL.values()])
+    def test_yahoo(self, tmp_path, parses, text):
+        (tmp_path / "b.txt").write_bytes(text.encode())
+        (tmp_path / "u.txt").write_text("1\t7\t1\n")
+        load_yahoo(tmp_path / "b.txt", tmp_path / "u.txt")
+        assert parses == ["b.txt", "u.txt"]
+
+    @pytest.mark.parametrize("text", ["0 5\n3 0\n", *COAT_NON_CANONICAL.values()])
+    def test_coat(self, tmp_path, parses, text):
+        (tmp_path / "train").write_bytes(text.encode())
+        (tmp_path / "test").write_text("1 0\n0 0\n")
+        load_coat(tmp_path / "train", tmp_path / "test")
+        assert parses == ["train", "test"]
+
+
+class TestLocatedFaults:
+    """A rejected file is read line by line to name its bad line, counting every physical line."""
+
+    @staticmethod
+    def load_yahoo_biased(tmp_path, text):
+        (tmp_path / "b.txt").write_bytes(text.encode())
+        (tmp_path / "u.txt").write_text("1\t1\t5\n")
+        return load_yahoo(tmp_path / "b.txt", tmp_path / "u.txt")
+
+    @staticmethod
+    def load_coat_train(tmp_path, text):
+        (tmp_path / "train").write_bytes(text.encode())
+        (tmp_path / "test").write_text("1 0\n0 0\n")
+        return load_coat(tmp_path / "train", tmp_path / "test")
+
+    @pytest.mark.parametrize("text,match", [
+        ("1\t2\t3\r\n\r\n\r\n4\t5\r\n", "b.txt:4: expected 3 tab-separated fields"),
+        ("\r\n1\t2\t3\r\n\r\n4\t5\tx\r\n", "b.txt:4: non-integer field"),
+        ("1\t2\t3\r\n\r\n1\t3\t6\r\n", "b.txt:3: rating 6 outside 1-5"),
+    ])
+    def test_yahoo_line_after_blank_crlf_lines(self, tmp_path, text, match):
+        with pytest.raises(DataFormatError, match=match):
+            self.load_yahoo_biased(tmp_path, text)
+
+    @pytest.mark.parametrize("text,match", [
+        ("0 5\r\n\r\n\r\n3 x\r\n", "train:4: non-integer cell"),
+        ("\r\n0 5\r\n\r\n9 0\r\n", "train:4: rating 9 outside 0-5"),
+        ("0 5\r\n\r\n3\r\n", r"train:3: ragged row \(1 != 2\)"),
+    ])
+    def test_coat_line_after_blank_crlf_lines(self, tmp_path, text, match):
+        with pytest.raises(DataFormatError, match=match):
+            self.load_coat_train(tmp_path, text)
+
+    @pytest.mark.parametrize("text", ["4\t1\n1\t2\t3\n5\t6\t4\n", "4\t1\n2\t3\n"])
+    def test_short_first_yahoo_line_is_line_one(self, tmp_path, text):
+        # With every line short the parse succeeds, two fields wide; the width check catches it.
+        with pytest.raises(DataFormatError, match="b.txt:1: expected 3 tab-separated fields"):
+            self.load_yahoo_biased(tmp_path, text)
+
+    def test_hash_line_is_a_fault_not_a_comment(self, tmp_path):
+        with pytest.raises(DataFormatError, match="b.txt:2: non-integer field"):
+            self.load_yahoo_biased(tmp_path, "1\t1\t5\n#1\t2\t3\n")
+        with pytest.raises(DataFormatError, match="train:1: non-integer cell"):
+            self.load_coat_train(tmp_path, "#0 5\n3 0\n")
+
+    def test_blank_only_file(self, tmp_path):
+        ds = no_warnings(self.load_yahoo_biased, tmp_path, "\n\n")
+        assert [(r.user, r.item, r.source) for r in ds.interactions] == [(0, 0, Source.UNIFORM)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataFormatError, match="train: empty matrix"):
+                self.load_coat_train(tmp_path, "\n\n")
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("field", ["1_0", "\u0661", "\uff15", "1.0", "0x1", "\u01fe1",
+                                       "\U000927c01", "\u00a01", "\u30001"])
+    def test_field_beyond_ascii_digits_is_a_located_fault(self, tmp_path, field):
+        # int() read "1_0" as 10, non-ASCII digits as digits and U+00A0 and U+3000 as
+        # whitespace.  Decoded as UTF-8, numpy's integer parser read U+01FE as a digit worth
+        # 462 and could crash on characters beyond the BMP.
+        with pytest.raises(DataFormatError, match="b.txt:2: non-integer field"):
+            self.load_yahoo_biased(tmp_path, f"1\t1\t5\n{field}\t2\t3\n")
+        with pytest.raises(DataFormatError, match="train:2: non-integer cell"):
+            self.load_coat_train(tmp_path, f"0 5\n0 {field}\n")
+
+    def test_bytes_that_are_not_utf8_are_a_located_fault(self, tmp_path):
+        (tmp_path / "b.txt").write_bytes(b"1\t1\t5\n1\t2\t\xff\n")
+        (tmp_path / "u.txt").write_text("")
+        with pytest.raises(DataFormatError, match="b.txt:2: non-integer field"):
+            load_yahoo(tmp_path / "b.txt", tmp_path / "u.txt")
+
+    def test_int64_extremes_read_exactly(self, tmp_path):
+        (tmp_path / "b.txt").write_text("9223372036854775807\t-9223372036854775808\t1\n")
+        np.testing.assert_array_equal(data._read_triples(tmp_path / "b.txt"),
+                                      [[2**63 - 1, -2**63, 1]])
+
+    def test_parse_rejecting_a_file_no_line_faults_names_the_file(self, tmp_path, monkeypatch):
+        def rejecting(path, *args, **kwargs):
+            raise ValueError("rejected")
+
+        monkeypatch.setattr(np, "loadtxt", rejecting)
+        with pytest.raises(DataFormatError, match="b.txt: np.loadtxt rejected the file"):
+            self.load_yahoo_biased(tmp_path, "1\t2\t3\n")
 
 
 class TestSplitUniform:
@@ -687,6 +805,15 @@ class TestRowsMatchPerRowReference:
                 for rows, src in ((biased, Source.BIASED), (uniform, Source.UNIFORM))
                 for u, i, r in rows], len(umap), len(imap)
 
+    @staticmethod
+    def reference_coat(matrices):
+        rows = []
+        for matrix, src in zip(matrices, (Source.BIASED, Source.UNIFORM)):
+            us, its = np.nonzero(matrix)
+            for u, i in zip(us.tolist(), its.tolist()):
+                rows.append(interaction(u, i, int(matrix[u, i]), src))
+        return rows
+
     def test_yahoo_with_id_gaps(self, tmp_path):
         # User ids 3..40 and item ids 2..900 with gaps, some present in one file only.
         biased_lines = ["40\t900\t5", "3\t17\t2", "12\t2\t4", "3\t900\t1", "40\t17\t5"]
@@ -704,11 +831,7 @@ class TestRowsMatchPerRowReference:
         for name, m in zip(("train", "test"), matrices):
             TestCoatLoader.write_matrix(tmp_path / name, m)
         ds = load_coat(tmp_path / "train", tmp_path / "test")
-        rows = []
-        for matrix, src in zip(matrices, (Source.BIASED, Source.UNIFORM)):
-            us, its = np.nonzero(matrix)
-            for u, i in zip(us.tolist(), its.tolist()):
-                rows.append(interaction(u, i, int(matrix[u, i]), src))
+        rows = self.reference_coat(matrices)
         assert len(rows) > 10
         assert ds.interactions == rows
 

@@ -386,6 +386,32 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(f"{path}: not a checkpoint")):
             load_checkpoint(path)
 
+    def test_zip_without_header_rejected_naming_path(self, tmp_path):
+        path = tmp_path / "other.npz"
+        np.savez(path, a=np.zeros(3))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a checkpoint (no header entry)")):
+            load_checkpoint(path)
+
+    def test_missing_parameter_rejected_naming_path(self, tmp_path):
+        path = tmp_path / "net.npz"
+        save_checkpoint(init_network(small_config(), RngStream(1)), path)
+        data = dict(np.load(path))
+        del data["param_03"]
+        np.savez(path, **data)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: not a checkpoint (no param_03 entry)")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [b"{not json", b"\xff\xfe", b'{"config": {}}', b"[1, 2]"])
+    def test_corrupt_header_rejected_naming_path(self, tmp_path, header):
+        path = tmp_path / "net.npz"
+        save_checkpoint(init_network(small_config(), RngStream(1)), path)
+        data = dict(np.load(path))
+        data["header"] = np.frombuffer(header, dtype=np.uint8)
+        np.savez(path, **data)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: corrupt checkpoint header")):
+            load_checkpoint(path)
+
     def test_rejects_shapes_disagreeing_with_config(self, tmp_path):
         net = init_network(small_config(n_users=3, embedding_dim=2), RngStream(1))
         path = tmp_path / "net.npz"

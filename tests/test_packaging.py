@@ -30,14 +30,15 @@ def test_every_exported_name_exists():
 
 
 def test_names_without_caller_stay_deleted():
-    from distilrec.data import SyntheticWorld, _parse_triples, generate_synthetic
+    from distilrec.data import SyntheticWorld, generate_synthetic
     from distilrec.optim import OptimizerState
     from distilrec.rng import RngStream
 
     gone = {"forward", "bce", "reg_loss", "weighted_empirical_risk", "read_canonical_tsv",
             "write_canonical_tsv", "positive_ratio", "exposure_weights", "clone",
             "uniform", "integers", "permutation", "_is_observed", "binarize", "interaction",
-            "_reg_grad_wrt_student"}
+            "_reg_grad_wrt_student", "_whole_file_fields", "_parse_triples", "_parse_matrix",
+            "FIELD_DIGITS"}
     modules = [importlib.import_module(f"distilrec.{info.name}")
                for info in pkgutil.iter_modules(distilrec.__path__)]
     classes = [obj for m in modules for obj in vars(m).values()
@@ -49,7 +50,6 @@ def test_names_without_caller_stay_deleted():
     assert not {"beta1", "beta2", "epsilon_hat"} & {f.name for f in dataclasses.fields(OptimizerState)}
     assert "scale" not in inspect.signature(generate_synthetic).parameters
     assert "p" not in inspect.signature(RngStream.choice).parameters
-    assert "source" not in inspect.signature(_parse_triples).parameters
 
 
 def test_every_script_target_resolves():
