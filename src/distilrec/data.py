@@ -158,12 +158,6 @@ class Dataset:
     def by_source(self, source: Source) -> list[Interaction]:
         return [inter for inter in self.interactions if inter.source is source]
 
-    def observed_pairs(self) -> np.ndarray:
-        """Distinct (user, item) pairs over both sources, shape (n, 2), in key order."""
-        keys = _distinct(_column(self.interactions, "user") * self.n_items
-                         + _column(self.interactions, "item"))
-        return np.column_stack(np.divmod(keys, self.n_items))
-
 
 def pack(interactions: Sequence[Interaction]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(users, items, labels) arrays for vectorized scoring/training."""
@@ -389,7 +383,8 @@ class UnobservedSampler:
 
     @classmethod
     def from_dataset(cls, dataset: Dataset, rng: RngStream) -> "UnobservedSampler":
-        return cls(dataset.n_users, dataset.n_items, dataset.observed_pairs(), rng)
+        pairs = np.column_stack([_column(dataset.interactions, name) for name in ("user", "item")])
+        return cls(dataset.n_users, dataset.n_items, pairs, rng)
 
     def sample(self, n: int) -> np.ndarray:
         """n pairs uniform over the unobserved complement, shape (n, 2)."""

@@ -10,9 +10,9 @@ an approximate posterior sampler.
 Everything is plain float64 numpy with hand-written reverse-mode
 gradients for this fixed architecture; there is no general autodiff.
 ``Network`` is the one parameter container: ``backprop`` returns the
-gradient as a ``Network`` of the same config, and every construction,
-checkpoint loads included, checks each array's shape against the config
-and requires float64.
+gradient, and the optimizer keeps Adam's moments, as ``Network``s of the
+same config.  Every construction, checkpoint loads included, checks each
+array's shape against the config and requires float64.
 A training step runs ``forward_cached`` once over all its rows, observed
 and unobserved concatenated, and ``backprop`` once over the per-row
 logit gradients; ``backprop`` is the step's only gradient allocation and
@@ -31,7 +31,6 @@ Both forwards share one layer stack, ``_layer_stack``.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import numbers
@@ -158,7 +157,7 @@ class Network:
         return all(np.all(np.isfinite(a)) for a in self.param_arrays())
 
     def zeros_like(self) -> "Network":
-        """A zero Network of the same config, e.g. to accumulate a gradient."""
+        """A zero Network of the same config, e.g. a fresh Adam moment."""
         return Network.from_arrays(self.config, [np.zeros_like(a) for a in self.param_arrays()])
 
 
@@ -340,37 +339,43 @@ def forward_batch(
 
 def save_checkpoint(net: Network, path, seed: int | None = None) -> None:
     """Serialize (config, parameters, seed); round-trips bit-exactly."""
-    header = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "seed": seed,
-        "config": asdict(net.config),
-    }
+    header = {"format_version": CHECKPOINT_FORMAT_VERSION, "seed": seed,
+              "config": asdict(net.config)}
+    raw = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)  # fails before any truncation
     arrays = {f"param_{k:02d}": a for k, a in enumerate(net.param_arrays())}
-    buf = io.BytesIO()
-    np.savez(buf, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        np.savez(fh, header=raw, **arrays)
 
 
 def load_checkpoint(path) -> tuple[Network, int | None]:
-    with open(path, "rb") as fh:
-        if not zipfile.is_zipfile(fh):
-            raise ValueError(f"{path}: not a checkpoint (truncated or not a zip file)")
-        fh.seek(0)
-        with np.load(fh) as data:
-            def entry(name):
-                if name not in data.files:
-                    raise ValueError(f"{path}: not a checkpoint (no {name} entry)")
-                return data[name]
+    """(network, seed) as saved; every fault of the file is a ValueError starting with ``path``."""
+    try:
+        with open(path, "rb") as fh:
+            if not zipfile.is_zipfile(fh):
+                raise ValueError("not a checkpoint (truncated or not a zip file)")
+            fh.seek(0)
+            with np.load(fh) as data:
+                def entry(name):
+                    if name not in data.files:
+                        raise ValueError(f"not a checkpoint (no {name} entry)")
+                    return data[name]
 
-            raw = bytes(entry("header"))
-            try:
-                header = json.loads(raw.decode())
-                version, config, seed = header["format_version"], header["config"], header["seed"]
-            except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}: corrupt checkpoint header ({exc!r})") from exc
-            if version != CHECKPOINT_FORMAT_VERSION:
-                raise ValueError(f"{path}: unsupported checkpoint version {version}")
-            cfg = NetworkConfig(**config)
-            arrays = [entry(f"param_{k:02d}") for k in range(len(cfg.param_shapes()))]
-    return Network.from_arrays(cfg, arrays), seed
+                raw = bytes(entry("header"))
+                try:
+                    header = json.loads(raw.decode())
+                    version, config, seed = (header[key]
+                                             for key in ("format_version", "config", "seed"))
+                except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+                    raise ValueError(f"corrupt checkpoint header ({exc!r})") from exc
+                if version != CHECKPOINT_FORMAT_VERSION:
+                    raise ValueError(f"unsupported checkpoint version {version}")
+                if seed is not None and type(seed) is not int:
+                    raise ValueError(f"seed {seed!r} is neither an integer nor null")
+                cfg = NetworkConfig(**config)
+                net = Network.from_arrays(cfg, [entry(f"param_{k:02d}")
+                                                for k in range(len(cfg.param_shapes()))])
+        if not net.all_finite():
+            raise ValueError("non-finite parameter")
+    except (TypeError, ValueError) as exc:  # a malformed config raises either
+        raise ValueError(f"{path}: {exc}") from exc
+    return net, seed

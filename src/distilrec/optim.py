@@ -1,14 +1,14 @@
 """First-order optimizers operating in place on a Network.
 
-The gradient is itself a ``Network`` of the same config, as returned by
-``losses.loss_and_grads``; its arrays pair up with the parameters'
-through ``param_arrays``.
+The gradient (from ``losses.loss_and_grads``) and Adam's two moments are
+each a ``Network`` of the parameters' config, so one config comparison
+checks each, and their ``param_arrays`` pair up with the parameters'.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +25,8 @@ class OptimizerState:
     kind: str                    # "sgd" | "adam"
     learning_rate: float
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: Network | None = None     # Adam's first and second moments; None for SGD
+    v: Network | None = None
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
@@ -38,26 +38,24 @@ class OptimizerState:
 def make_optimizer(net: Network, kind: str = "adam", learning_rate: float = 1e-3) -> OptimizerState:
     opt = OptimizerState(kind=kind, learning_rate=learning_rate)
     if kind == "adam":
-        opt.m = [np.zeros_like(a) for a in net.param_arrays()]
-        opt.v = [np.zeros_like(a) for a in net.param_arrays()]
+        opt.m, opt.v = net.zeros_like(), net.zeros_like()
     return opt
 
 
-def _shapes_match(arrays: list[np.ndarray], params: list[np.ndarray]) -> bool:
-    return len(arrays) == len(params) and all(a.shape == p.shape for a, p in zip(arrays, params))
-
-
 def apply_update(opt: OptimizerState, net: Network, grads: Network) -> None:
-    """One in-place parameter update; rejects non-finite gradients.
+    """One in-place parameter update.
 
-    The network is left untouched when the gradients are rejected, so a
-    caller may recover (e.g. skip the batch) without corrupting state.
+    A gradient or moment of another config (dropout_rate included) or a
+    non-finite gradient is rejected before anything changes, so a caller
+    may recover, e.g. by skipping the batch.  An update that makes a
+    parameter non-finite raises ``FloatingPointError`` after it is applied:
+    the parameters, the moments and ``opt.step`` keep their new values.
     """
-    params = net.param_arrays()
-    garrs = grads.param_arrays()
-    if not _shapes_match(garrs, params):
-        raise ValueError("gradient shapes do not match network parameters")
-    if opt.kind == "adam" and not (_shapes_match(opt.m, params) and _shapes_match(opt.v, params)):
+    if grads.config != net.config:
+        raise ValueError(f"gradient config {grads.config} differs from the network's "
+                         f"{net.config}; shapes and dropout_rate must match")
+    if opt.kind == "adam" and any(getattr(moment, "config", None) != net.config
+                                  for moment in (opt.m, opt.v)):
         raise ValueError("Adam moments m/v do not match network parameters; "
                          "build the state with make_optimizer")
     if not grads.all_finite():
@@ -65,13 +63,14 @@ def apply_update(opt: OptimizerState, net: Network, grads: Network) -> None:
 
     opt.step += 1
     lr = opt.learning_rate
+    params, garrs = net.param_arrays(), grads.param_arrays()
     if opt.kind == "sgd":
         for p, g in zip(params, garrs):
             p -= lr * g
     else:
         bias1 = 1.0 - BETA1 ** opt.step
         bias2 = 1.0 - BETA2 ** opt.step
-        for p, g, m, v in zip(params, garrs, opt.m, opt.v):
+        for p, g, m, v in zip(params, garrs, opt.m.param_arrays(), opt.v.param_arrays()):
             m *= BETA1
             m += (1.0 - BETA1) * g
             v *= BETA2

@@ -370,3 +370,32 @@ class TestOptimizer:
         opt = make_optimizer(net, "sgd", learning_rate=0.1)
         with pytest.raises(ValueError, match="shape"):
             apply_update(opt, net, other.zeros_like())
+
+    def test_rejects_config_differing_only_in_dropout_rate(self):
+        # Shapes alone once decided; a gradient or moment of another dropout_rate passed.
+        net = init_network(NetworkConfig(2, 2, 2, (2,)), RngStream(3))
+        before = [a.copy() for a in net.param_arrays()]
+        other = init_network(NetworkConfig(2, 2, 2, (2,), dropout_rate=0.5), RngStream(3))
+        opt = make_optimizer(net, "adam", learning_rate=0.1)
+        with pytest.raises(ValueError, match="dropout_rate must match"):
+            apply_update(opt, net, other.zeros_like())
+        for moment in ("m", "v"):
+            opt = make_optimizer(net, "adam", learning_rate=0.1)
+            setattr(opt, moment, other.zeros_like())
+            with pytest.raises(ValueError, match="moments"):
+                apply_update(opt, net, net.zeros_like())
+            assert opt.step == 0
+        for a, b in zip(net.param_arrays(), before):
+            np.testing.assert_array_equal(a, b)
+
+    def test_overflowing_update_raises_after_applying_it(self):
+        # Finite parameters and gradient can still overflow; the update is not undone.
+        net = init_network(NetworkConfig(1, 1, 1, (1,)), RngStream(1))
+        g = net.zeros_like()
+        for p, d in zip(net.param_arrays(), g.param_arrays()):
+            p[...], d[...] = 1e308, -1e308
+        opt = make_optimizer(net, "sgd", learning_rate=1.0)
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+            apply_update(opt, net, g)
+        assert all(np.all(a == np.inf) for a in net.param_arrays())
+        assert opt.step == 1

@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 import warnings
@@ -431,3 +432,46 @@ class TestCheckpoint:
         np.savez(path, **data)
         with pytest.raises(ValueError, match=r"weights\[0\] has dtype float32; float64 expected"):
             load_checkpoint(path)
+
+    @staticmethod
+    def rewrite(path, edit):
+        """Save a valid checkpoint at ``path``, then apply ``edit(header, arrays)`` to it."""
+        save_checkpoint(init_network(small_config(), RngStream(1)), path, seed=3)
+        data = dict(np.load(path))
+        header = json.loads(bytes(data["header"]).decode())
+        edit(header, data)
+        data["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+        np.savez(path, **data)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda h, d: h.update(config=[1]), "must be a mapping, not list"),
+        (lambda h, d: h["config"].update(colour=1), "unexpected keyword argument 'colour'"),
+        (lambda h, d: h["config"].update(embedding_dim=-1), "embedding_dim must be >= 1"),
+        (lambda h, d: d.update(param_00=np.zeros((2, 2))), r"user_emb has shape \(2, 2\)"),
+        (lambda h, d: d.update(param_00=d["param_00"].astype(np.float32)),
+         "user_emb has dtype float32"),
+        (lambda h, d: d["param_00"].fill(np.nan), "non-finite parameter"),
+        (lambda h, d: h.update(seed="x"), "seed 'x' is neither an integer nor null"),
+    ], ids=["config-list", "config-unknown-key", "config-negative-dim", "param-shape",
+            "param-float32", "param-nan", "seed-string"])
+    def test_fault_is_value_error_starting_with_path(self, tmp_path, edit, message):
+        # Unchecked, a list or unknown key in the config raised a bare TypeError, three
+        # faults raised a ValueError naming no path, and a NaN parameter or string seed loaded.
+        path = tmp_path / "net.npz"
+        self.rewrite(path, edit)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ") + ".*" + message):
+            load_checkpoint(path)
+
+    def test_failed_save_leaves_existing_file(self, tmp_path):
+        net = init_network(small_config(), RngStream(1))
+        path = tmp_path / "net.npz"
+        save_checkpoint(net, path, seed=1)
+        before = path.read_bytes()
+        with pytest.raises((TypeError, ValueError)):  # JSON cannot encode an np.int64
+            save_checkpoint(net, path, seed=np.int64(2))
+        assert path.read_bytes() == before
+
+    def test_null_seed_loads(self, tmp_path):
+        path = tmp_path / "net.npz"
+        save_checkpoint(init_network(small_config(), RngStream(1)), path)
+        assert load_checkpoint(path)[1] is None

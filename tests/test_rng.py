@@ -44,3 +44,7 @@ def test_seed_validation():
         RngStream(-1)
     with pytest.raises(ValueError):
         RngStream(2**64)
+
+
+def test_repr_names_seed_and_path():
+    assert repr(RngStream(5)) == "RngStream(seed=5, path=())"
