@@ -4,9 +4,14 @@ Logged feedback arrives from two logging policies: a small slice where
 items were shown uniformly at random (an unbiased sample of preference)
 and a large slice logged by a deployed recommender (exposure-biased).
 Ratings on a 1-5 scale are binarized: only a 5 counts as a positive.
-Rows are checked in one place, when they enter a ``Dataset``: whole-number
-ids and ratings, rating and id ranges, labels, sources and duplicates,
-each error naming the row.
+Rows are checked once, on columns, whichever way they reach a ``Dataset``:
+whole-number ids and ratings, rating and id ranges, labels, sources and
+duplicates, each error naming the row.  ``Dataset(rows, ...)`` reads the
+columns out of rows a caller built; the generator and the loaders pass
+their columns, which are checked before any row is built.  Rows are built
+in one place, with the cyclic garbage collector paused: each row is a new
+tracked tuple, so hundreds of thousands of them set off repeated
+collections that walk the rows built so far, none of which can be garbage.
 
 The native loaders parse each file with one ``np.loadtxt``.  Only a file
 it rejects, or one whose values fail a range check, is read again line by
@@ -18,10 +23,12 @@ preference matrix; these serve as oracles for debiasing experiments.
 
 from __future__ import annotations
 
+import gc
 import math
 import numbers
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -73,17 +80,32 @@ class Interaction(NamedTuple):
     source: Source
 
 
-def _rows(users, items, ratings, source: Source) -> list[Interaction]:
+@contextmanager
+def _collector_paused():
+    """Disable the cyclic garbage collector for the body; its prior state is
+    restored on exit, also when the body raises."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _rows(users, items, ratings, labels, sources) -> list[Interaction]:
     """The one place rows are built: one ``Interaction`` per column entry.
 
+    They are built with the cyclic collector paused, since none of them can
+    be garbage while the list holds them (see the module docstring).
     ``tuple.__new__`` builds each row from its fields, skipping the
-    Python-level ``__new__`` that ``Interaction(...)`` runs per row; the
-    rows are equal.
+    Python-level ``__new__`` that ``Interaction(...)`` runs per row; the rows
+    are equal.
     """
-    labels = (ratings == 5).astype(np.int64)
-    return list(map(tuple.__new__, repeat(Interaction),
-                    zip(users.tolist(), items.tolist(), ratings.tolist(), labels.tolist(),
-                        repeat(source))))
+    with _collector_paused():
+        return list(map(tuple.__new__, repeat(Interaction),
+                        zip(users.tolist(), items.tolist(), ratings.tolist(), labels.tolist(),
+                            sources.tolist())))
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -127,36 +149,73 @@ def _as_pairs(pairs) -> np.ndarray:
     return _as_int64(arr, "pair id")
 
 
+_INT_FIELDS = ("user", "item", "rating", "label")
+
+
+def _checked_columns(n_users: int, n_items: int, int_columns, sources: np.ndarray):
+    """The (user, item, rating, label) columns ``int_columns`` yields, as int64,
+    once they and the object column ``sources`` pass the row check."""
+    users, items, ratings, labels = (_as_int64(column, name)
+                                     for column, name in zip(int_columns, _INT_FIELDS))
+    if (k := _first((ratings < 1) | (ratings > 5))) is not None:
+        raise ValueError(f"row {k}: rating {ratings[k]} outside 1-5")
+    if (k := _first(labels != (ratings == 5))) is not None:
+        raise ValueError(f"row {k}: label {labels[k]} inconsistent with rating {ratings[k]}")
+    uniform = sources == Source.UNIFORM
+    if (k := _first(~uniform & (sources != Source.BIASED))) is not None:
+        raise ValueError(f"row {k}: source {sources[k]!r} is not a Source")
+    if (k := _first((users < 0) | (users >= n_users)
+                    | (items < 0) | (items >= n_items))) is not None:
+        raise ValueError(f"row {k}: id out of range: user={users[k]}, item={items[k]} "
+                         f"in a {n_users} x {n_items} grid")
+    keys = (users * n_items + items) * 2 + uniform
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    if (k := _first(first[group] != np.arange(keys.size))) is not None:
+        raise ValueError(f"row {k}: duplicate of row {first[group[k]]}: user={users[k]}, "
+                         f"item={items[k]}, source={sources[k].value}")
+    return users, items, ratings, labels
+
+
 @dataclass
 class Dataset:
+    """Logged rows on an ``n_users`` x ``n_items`` grid, checked once, on columns.
+
+    ``Dataset(rows, ...)`` reads the columns out of rows a caller built; the
+    producers' ``_from_columns`` checks their columns before it builds a row.
+    """
+
     interactions: list[Interaction]
     n_users: int
     n_items: int
 
     def __post_init__(self):
-        users, items, ratings, labels = (
-            _as_int64(list(map(attrgetter(name), self.interactions)), name)
-            for name in ("user", "item", "rating", "label"))
-        if (k := _first((ratings < 1) | (ratings > 5))) is not None:
-            raise ValueError(f"row {k}: rating {ratings[k]} outside 1-5")
-        if (k := _first(labels != (ratings == 5))) is not None:
-            raise ValueError(f"row {k}: label {labels[k]} inconsistent with rating {ratings[k]}")
-        sources = _column(self.interactions, "source", object)
-        uniform = sources == Source.UNIFORM
-        if (k := _first(~uniform & (sources != Source.BIASED))) is not None:
-            raise ValueError(f"row {k}: source {sources[k]!r} is not a Source")
-        if (k := _first((users < 0) | (users >= self.n_users)
-                        | (items < 0) | (items >= self.n_items))) is not None:
-            raise ValueError(f"row {k}: id out of range: user={users[k]}, item={items[k]} "
-                             f"in a {self.n_users} x {self.n_items} grid")
-        keys = (users * self.n_items + items) * 2 + uniform
-        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-        if (k := _first(first[group] != np.arange(keys.size))) is not None:
-            raise ValueError(f"row {k}: duplicate of row {first[group[k]]}: user={users[k]}, "
-                             f"item={items[k]}, source={sources[k].value}")
+        rows = self.interactions
+        _checked_columns(self.n_users, self.n_items,
+                         (list(map(attrgetter(name), rows)) for name in _INT_FIELDS),
+                         _column(rows, "source", object))
+
+    @classmethod
+    def _from_columns(cls, n_users: int, n_items: int, groups) -> "Dataset":
+        """The ``Dataset`` of ``groups`` of (users, items, ratings, source), rows
+        in group order; labels follow the rating rule."""
+        users, items, ratings = (np.concatenate(column)
+                                 for column in zip(*(group[:3] for group in groups)))
+        sources = np.repeat(np.array([group[3] for group in groups], dtype=object),
+                            [len(group[0]) for group in groups])
+        columns = _checked_columns(n_users, n_items, (users, items, ratings, ratings == 5),
+                                   sources)
+        dataset = cls.__new__(cls)
+        dataset.interactions = _rows(*columns, sources)
+        dataset.n_users, dataset.n_items = n_users, n_items
+        return dataset
 
     def by_source(self, source: Source) -> list[Interaction]:
         return [inter for inter in self.interactions if inter.source is source]
+
+
+# Bound once, here: the producers build through the class defined above,
+# whatever the module's ``Dataset`` name is later made to refer to.
+_dataset_of_columns = Dataset._from_columns
 
 
 def pack(interactions: Sequence[Interaction]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -254,9 +313,9 @@ def load_yahoo(biased_path, uniform_path) -> Dataset:
     item_ids, items = np.unique(triples[:, 1], return_inverse=True)
     ratings = triples[:, 2]
     nb = len(biased)
-    interactions = (_rows(users[:nb], items[:nb], ratings[:nb], Source.BIASED)
-                    + _rows(users[nb:], items[nb:], ratings[nb:], Source.UNIFORM))
-    return Dataset(interactions, n_users=user_ids.size, n_items=item_ids.size)
+    return _dataset_of_columns(user_ids.size, item_ids.size,
+                               [(users[:nb], items[:nb], ratings[:nb], Source.BIASED),
+                                (users[nb:], items[nb:], ratings[nb:], Source.UNIFORM)])
 
 
 def _row_fault(n: int, values: list[int] | None, width: int) -> str | None:
@@ -298,11 +357,11 @@ def load_coat(train_matrix_path, test_matrix_path) -> Dataset:
             f"matrix shapes differ: {biased_m.shape} vs {uniform_m.shape}"
         )
     n_users, n_items = biased_m.shape
-    interactions = []
+    groups = []
     for matrix, src in ((biased_m, Source.BIASED), (uniform_m, Source.UNIFORM)):
         us, its = np.nonzero(matrix)
-        interactions += _rows(us, its, matrix[us, its], src)
-    return Dataset(interactions, n_users=n_users, n_items=n_items)
+        groups.append((us, its, matrix[us, its], src))
+    return _dataset_of_columns(n_users, n_items, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +562,10 @@ def generate_synthetic(
     uniform_cells = _smallest_cells(n_uniform, prob.size, negated_uniform_keys)
 
     label_rng = root.split("labels").generator
-    interactions = []
+    groups = []
     for cells, src in ((biased_cells, Source.BIASED), (uniform_cells, Source.UNIFORM)):
         us, its = np.divmod(cells, n_items)
         labels = label_rng.random(cells.size) < prob[us, its]
         ratings = np.where(labels, 5, label_rng.integers(1, 5, size=cells.size))
-        interactions += _rows(us, its, ratings, src)
-    return world, Dataset(interactions, n_users=n_users, n_items=n_items)
+        groups.append((us, its, ratings, src))
+    return world, _dataset_of_columns(n_users, n_items, groups)

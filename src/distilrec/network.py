@@ -337,8 +337,19 @@ def forward_batch(
     return probs
 
 
+def _check_seed(seed) -> None:
+    """The seed rule both checkpoint ends apply: an ``int`` or None."""
+    if seed is not None and type(seed) is not int:
+        raise ValueError(f"seed {seed!r} is neither an integer nor null")
+
+
 def save_checkpoint(net: Network, path, seed: int | None = None) -> None:
-    """Serialize (config, parameters, seed); round-trips bit-exactly."""
+    """Serialize (config, parameters, seed); round-trips bit-exactly.
+
+    A seed ``load_checkpoint`` would reject raises ``ValueError`` before
+    ``path`` is opened, so an existing file there is left as it was.
+    """
+    _check_seed(seed)
     header = {"format_version": CHECKPOINT_FORMAT_VERSION, "seed": seed,
               "config": asdict(net.config)}
     raw = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)  # fails before any truncation
@@ -369,8 +380,7 @@ def load_checkpoint(path) -> tuple[Network, int | None]:
                     raise ValueError(f"corrupt checkpoint header ({exc!r})") from exc
                 if version != CHECKPOINT_FORMAT_VERSION:
                     raise ValueError(f"unsupported checkpoint version {version}")
-                if seed is not None and type(seed) is not int:
-                    raise ValueError(f"seed {seed!r} is neither an integer nor null")
+                _check_seed(seed)
                 cfg = NetworkConfig(**config)
                 net = Network.from_arrays(cfg, [entry(f"param_{k:02d}")
                                                 for k in range(len(cfg.param_shapes()))])

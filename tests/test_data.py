@@ -1,6 +1,10 @@
 import collections
+import contextlib
+import gc
+import itertools
 import tracemalloc
 import warnings
+from operator import attrgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,17 +42,42 @@ def observed_keys(ds):
     return UnobservedSampler.from_dataset(ds, RngStream(1))._observed_keys
 
 
+def columns_entry(rows, n_users, n_items):
+    """The Dataset of ``rows`` as the producers build one: from columns, one group
+    per run of rows of one source.  Labels follow the rating rule."""
+    groups = [(*map(list, zip(*[(r.user, r.item, r.rating) for r in run])), source)
+              for source, run in itertools.groupby(rows, key=attrgetter("source"))]
+    return data._dataset_of_columns(n_users, n_items, groups)
+
+
+def both_entries(rows, n_users, n_items):
+    """``Dataset(rows, ...)``, after checking that the column entry gives an equal
+    Dataset, or raises a ValueError with the same message as the row entry."""
+    outcomes = []
+    for build in (Dataset, columns_entry):
+        try:
+            outcomes.append(build(rows, n_users, n_items))
+        except ValueError as exc:
+            outcomes.append(exc)
+    by_rows, by_columns = outcomes
+    if isinstance(by_rows, ValueError):
+        assert isinstance(by_columns, ValueError) and str(by_columns) == str(by_rows)
+        raise by_rows
+    assert by_columns == by_rows
+    return by_rows
+
+
 class TestDatasetRowChecks:
     @pytest.mark.parametrize("rating,label", [(5, 1), (4, 0), (3, 0), (2, 0), (1, 0)])
     def test_rating_accepted_with_its_label(self, rating, label):
-        ds = Dataset([Interaction(0, 0, rating, label, Source.UNIFORM)], n_users=1, n_items=1)
+        ds = both_entries([Interaction(0, 0, rating, label, Source.UNIFORM)], n_users=1, n_items=1)
         assert ds.interactions[0].label == label
 
     @pytest.mark.parametrize("rating", [0, 6, -1])
     def test_rating_out_of_range_names_row(self, rating):
         inters = [interaction(0, 0, 5, Source.UNIFORM), Interaction(0, 1, rating, 0, Source.UNIFORM)]
         with pytest.raises(ValueError, match=rf"row 1: rating {rating} outside 1-5"):
-            Dataset(inters, n_users=1, n_items=2)
+            both_entries(inters, n_users=1, n_items=2)
 
     def test_label_must_match_rating(self):
         with pytest.raises(ValueError, match=r"row 0: label 0 inconsistent with rating 5"):
@@ -70,11 +99,13 @@ class TestDatasetRowChecks:
     def test_value_not_an_integer_names_row(self, field, value):
         # Unchecked, 4.5 and 0.5 were truncated to 4 and 0, and 2**70 raised OverflowError.
         bad = interaction(0, 1, 4, Source.UNIFORM)._replace(**{field: value})
+        # The column entry derives each label from its rating.
+        build = Dataset if field == "label" else both_entries
         with pytest.raises(ValueError, match=rf"row 1: {field} {value!r} is not an integer"):
-            Dataset([interaction(0, 0, 5, Source.UNIFORM), bad], n_users=1, n_items=2)
+            build([interaction(0, 0, 5, Source.UNIFORM), bad], n_users=1, n_items=2)
 
     def test_whole_float_values_accepted(self):
-        ds = Dataset([Interaction(0.0, 1.0, 5.0, 1.0, Source.UNIFORM)], n_users=1, n_items=2)
+        ds = both_entries([Interaction(0.0, 1.0, 5.0, 1.0, Source.UNIFORM)], n_users=1, n_items=2)
         np.testing.assert_array_equal(observed_keys(ds), [1])
 
     def test_row_cannot_be_changed(self):
@@ -100,36 +131,37 @@ class TestDatasetInvariants:
     def test_duplicate_triple_rejected(self):
         inters = [interaction(0, 0, 5, Source.UNIFORM), interaction(0, 0, 3, Source.UNIFORM)]
         with pytest.raises(ValueError, match="duplicate"):
-            Dataset(inters, n_users=1, n_items=1)
+            both_entries(inters, n_users=1, n_items=1)
 
     def test_same_pair_different_source_allowed(self):
         inters = [interaction(0, 0, 5, Source.UNIFORM), interaction(0, 0, 3, Source.BIASED)]
-        Dataset(inters, n_users=1, n_items=1)
+        both_entries(inters, n_users=1, n_items=1)
         # A second item leaves the sampler a free cell; the pair is observed once.
-        np.testing.assert_array_equal(observed_keys(Dataset(inters, n_users=1, n_items=2)), [0])
+        np.testing.assert_array_equal(observed_keys(both_entries(inters, n_users=1, n_items=2)),
+                                      [0])
 
     def test_id_bounds_checked(self):
         with pytest.raises(ValueError, match="range"):
-            Dataset([interaction(3, 0, 5, Source.UNIFORM)], n_users=2, n_items=1)
+            both_entries([interaction(3, 0, 5, Source.UNIFORM)], n_users=2, n_items=1)
 
     def test_out_of_range_error_names_row(self):
         inters = [interaction(0, 0, 5, Source.UNIFORM), interaction(1, 1, 3, Source.BIASED),
                   interaction(1, 2, 3, Source.BIASED)]
         with pytest.raises(ValueError, match=r"row 2: id out of range: user=1, item=2"):
-            Dataset(inters, n_users=2, n_items=2)
+            both_entries(inters, n_users=2, n_items=2)
         with pytest.raises(ValueError, match=r"row 0: id out of range: user=-1"):
-            Dataset([interaction(-1, 0, 5, Source.UNIFORM)], n_users=2, n_items=2)
+            both_entries([interaction(-1, 0, 5, Source.UNIFORM)], n_users=2, n_items=2)
 
     def test_duplicate_error_names_row(self):
         inters = [interaction(0, 1, 5, Source.UNIFORM), interaction(0, 1, 2, Source.BIASED),
                   interaction(1, 0, 4, Source.UNIFORM), interaction(0, 1, 3, Source.BIASED)]
         with pytest.raises(ValueError, match=r"row 3: duplicate of row 1"):
-            Dataset(inters, n_users=2, n_items=2)
+            both_entries(inters, n_users=2, n_items=2)
 
     def test_observed_pairs_in_key_order(self):
         inters = [interaction(1, 0, 5, Source.BIASED), interaction(0, 2, 2, Source.BIASED),
                   interaction(1, 0, 3, Source.UNIFORM), interaction(0, 1, 3, Source.UNIFORM)]
-        keys = observed_keys(Dataset(inters, n_users=2, n_items=3))
+        keys = observed_keys(both_entries(inters, n_users=2, n_items=3))
         np.testing.assert_array_equal(keys, [1, 2, 3])  # (0, 1), (0, 2), (1, 0)
         assert keys.dtype == np.int64
         assert observed_keys(Dataset([], n_users=2, n_items=3)).shape == (0,)
@@ -197,6 +229,19 @@ class TestYahooLoader:
         (tmp_path / "u.txt").write_text("")
         ds = load_yahoo(tmp_path / "b.txt", tmp_path / "u.txt")
         assert [(r.user, r.item, r.rating) for r in ds.interactions] == [(1, 0, 4), (0, 0, 5)]
+
+    @pytest.mark.parametrize("biased,uniform,match", [
+        ("1\t1\t5\n2\t1\t3\n1\t1\t2\n", "",
+         r"row 2: duplicate of row 0: user=0, item=0, source=biased"),
+        ("1\t1\t5\n", "2\t2\t3\n1\t1\t4\n2\t2\t4\n",
+         r"row 3: duplicate of row 1: user=1, item=1, source=uniform"),
+    ], ids=["biased", "uniform"])
+    def test_repeated_pair_within_a_file_names_rows(self, tmp_path, biased, uniform, match):
+        # The same pair in both files is allowed; a pair repeated within one is not.
+        (tmp_path / "b.txt").write_text(biased)
+        (tmp_path / "u.txt").write_text(uniform)
+        with pytest.raises(ValueError, match=match):
+            load_yahoo(tmp_path / "b.txt", tmp_path / "u.txt")
 
     @pytest.mark.parametrize("where", ["first", "last"])
     def test_bad_first_or_last_line_reports_location(self, tmp_path, where):
@@ -830,6 +875,7 @@ class TestRowsMatchPerRowReference:
         rows, n_users, n_items = self.reference_yahoo(biased_lines, uniform_lines)
         assert ds.interactions == rows
         assert (ds.n_users, ds.n_items) == (n_users, n_items) == (4, 4)
+        assert Dataset(ds.interactions, ds.n_users, ds.n_items) == ds
 
     def test_coat_matrices(self, tmp_path):
         gen = np.random.default_rng(8)
@@ -840,6 +886,7 @@ class TestRowsMatchPerRowReference:
         rows = self.reference_coat(matrices)
         assert len(rows) > 10
         assert ds.interactions == rows
+        assert Dataset(ds.interactions, ds.n_users, ds.n_items) == ds
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 1000])
     def test_generate_synthetic(self, seed):
@@ -867,3 +914,58 @@ class TestRowsMatchPerRowReference:
                 rows.append(interaction(int(u), int(i), 5 if y else int(r), src))
         np.testing.assert_array_equal(world.prob, prob)
         assert ds.interactions == rows
+        assert Dataset(ds.interactions, ds.n_users, ds.n_items) == ds
+
+
+class TestCollectorPaused:
+    """Rows are built with the cyclic collector off; the caller's state comes back."""
+
+    @staticmethod
+    def build(n):
+        column = np.arange(n)
+        return data._rows(column, column, column % 5 + 1, (column % 5 == 4).astype(np.int64),
+                          np.full(n, Source.BIASED, dtype=object))
+
+    @pytest.fixture
+    def collections_started(self):
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.callbacks.append(count)
+        yield started
+        gc.callbacks.remove(count)
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    def test_no_collection_while_rows_are_built(self, collections_started, monkeypatch):
+        assert gc.isenabled()
+        n = 50 * gc.get_threshold()[0]  # rows enough for many young collections
+        monkeypatch.setattr(data, "_collector_paused", contextlib.nullcontext)
+        self.build(n)
+        unpaused = len(collections_started)
+        monkeypatch.undo()
+        collections_started.clear()
+        self.build(n)
+        # Allocations made while the collector was off are still counted, so one
+        # collection may start at the first allocation after it is back on.
+        assert len(collections_started) <= 1 < 10 <= unpaused
+
+    def test_state_restored_after_a_build(self, collector):
+        rows = self.build(3)
+        assert rows == [interaction(k, k, k + 1, Source.BIASED) for k in range(3)]
+        assert gc.isenabled() is collector
+
+    def test_state_restored_after_a_body_that_raises(self, collector):
+        with pytest.raises(RuntimeError, match="inside"):
+            with data._collector_paused():
+                assert not gc.isenabled()
+                raise RuntimeError("inside")
+        assert gc.isenabled() is collector

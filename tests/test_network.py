@@ -471,6 +471,18 @@ class TestCheckpoint:
             save_checkpoint(net, path, seed=np.int64(2))
         assert path.read_bytes() == before
 
+    @pytest.mark.parametrize("seed", ["x", 1.5, True])
+    def test_seed_load_rejects_is_rejected_by_save(self, tmp_path, seed):
+        # Unchecked, each of these saved a file that load_checkpoint then rejected.
+        net = init_network(small_config(), RngStream(1))
+        path = tmp_path / "net.npz"
+        save_checkpoint(net, path, seed=1)
+        before = path.read_bytes()
+        with pytest.raises(ValueError,
+                           match="^" + re.escape(f"seed {seed!r} is neither an integer nor null")):
+            save_checkpoint(net, path, seed=seed)
+        assert path.read_bytes() == before
+
     def test_null_seed_loads(self, tmp_path):
         path = tmp_path / "net.npz"
         save_checkpoint(init_network(small_config(), RngStream(1)), path)
