@@ -69,8 +69,9 @@ class DataFormatError(ValueError):
 class Interaction(NamedTuple):
     """One logged (user, item, rating) record plus its logging policy.
 
-    Building a row checks nothing: ``Dataset`` checks every row it holds,
-    and every library path that uses rows receives them from a ``Dataset``.
+    Building a row checks nothing.  Rows are checked when they enter a
+    ``Dataset``; ``pack``, ``split_uniform``, ``partition_batches`` and
+    ``metrics.evaluate`` trust the rows they are given.
     """
 
     user: int
@@ -149,6 +150,14 @@ def _as_pairs(pairs) -> np.ndarray:
     return _as_int64(arr, "pair id")
 
 
+def _check_on_grid(users: np.ndarray, items: np.ndarray, n_users: int, n_items: int) -> None:
+    """The one grid rule for the library's (user, item) ids; names the first row off it."""
+    if (k := _first((users < 0) | (users >= n_users)
+                    | (items < 0) | (items >= n_items))) is not None:
+        raise ValueError(f"row {k}: id out of range: user={users[k]}, item={items[k]} "
+                         f"in a {n_users} x {n_items} grid")
+
+
 _INT_FIELDS = ("user", "item", "rating", "label")
 
 
@@ -164,10 +173,7 @@ def _checked_columns(n_users: int, n_items: int, int_columns, sources: np.ndarra
     uniform = sources == Source.UNIFORM
     if (k := _first(~uniform & (sources != Source.BIASED))) is not None:
         raise ValueError(f"row {k}: source {sources[k]!r} is not a Source")
-    if (k := _first((users < 0) | (users >= n_users)
-                    | (items < 0) | (items >= n_items))) is not None:
-        raise ValueError(f"row {k}: id out of range: user={users[k]}, item={items[k]} "
-                         f"in a {n_users} x {n_items} grid")
+    _check_on_grid(users, items, n_users, n_items)
     keys = (users * n_items + items) * 2 + uniform
     _, first, group = np.unique(keys, return_index=True, return_inverse=True)
     if (k := _first(first[group] != np.arange(keys.size))) is not None:
@@ -388,15 +394,16 @@ def split_uniform(
 
     Sizes are floor(f*n) for train, then the remainder split as evenly
     as possible (validation gets the odd element).  The three parts are
-    disjoint and exhaustive.
+    disjoint and exhaustive, and each must be nonempty.
     """
     n = len(uniform_data)
-    if n < 3:
-        raise ValueError(f"need at least 3 uniform interactions, got {n}")
-    order = RngStream(spec.seed).split("uniform-split").generator.permutation(n)
-    shuffled = [uniform_data[k] for k in order]
     n_train = int(np.floor(spec.uniform_train_fraction * n))
     n_val = int(np.ceil((n - n_train) / 2))
+    if 0 in (sizes := (n_train, n_val, n - n_train - n_val)):
+        raise ValueError(f"uniform_train_fraction {spec.uniform_train_fraction} of {n} uniform "
+                         f"rows leaves an empty part: sizes {sizes}")
+    order = RngStream(spec.seed).split("uniform-split").generator.permutation(n)
+    shuffled = [uniform_data[k] for k in order]
     return shuffled[:n_train], shuffled[n_train:n_train + n_val], shuffled[n_train + n_val:]
 
 
@@ -429,10 +436,7 @@ class UnobservedSampler:
         self.n_items = n_items
         pairs = _as_pairs(observed_pairs)
         users, items = pairs[:, 0], pairs[:, 1]
-        if (k := _first((users < 0) | (users >= n_users)
-                        | (items < 0) | (items >= n_items))) is not None:
-            raise ValueError(f"observed pair at row {k} {tuple(pairs[k].tolist())} "
-                             f"outside the {n_users} x {n_items} grid")
+        _check_on_grid(users, items, n_users, n_items)
         self._observed_keys = _distinct(users * n_items + items)
         self._rng = rng
         self._n_free = n_users * n_items - self._observed_keys.size

@@ -168,13 +168,17 @@ def loss_and_grads(
 
     The observed batch is required and nonempty; a missing unobserved
     batch (the teacher's call) adds no rows and a zero distillation term.
-    One forward pass scores all rows, so TRAIN_DROPOUT masks are drawn
-    once; one backward pass takes the logit gradients ``p - y`` of the
-    BCE slice and ``_reg_terms``' of the distillation slice.  Raises
-    NonFiniteLossError if any term degenerates.
+    ``gamma_reg`` and ``l2_coeff`` must be finite and >= 0.  One forward
+    pass scores all rows, observed first (so an id error's row counts them
+    first), and draws TRAIN_DROPOUT masks once; one backward pass takes the
+    logit gradients ``p - y`` of the BCE slice and ``_reg_terms``' of the
+    distillation slice.  Raises NonFiniteLossError if any term degenerates.
     """
     if observed is None or len(observed.users) == 0:
         raise ValueError("loss_and_grads requires a nonempty observed batch")
+    for name, value in (("gamma_reg", gamma_reg), ("l2_coeff", l2_coeff)):
+        if not 0.0 <= value < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     if unobserved is None:
         unobserved = UnobservedBatch(*[np.empty(0, dtype=np.int64)] * 3)
     n, m = len(observed.users), len(unobserved.users)

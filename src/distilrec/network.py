@@ -40,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import _as_int64, _as_pairs
+from .data import _as_int64, _as_pairs, _check_on_grid
 from .rng import RngStream
 
 __all__ = [
@@ -185,16 +185,6 @@ def param_count(net_or_config: Network | NetworkConfig) -> int:
     return sum(math.prod(shape) for _, shape in cfg.param_shapes())
 
 
-def _check_ids(net: Network, users: np.ndarray, items: np.ndarray) -> None:
-    cfg = net.config
-    if users.size and (users.min() < 0 or users.max() >= cfg.n_users):
-        bad = users[(users < 0) | (users >= cfg.n_users)][0]
-        raise ValueError(f"user id {bad} out of range [0, {cfg.n_users})")
-    if items.size and (items.min() < 0 or items.max() >= cfg.n_items):
-        bad = items[(items < 0) | (items >= cfg.n_items)][0]
-        raise ValueError(f"item id {bad} out of range [0, {cfg.n_items})")
-
-
 @dataclass
 class ForwardCache:
     """What ``backprop`` reads: inputs, activations and outputs."""
@@ -250,11 +240,11 @@ def forward_cached(
     In TRAIN_DROPOUT / STOCHASTIC_INFERENCE a fresh Bernoulli mask is
     drawn for every element and every hidden layer, scaled by
     1/(1-dropout_rate) so the expectation matches DETERMINISTIC output.
-    Ids must be whole numbers; integer arrays pass with a dtype test.
+    Ids must be whole numbers on the config's grid; integer arrays pass with a dtype test.
     """
     users = _as_int64(users, "user id")
     items = _as_int64(items, "item id")
-    _check_ids(net, users, items)
+    _check_on_grid(users, items, net.config.n_users, net.config.n_items)
     scale = _mask_scale(net, mode, rng)
     x = np.concatenate([net.user_emb[users], net.item_emb[items]], axis=1)
     acts, logits, probs = _layer_stack(net, x @ net.weights[0], scale, rng)
@@ -323,7 +313,7 @@ def forward_batch(
     """
     arr = _as_pairs(pairs)
     users, items = arr[:, 0], arr[:, 1]
-    _check_ids(net, users, items)
+    _check_on_grid(users, items, net.config.n_users, net.config.n_items)
     scale = _mask_scale(net, mode, rng)
     d = net.config.embedding_dim
     proj_u, users = _projected(net.user_emb, users, net.weights[0][:d])

@@ -26,6 +26,13 @@ from distilrec.data import (
     partition_batches,
     split_uniform,
 )
+from distilrec.network import (
+    ForwardMode,
+    NetworkConfig,
+    forward_batch,
+    forward_cached,
+    init_network,
+)
 from distilrec.rng import RngStream
 
 from oracles import interaction
@@ -570,10 +577,40 @@ class TestSplitUniform:
         with pytest.raises(ValueError):
             split_uniform(self.fake_uniform(2), SplitSpec(seed=0))
 
+    @pytest.mark.parametrize("fraction, n, sizes", [(0.2, 3, r"\(0, 2, 1\)"),
+                                                    (0.9, 3, r"\(2, 1, 0\)"),
+                                                    (0.2, 4, r"\(0, 2, 2\)")])
+    def test_empty_part_rejected_naming_sizes(self, fraction, n, sizes):
+        # Unchecked, these returned an empty train or test part.
+        spec = SplitSpec(uniform_train_fraction=fraction, seed=0)
+        with pytest.raises(ValueError, match=rf"uniform_train_fraction {fraction} of {n} uniform "
+                                             rf"rows leaves an empty part: sizes {sizes}$"):
+            split_uniform(self.fake_uniform(n), spec)
+
     def test_fraction_outside_open_unit_interval_rejected(self):
         for fraction in (0.0, 1.0, -0.2, 1.5, float("nan")):
             with pytest.raises(ValueError, match=r"uniform_train_fraction must lie in \(0, 1\)"):
                 SplitSpec(uniform_train_fraction=fraction)
+
+
+@pytest.mark.parametrize("entry", ["rows", "columns", "sampler", "forward_cached",
+                                   "forward_batch"])
+def test_off_grid_id_rejected_alike_at_every_entry(entry):
+    # Row 1 holds item 3 on a 2 x 3 grid; every entry names it in the same words.
+    users, items, ratings = [0, 0, 1], [0, 3, 1], [5, 2, 4]
+    net = init_network(NetworkConfig(2, 3, 2, (2,)), RngStream(1))
+    build = {
+        "rows": lambda: Dataset([interaction(*row, Source.BIASED)
+                                 for row in zip(users, items, ratings)], 2, 3),
+        "columns": lambda: data._dataset_of_columns(2, 3, [(users, items, ratings,
+                                                            Source.BIASED)]),
+        "sampler": lambda: UnobservedSampler(2, 3, np.column_stack([users, items]),
+                                             RngStream(1)),
+        "forward_cached": lambda: forward_cached(net, users, items, ForwardMode.DETERMINISTIC),
+        "forward_batch": lambda: forward_batch(net, np.column_stack([users, items])),
+    }[entry]
+    with pytest.raises(ValueError, match=r"^row 1: id out of range: user=0, item=3 in a 2 x 3 grid$"):
+        build()
 
 
 class TestPartitionBatches:
@@ -684,11 +721,11 @@ class TestUnobservedSampler:
     def test_pairs_outside_grid_rejected_naming_row(self):
         # Unchecked, (0, 3) in a 2 x 3 grid would take the key of cell (1, 0),
         # and that cell would never be sampled.
-        with pytest.raises(ValueError, match=r"row 1 \(0, 3\) outside the 2 x 3 grid"):
+        with pytest.raises(ValueError, match=r"row 1: id out of range: user=0, item=3 in a 2 x 3 grid"):
             UnobservedSampler(2, 3, np.array([[0, 0], [0, 3]]), RngStream(1))
-        with pytest.raises(ValueError, match=r"row 0 \(-1, 2\)"):
+        with pytest.raises(ValueError, match=r"row 0: id out of range: user=-1, item=2"):
             UnobservedSampler(2, 3, np.array([[-1, 2], [1, 1]]), RngStream(1))
-        with pytest.raises(ValueError, match=r"row 0 \(2, 0\)"):
+        with pytest.raises(ValueError, match=r"row 0: id out of range: user=2, item=0"):
             UnobservedSampler(2, 3, np.array([[2, 0]]), RngStream(1))
 
 

@@ -296,6 +296,21 @@ class TestLossAndGradsErrors:
             loss_and_grads(net, obs, l2_coeff=1.0)
         assert exc.value.term in ("reg_term", "total", "data_term")
 
+    @pytest.mark.parametrize("name", ["gamma_reg", "l2_coeff"])
+    @pytest.mark.parametrize("value", [-1.0, np.inf, np.nan])
+    def test_negative_or_nonfinite_coefficient_rejected(self, name, value):
+        # Unchecked, l2_coeff=-1 gave an objective with no lower bound, and
+        # gamma_reg=inf ran backprop on infinite gradients.
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and >= 0, got {value}$"):
+            loss_and_grads(zero_net(), observed(interaction(0, 0, 5, Source.BIASED)),
+                           unobserved([(0, 1)], [0.5]), **{name: value})
+
+    def test_off_grid_unobserved_row_counts_observed_rows_first(self):
+        obs = observed(interaction(0, 0, 5, Source.BIASED), interaction(1, 1, 2, Source.BIASED))
+        with pytest.raises(ValueError, match=r"^row 3: id out of range: user=2, item=0"):
+            loss_and_grads(zero_net(), obs, unobserved([(0, 1), (2, 0)], [0.5, 0.5]),
+                           gamma_reg=1.0)
+
     @pytest.mark.parametrize("unobs", [None, unobserved([(0, 1)], [0.5])])
     def test_observed_batch_required(self, unobs):
         # Neither an L2-only nor a distillation-only call is an objective.
