@@ -38,7 +38,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .rng import RngStream
+from .rng import RngStream, _check_seed
 
 __all__ = [
     "Source",
@@ -127,6 +127,20 @@ def _column(interactions: Sequence[Interaction], name: str, dtype=np.int64) -> n
     return np.fromiter(map(attrgetter(name), interactions), dtype=dtype, count=len(interactions))
 
 
+def _is_whole(v) -> bool:
+    """The one whole-number test: a real number within int64 with no fractional part."""
+    return isinstance(v, numbers.Real) and -2**63 <= v < 2**63 and v % 1 == 0
+
+
+def _count(value, name: str, low: int = 1) -> int:
+    """The one count rule: ``value`` as an int if it is a whole number >= ``low``; 64.0 passes."""
+    if isinstance(value, bool) or not _is_whole(value):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return int(value)
+
+
 def _as_int64(values, what: str) -> np.ndarray:
     """``values`` as int64, naming the row of the first entry that is not a whole number
     within int64.  Input of a dtype that casts safely to int64 pays only that test."""
@@ -134,7 +148,7 @@ def _as_int64(values, what: str) -> np.ndarray:
     if not np.can_cast(arr.dtype, np.int64):
         # As objects, a mixed list keeps its entries rather than numpy's common type.
         for k, v in enumerate(np.asarray(values, dtype=object).reshape(-1).tolist()):
-            if not (isinstance(v, numbers.Real) and -2**63 <= v < 2**63 and v % 1 == 0):
+            if not _is_whole(v):
                 raise ValueError(f"row {k // arr.shape[1] if arr.ndim == 2 else k}: "
                                  f"{what} {v!r} is not an integer within int64")
     return arr.astype(np.int64, copy=False)
@@ -162,8 +176,9 @@ _INT_FIELDS = ("user", "item", "rating", "label")
 
 
 def _checked_columns(n_users: int, n_items: int, int_columns, sources: np.ndarray):
-    """The (user, item, rating, label) columns ``int_columns`` yields, as int64,
-    once they and the object column ``sources`` pass the row check."""
+    """The grid as ints and the (user, item, rating, label) columns ``int_columns``
+    yields, as int64, once they and the object column ``sources`` pass the row check."""
+    n_users, n_items = _count(n_users, "n_users", 0), _count(n_items, "n_items", 0)
     users, items, ratings, labels = (_as_int64(column, name)
                                      for column, name in zip(int_columns, _INT_FIELDS))
     if (k := _first((ratings < 1) | (ratings > 5))) is not None:
@@ -179,7 +194,7 @@ def _checked_columns(n_users: int, n_items: int, int_columns, sources: np.ndarra
     if (k := _first(first[group] != np.arange(keys.size))) is not None:
         raise ValueError(f"row {k}: duplicate of row {first[group[k]]}: user={users[k]}, "
                          f"item={items[k]}, source={sources[k].value}")
-    return users, items, ratings, labels
+    return n_users, n_items, users, items, ratings, labels
 
 
 @dataclass
@@ -196,9 +211,9 @@ class Dataset:
 
     def __post_init__(self):
         rows = self.interactions
-        _checked_columns(self.n_users, self.n_items,
-                         (list(map(attrgetter(name), rows)) for name in _INT_FIELDS),
-                         _column(rows, "source", object))
+        self.n_users, self.n_items, *_ = _checked_columns(
+            self.n_users, self.n_items, (list(map(attrgetter(name), rows)) for name in _INT_FIELDS),
+            _column(rows, "source", object))
 
     @classmethod
     def _from_columns(cls, n_users: int, n_items: int, groups) -> "Dataset":
@@ -208,8 +223,8 @@ class Dataset:
                                  for column in zip(*(group[:3] for group in groups)))
         sources = np.repeat(np.array([group[3] for group in groups], dtype=object),
                             [len(group[0]) for group in groups])
-        columns = _checked_columns(n_users, n_items, (users, items, ratings, ratings == 5),
-                                   sources)
+        n_users, n_items, *columns = _checked_columns(
+            n_users, n_items, (users, items, ratings, ratings == 5), sources)
         dataset = cls.__new__(cls)
         dataset.interactions = _rows(*columns, sources)
         dataset.n_users, dataset.n_items = n_users, n_items
@@ -385,6 +400,7 @@ class SplitSpec:
     def __post_init__(self):
         if not 0.0 < self.uniform_train_fraction < 1.0:
             raise ValueError("uniform_train_fraction must lie in (0, 1)")
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 def split_uniform(
@@ -411,9 +427,7 @@ def partition_batches(
     data: Sequence[Interaction], m: int, rng: RngStream
 ) -> list[list[Interaction]]:
     """Seeded shuffle into m batches; the first n%m batches get one extra."""
-    n = len(data)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    n, m = len(data), _count(m, "m")
     if m > n:
         raise ValueError(f"cannot split {n} records into {m} batches")
     parts = np.array_split(rng.generator.permutation(n), m)
@@ -432,8 +446,8 @@ class UnobservedSampler:
     """
 
     def __init__(self, n_users: int, n_items: int, observed_pairs: np.ndarray, rng: RngStream):
-        self.n_users = n_users
-        self.n_items = n_items
+        n_users, n_items = _count(n_users, "n_users", 0), _count(n_items, "n_items", 0)
+        self.n_users, self.n_items = n_users, n_items
         pairs = _as_pairs(observed_pairs)
         users, items = pairs[:, 0], pairs[:, 1]
         _check_on_grid(users, items, n_users, n_items)
@@ -451,7 +465,7 @@ class UnobservedSampler:
 
     def sample(self, n: int) -> np.ndarray:
         """n pairs uniform over the unobserved complement, shape (n, 2)."""
-        ranks = self._rng.generator.integers(0, self._n_free, size=n)
+        ranks = self._rng.generator.integers(0, self._n_free, size=_count(n, "n", 0))
         # Rank r's cell lies past each observed key with at most r free cells before it.
         keys = ranks + np.searchsorted(self._free_before, ranks, side="right")
         return np.column_stack(np.divmod(keys, self.n_items))
@@ -521,8 +535,9 @@ def generate_synthetic(
     over the whole grid.  Each log's rows come in ascending cell order
     (user, then item), and its labels are drawn in that order.
     """
-    if min(n_users, n_items, latent_dim, n_biased, n_uniform) < 1:
-        raise ValueError("all sizes must be positive")
+    n_users, n_items, latent_dim, n_biased, n_uniform = map(
+        _count, (n_users, n_items, latent_dim, n_biased, n_uniform),
+        ("n_users", "n_items", "latent_dim", "n_biased", "n_uniform"))
     if n_biased > n_users * n_items or n_uniform > n_users * n_items:
         raise ValueError("log size exceeds the number of distinct cells")
     for name, value in (("exposure_skew", exposure_skew), ("bias", bias)):

@@ -33,15 +33,14 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import zipfile
 from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
 
-from .data import _as_int64, _as_pairs, _check_on_grid
-from .rng import RngStream
+from .data import _as_int64, _as_pairs, _check_on_grid, _count
+from .rng import RngStream, _check_seed
 
 __all__ = [
     "ForwardMode",
@@ -66,14 +65,6 @@ class ForwardMode(Enum):
     STOCHASTIC_INFERENCE = "stochastic_inference"
 
 
-def _whole(value, name: str) -> int:
-    """``value`` as an int if it is a whole number; whole floats such as 64.0 pass."""
-    if not (isinstance(value, numbers.Integral)
-            or isinstance(value, numbers.Real) and float(value).is_integer()):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class NetworkConfig:
     n_users: int
@@ -84,17 +75,11 @@ class NetworkConfig:
 
     def __post_init__(self):
         for name in ("n_users", "n_items", "embedding_dim"):
-            object.__setattr__(self, name, _whole(getattr(self, name), name))
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         object.__setattr__(self, "hidden_sizes", tuple(
-            _whole(h, f"hidden_sizes[{k}]") for k, h in enumerate(self.hidden_sizes)))
-        if self.n_users < 1 or self.n_items < 1:
-            raise ValueError("n_users and n_items must be >= 1")
-        if self.embedding_dim < 1:
-            raise ValueError("embedding_dim must be >= 1")
+            _count(h, f"hidden_sizes[{k}]") for k, h in enumerate(self.hidden_sizes)))
         if not 1 <= len(self.hidden_sizes) <= 3:
             raise ValueError("hidden_sizes must contain 1 to 3 layers")
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ValueError("every hidden size must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
 
@@ -244,6 +229,8 @@ def forward_cached(
     """
     users = _as_int64(users, "user id")
     items = _as_int64(items, "item id")
+    if users.shape != items.shape:
+        raise ValueError(f"users and items differ in shape: {users.shape} vs {items.shape}")
     _check_on_grid(users, items, net.config.n_users, net.config.n_items)
     scale = _mask_scale(net, mode, rng)
     x = np.concatenate([net.user_emb[users], net.item_emb[items]], axis=1)
@@ -251,13 +238,22 @@ def forward_cached(
     return ForwardCache(users, items, x, acts, scale or 1.0, logits, probs)
 
 
+def _row_sum_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a.T @ b`` summed over blocks of 256 rows in row order, so its bits do not depend
+    on the BLAS thread count; up to 256 rows it is the single product, bit for bit."""
+    out = a[:256].T @ b[:256]
+    for start in range(256, len(a), 256):
+        out += a[start:start + 256].T @ b[start:start + 256]
+    return out
+
+
 def backprop(net: Network, cache: ForwardCache, dlogits: np.ndarray) -> Network:
     """Reverse-mode gradients given d(loss)/d(final pre-activation).
 
     Recovers the ReLU gates and dropout masks from the activations, so
     the gradient is taken of exactly the function the forward pass
-    evaluated.  Dense gradients are the GEMM outputs themselves; only
-    the two embedding tables are zero-filled, to scatter the rows'
+    evaluated.  Weight gradients sum over the rows by ``_row_sum_product``;
+    only the two embedding tables are zero-filled, to scatter the rows'
     gradients into.
     """
     cfg = net.config
@@ -265,14 +261,14 @@ def backprop(net: Network, cache: ForwardCache, dlogits: np.ndarray) -> Network:
     weights, biases = [None] * (n_hidden + 1), [None] * (n_hidden + 1)
     g = np.asarray(dlogits, dtype=np.float64).reshape(-1, 1)   # (B, 1)
 
-    weights[-1] = cache.acts[-1].T @ g
+    weights[-1] = _row_sum_product(cache.acts[-1], g)
     biases[-1] = g.sum(axis=0)
     da = g @ net.weights[-1].T
 
     for k in range(n_hidden - 1, -1, -1):
         dz = da * ((cache.acts[k] > 0.0) * cache.scale)
         a_prev = cache.acts[k - 1] if k > 0 else cache.x
-        weights[k] = a_prev.T @ dz
+        weights[k] = _row_sum_product(a_prev, dz)
         biases[k] = dz.sum(axis=0)
         da = dz @ net.weights[k].T
 
@@ -327,19 +323,13 @@ def forward_batch(
     return probs
 
 
-def _check_seed(seed) -> None:
-    """The seed rule both checkpoint ends apply: an ``int`` or None."""
-    if seed is not None and type(seed) is not int:
-        raise ValueError(f"seed {seed!r} is neither an integer nor null")
-
-
 def save_checkpoint(net: Network, path, seed: int | None = None) -> None:
     """Serialize (config, parameters, seed); round-trips bit-exactly.
 
-    A seed ``load_checkpoint`` would reject raises ``ValueError`` before
-    ``path`` is opened, so an existing file there is left as it was.
+    ``seed`` is None or an ``RngStream`` seed, at both ends; any other raises
+    ``ValueError`` before ``path`` is opened, leaving an existing file as it was.
     """
-    _check_seed(seed)
+    seed = seed if seed is None else _check_seed(seed)
     header = {"format_version": CHECKPOINT_FORMAT_VERSION, "seed": seed,
               "config": asdict(net.config)}
     raw = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)  # fails before any truncation
@@ -370,7 +360,7 @@ def load_checkpoint(path) -> tuple[Network, int | None]:
                     raise ValueError(f"corrupt checkpoint header ({exc!r})") from exc
                 if version != CHECKPOINT_FORMAT_VERSION:
                     raise ValueError(f"unsupported checkpoint version {version}")
-                _check_seed(seed)
+                seed = seed if seed is None else _check_seed(seed)
                 cfg = NetworkConfig(**config)
                 net = Network.from_arrays(cfg, [entry(f"param_{k:02d}")
                                                 for k in range(len(cfg.param_shapes()))])

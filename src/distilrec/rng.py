@@ -23,13 +23,18 @@ def _label_key(label: str) -> int:
     return int.from_bytes(digest, "little")
 
 
+def _check_seed(seed) -> int:
+    """The one seed rule: ``seed`` as an int in [0, 2**64); a bool, float or string fails."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
+
+
 class RngStream:
     """Deterministic random stream with labeled child splits."""
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
-        if not 0 <= int(seed) < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-        self.seed = int(seed)
+        self.seed = _check_seed(seed)
         self._spawn_key = _spawn_key
         seq = np.random.SeedSequence(self.seed, spawn_key=_spawn_key)
         self.generator = np.random.Generator(np.random.Philox(seq))

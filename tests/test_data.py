@@ -760,7 +760,7 @@ class TestGenerateSynthetic:
     @pytest.mark.parametrize("size", ["n_users", "n_items", "latent_dim", "n_biased", "n_uniform"])
     def test_non_positive_size_rejected(self, size):
         sizes = dict(n_users=5, n_items=5, latent_dim=2, n_biased=5, n_uniform=5)
-        with pytest.raises(ValueError, match="all sizes must be positive"):
+        with pytest.raises(ValueError, match=f"{size} must be >= 1"):
             generate_synthetic(**{**sizes, size: 0}, exposure_skew=1.0, seed=0)
 
     @pytest.mark.parametrize("log", ["n_biased", "n_uniform"])
@@ -768,16 +768,6 @@ class TestGenerateSynthetic:
         sizes = dict(n_biased=5, n_uniform=5)
         with pytest.raises(ValueError, match="log size exceeds the number of distinct cells"):
             generate_synthetic(3, 4, 2, 1.0, **{**sizes, log: 13}, seed=0)
-
-    def test_peak_memory_is_three_full_grid_arrays(self):
-        # prob, one key buffer and one argpartition index array at a time.
-        tracemalloc.start()
-        try:
-            generate_synthetic(1000, 1000, 4, 4.0, 100, 100, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.5 * 1000 * 1000 * 8
 
     def test_peak_memory_under_two_full_grid_arrays(self):
         # prob is the only full-grid array; the selection keys are drawn a chunk at a time.

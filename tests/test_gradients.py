@@ -1,5 +1,10 @@
 """Analytic gradients checked against central finite differences."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +19,7 @@ from distilrec.losses import (
     l2_reg,
     loss_and_grads,
 )
+from distilrec import network
 from distilrec.network import ForwardMode, NetworkConfig, backprop, forward_cached, init_network
 from distilrec.optim import OptimizerState, apply_update, make_optimizer
 from distilrec.rng import RngStream
@@ -399,3 +405,55 @@ class TestOptimizer:
             apply_update(opt, net, g)
         assert all(np.all(a == np.inf) for a in net.param_arrays())
         assert opt.step == 1
+
+
+# Adam steps at Coat shape (290 x 300, embedding 64, hidden (64, 32)) at two batch
+# sizes, printing one hash of every gradient and every updated parameter.
+STEPS_SCRIPT = """
+import hashlib
+from distilrec.losses import ObservedBatch, loss_and_grads
+from distilrec.network import ForwardMode, NetworkConfig, init_network
+from distilrec.optim import apply_update, make_optimizer
+from distilrec.rng import RngStream
+
+digest = hashlib.sha256()
+for rows in (986, 2010):
+    net = init_network(NetworkConfig(290, 300, 64, (64, 32), dropout_rate=0.1), RngStream(1))
+    opt, draws = make_optimizer(net), RngStream(2).generator
+    for step in range(3):
+        batch = ObservedBatch(draws.integers(0, 290, rows), draws.integers(0, 300, rows),
+                              draws.integers(0, 2, rows).astype(float))
+        _, grads = loss_and_grads(net, batch, mode=ForwardMode.TRAIN_DROPOUT, rng=RngStream(3))
+        apply_update(opt, net, grads)
+        for a in grads.param_arrays() + net.param_arrays():
+            digest.update(a.tobytes())
+print(digest.hexdigest())
+"""
+
+
+class TestBitsAtAnyBlasThreadCount:
+    def test_steps_hash_alike_at_one_and_two_threads(self):
+        # A single product over 986 or 2,010 rows was rounded differently at one
+        # and two OpenBLAS threads, so the weight gradients' bits split.
+        src = Path(__file__).resolve().parents[1] / "src"
+        hashes = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads, "PYTHONPATH": str(src)}
+            hashes.append(subprocess.run([sys.executable, "-c", STEPS_SCRIPT], env=env, check=True,
+                                         capture_output=True, text=True, timeout=120).stdout)
+        assert hashes[0] == hashes[1]
+
+    @pytest.mark.parametrize("rows", [0, 1, 255, 256])
+    def test_up_to_one_block_is_the_single_product_bit_for_bit(self, rows):
+        gen = np.random.default_rng(rows)
+        a, b = gen.normal(size=(rows, 9)), gen.normal(size=(rows, 5))
+        np.testing.assert_array_equal(network._row_sum_product(a, b), a.T @ b)
+
+    def test_longer_sums_are_the_blocks_in_row_order(self):
+        gen = np.random.default_rng(0)
+        a, b = gen.normal(size=(700, 9)), gen.normal(size=(700, 5))
+        expected = a[:256].T @ b[:256]
+        expected += a[256:512].T @ b[256:512]
+        expected += a[512:].T @ b[512:]
+        np.testing.assert_array_equal(network._row_sum_product(a, b), expected)

@@ -164,6 +164,14 @@ class TestForward:
         with pytest.raises(ValueError, match=r"row 1: item id 'a' is not an integer"):
             forward_cached(net, [1, 1], [0, "a"], ForwardMode.DETERMINISTIC)
 
+    def test_ids_of_unequal_length_rejected_naming_both(self):
+        # Unchecked, numpy's concatenate or broadcast message named no argument.
+        net = init_network(small_config(), RngStream(1))
+        for users, items in (([0], [0, 1, 2]), ([0, 1], [0, 1, 2])):
+            with pytest.raises(ValueError,
+                               match=r"^users and items differ in shape: \(\d,\) vs \(3,\)$"):
+                forward_cached(net, users, items, ForwardMode.DETERMINISTIC)
+
     def test_integer_and_whole_float_ids_score_alike(self):
         net = init_network(small_config(), RngStream(1))
         want = forward_batch(net, [(1, 1), (4, 5)])
@@ -451,7 +459,8 @@ class TestCheckpoint:
         (lambda h, d: d.update(param_00=d["param_00"].astype(np.float32)),
          "user_emb has dtype float32"),
         (lambda h, d: d["param_00"].fill(np.nan), "non-finite parameter"),
-        (lambda h, d: h.update(seed="x"), "seed 'x' is neither an integer nor null"),
+        (lambda h, d: h.update(seed="x"),
+         re.escape("seed must be an integer in [0, 2**64), got 'x'")),
     ], ids=["config-list", "config-unknown-key", "config-negative-dim", "param-shape",
             "param-float32", "param-nan", "seed-string"])
     def test_fault_is_value_error_starting_with_path(self, tmp_path, edit, message):
@@ -463,12 +472,12 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_failed_save_leaves_existing_file(self, tmp_path):
-        net = init_network(small_config(), RngStream(1))
         path = tmp_path / "net.npz"
-        save_checkpoint(net, path, seed=1)
+        save_checkpoint(init_network(small_config(), RngStream(1)), path, seed=1)
         before = path.read_bytes()
-        with pytest.raises((TypeError, ValueError)):  # JSON cannot encode an np.int64
-            save_checkpoint(net, path, seed=np.int64(2))
+        net = init_network(small_config(dropout_rate=np.float32(0.5)), RngStream(1))
+        with pytest.raises((TypeError, ValueError)):  # JSON cannot encode an np.float32
+            save_checkpoint(net, path, seed=1)
         assert path.read_bytes() == before
 
     @pytest.mark.parametrize("seed", ["x", 1.5, True])
@@ -478,8 +487,8 @@ class TestCheckpoint:
         path = tmp_path / "net.npz"
         save_checkpoint(net, path, seed=1)
         before = path.read_bytes()
-        with pytest.raises(ValueError,
-                           match="^" + re.escape(f"seed {seed!r} is neither an integer nor null")):
+        message = f"seed must be an integer in [0, 2**64), got {seed!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
             save_checkpoint(net, path, seed=seed)
         assert path.read_bytes() == before
 
