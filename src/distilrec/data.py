@@ -17,6 +17,9 @@ The native loaders parse each file with one ``np.loadtxt``.  Only a file
 it rejects, or one whose values fail a range check, is read again line by
 line, to name the first bad line as ``path:line``.
 
+Sizes, real numbers and enum choices enter the library by one rule each,
+written here: ``_count``, ``_real`` and ``_member``.
+
 The module also builds synthetic ground-truth worlds with a known
 preference matrix; these serve as oracles for debiasing experiments.
 """
@@ -24,7 +27,6 @@ preference matrix; these serve as oracles for debiasing experiments.
 from __future__ import annotations
 
 import gc
-import math
 import numbers
 import re
 import warnings
@@ -139,6 +141,23 @@ def _count(value, name: str, low: int = 1) -> int:
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str, low=-np.inf, high=np.inf, low_closed=False) -> float:
+    """The one real-number rule: ``value`` as a float if it is a finite real in (low, high),
+    or in [low, high) with ``low_closed``; a bool, a string and NaN fail."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (low <= value if low_closed else low < value) or not -np.inf < value < high):
+        interval = f"{'[' if low_closed else '('}{low:g}, {high:g})"
+        raise ValueError(f"{name} must be a finite real in {interval}, got {value!r}")
+    return float(value)
+
+
+def _member(value, name: str, enum: type[Enum]):
+    """The one choice rule: ``value`` if it is a member of ``enum``; no string is coerced."""
+    if not isinstance(value, enum):
+        raise ValueError(f"{name} must be a {enum.__name__}, got {value!r}")
+    return value
 
 
 def _as_int64(values, what: str) -> np.ndarray:
@@ -398,8 +417,8 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.uniform_train_fraction < 1.0:
-            raise ValueError("uniform_train_fraction must lie in (0, 1)")
+        object.__setattr__(self, "uniform_train_fraction",
+                           _real(self.uniform_train_fraction, "uniform_train_fraction", 0.0, 1.0))
         object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
@@ -540,9 +559,7 @@ def generate_synthetic(
         ("n_users", "n_items", "latent_dim", "n_biased", "n_uniform"))
     if n_biased > n_users * n_items or n_uniform > n_users * n_items:
         raise ValueError("log size exceeds the number of distinct cells")
-    for name, value in (("exposure_skew", exposure_skew), ("bias", bias)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    exposure_skew, bias = _real(exposure_skew, "exposure_skew"), _real(bias, "bias")
     root = RngStream(seed)
     fr = root.split("factors").generator
     u_f = fr.normal(size=(n_users, latent_dim)) / np.sqrt(latent_dim)

@@ -23,6 +23,7 @@ from enum import Enum
 
 import numpy as np
 
+from .data import _member, _real
 from .network import ForwardMode, Network, backprop, forward_cached
 from .rng import RngStream
 
@@ -168,17 +169,18 @@ def loss_and_grads(
 
     The observed batch is required and nonempty; a missing unobserved
     batch (the teacher's call) adds no rows and a zero distillation term.
-    ``gamma_reg`` and ``l2_coeff`` must be finite and >= 0.  One forward
-    pass scores all rows, observed first (so an id error's row counts them
-    first), and draws TRAIN_DROPOUT masks once; one backward pass takes the
+    ``gamma_reg`` and ``l2_coeff`` must be finite reals >= 0, ``reg_kind`` a
+    ``RegLossKind`` and ``mode`` a ``ForwardMode``.  One forward pass scores
+    all rows, observed first (so an id error's row counts them first), and
+    draws TRAIN_DROPOUT masks once; one backward pass takes the
     logit gradients ``p - y`` of the BCE slice and ``_reg_terms``' of the
     distillation slice.  Raises NonFiniteLossError if any term degenerates.
     """
     if observed is None or len(observed.users) == 0:
         raise ValueError("loss_and_grads requires a nonempty observed batch")
-    for name, value in (("gamma_reg", gamma_reg), ("l2_coeff", l2_coeff)):
-        if not 0.0 <= value < np.inf:  # NaN fails both comparisons
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    gamma_reg = _real(gamma_reg, "gamma_reg", 0.0, low_closed=True)
+    l2_coeff = _real(l2_coeff, "l2_coeff", 0.0, low_closed=True)
+    _member(reg_kind, "reg_kind", RegLossKind)
     if unobserved is None:
         unobserved = UnobservedBatch(*[np.empty(0, dtype=np.int64)] * 3)
     n, m = len(observed.users), len(unobserved.users)

@@ -33,13 +33,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
 import zipfile
 from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
 
-from .data import _as_int64, _as_pairs, _check_on_grid, _count
+from .data import _as_int64, _as_pairs, _check_on_grid, _count, _member, _real
 from .rng import RngStream, _check_seed
 
 __all__ = [
@@ -80,8 +82,8 @@ class NetworkConfig:
             _count(h, f"hidden_sizes[{k}]") for k, h in enumerate(self.hidden_sizes)))
         if not 1 <= len(self.hidden_sizes) <= 3:
             raise ValueError("hidden_sizes must contain 1 to 3 layers")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
+        object.__setattr__(self, "dropout_rate",
+                           _real(self.dropout_rate, "dropout_rate", 0.0, 1.0, low_closed=True))
 
     def layer_widths(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) of every dense layer, output layer included."""
@@ -184,8 +186,9 @@ class ForwardCache:
 
 
 def _mask_scale(net: Network, mode: ForwardMode, rng: RngStream | None) -> float | None:
-    """1/(1-dropout_rate) if ``mode`` draws dropout masks, else None."""
-    if mode is ForwardMode.DETERMINISTIC or net.config.dropout_rate == 0.0:
+    """1/(1-dropout_rate) if ``mode``, a ``ForwardMode``, draws dropout masks, else None."""
+    if (_member(mode, "mode", ForwardMode) is ForwardMode.DETERMINISTIC
+            or net.config.dropout_rate == 0.0):
         return None
     if rng is None:
         raise ValueError(f"mode {mode} requires an rng stream")
@@ -326,16 +329,21 @@ def forward_batch(
 def save_checkpoint(net: Network, path, seed: int | None = None) -> None:
     """Serialize (config, parameters, seed); round-trips bit-exactly.
 
-    ``seed`` is None or an ``RngStream`` seed, at both ends; any other raises
-    ``ValueError`` before ``path`` is opened, leaving an existing file as it was.
-    """
+    ``seed`` is None or an ``RngStream`` seed, at both ends; any other raises ``ValueError``.
+    Written to a temporary file, then moved onto ``path``: a failed save changes no file."""
     seed = seed if seed is None else _check_seed(seed)
     header = {"format_version": CHECKPOINT_FORMAT_VERSION, "seed": seed,
               "config": asdict(net.config)}
-    raw = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)  # fails before any truncation
+    raw = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
     arrays = {f"param_{k:02d}": a for k, a in enumerate(net.param_arrays())}
-    with open(path, "wb") as fh:
-        np.savez(fh, header=raw, **arrays)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, header=raw, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[Network, int | None]:

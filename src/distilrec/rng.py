@@ -43,7 +43,8 @@ class RngStream:
         """Derive an independent child stream identified by ``label``."""
         return RngStream(self.seed, self._spawn_key + (_label_key(label),))
 
-    # Methods a tracer can patch; every other draw goes through ``generator``.
+    # perfbench's tracer patches ``random`` to time mask draws, and ``choice`` serves its
+    # per-round user draw; every other draw goes through ``generator``.
 
     def random(self, size=None):
         return self.generator.random(size=size)

@@ -589,7 +589,7 @@ class TestSplitUniform:
 
     def test_fraction_outside_open_unit_interval_rejected(self):
         for fraction in (0.0, 1.0, -0.2, 1.5, float("nan")):
-            with pytest.raises(ValueError, match=r"uniform_train_fraction must lie in \(0, 1\)"):
+            with pytest.raises(ValueError, match=r"uniform_train_fraction must be a finite real in \(0, 1\)"):
                 SplitSpec(uniform_train_fraction=fraction)
 
 
@@ -753,7 +753,7 @@ class TestGenerateSynthetic:
     ])
     def test_non_finite_parameter_rejected(self, name, value):
         # Unchecked, bias=nan gave a world whose prob is all NaN and every label 0.
-        with pytest.raises(ValueError, match=rf"{name} must be finite"):
+        with pytest.raises(ValueError, match=rf"{name} must be a finite real in \(-inf, inf\)"):
             generate_synthetic(5, 5, 2, **{"exposure_skew": 1.0, name: value},
                                n_biased=5, n_uniform=5, seed=0)
 

@@ -335,7 +335,7 @@ class TestOptimizer:
         g = net.zeros_like()
         for arr in g.param_arrays():
             arr[...] = 1.0
-        opt = OptimizerState(kind="sgd", learning_rate=0.1)
+        opt = OptimizerState(learning_rate=0.1)
         apply_update(opt, net, g)
         for arr in net.param_arrays():
             np.testing.assert_allclose(arr, 0.9, rtol=0, atol=1e-15)
@@ -347,28 +347,27 @@ class TestOptimizer:
         g = net.zeros_like()
         for arr in g.param_arrays():
             arr[...] = 0.5
-        opt = OptimizerState(kind="adam", learning_rate=0.1)
-        with pytest.raises(ValueError, match="moments"):
-            apply_update(opt, net, g)
+        other = make_optimizer(init_network(NetworkConfig(2, 3, 2, (2,)), RngStream(3)), "adam")
+        for moments in (other.moments, (net.zeros_like(),)):
+            opt = OptimizerState(learning_rate=0.1, moments=moments)
+            with pytest.raises(ValueError, match="moments"):
+                apply_update(opt, net, g)
+            assert opt.step == 0
         for a, b in zip(net.param_arrays(), before):
             np.testing.assert_array_equal(a, b)
-        assert opt.step == 0
-        other = make_optimizer(init_network(NetworkConfig(2, 3, 2, (2,)), RngStream(3)), "adam")
-        opt.m, opt.v = other.m, other.v
-        with pytest.raises(ValueError, match="moments"):
-            apply_update(opt, net, g)
-        assert opt.step == 0
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     @pytest.mark.parametrize("learning_rate", [float("nan"), float("inf"), -float("inf"), 0.0])
     def test_learning_rate_must_be_finite_and_positive(self, kind, learning_rate):
         # Unchecked, a NaN rate let the first update change the network and set step to 1.
-        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
-            OptimizerState(kind, learning_rate)
+        net = init_network(NetworkConfig(1, 1, 1, (1,)), RngStream(1))
+        with pytest.raises(ValueError, match=r"learning_rate must be a finite real in \(0, inf\)"):
+            make_optimizer(net, kind, learning_rate)
 
     def test_unknown_kind_rejected(self):
+        net = init_network(NetworkConfig(1, 1, 1, (1,)), RngStream(1))
         with pytest.raises(ValueError, match="unknown optimizer kind 'rmsprop'"):
-            OptimizerState("rmsprop", 0.1)
+            make_optimizer(net, "rmsprop", 0.1)
 
     def test_rejects_shape_mismatch(self):
         net = init_network(NetworkConfig(2, 2, 2, (2,)), RngStream(3))
@@ -385,9 +384,11 @@ class TestOptimizer:
         opt = make_optimizer(net, "adam", learning_rate=0.1)
         with pytest.raises(ValueError, match="dropout_rate must match"):
             apply_update(opt, net, other.zeros_like())
-        for moment in ("m", "v"):
+        for k in (0, 1):
             opt = make_optimizer(net, "adam", learning_rate=0.1)
-            setattr(opt, moment, other.zeros_like())
+            moments = list(opt.moments)
+            moments[k] = other.zeros_like()
+            opt.moments = tuple(moments)
             with pytest.raises(ValueError, match="moments"):
                 apply_update(opt, net, net.zeros_like())
             assert opt.step == 0

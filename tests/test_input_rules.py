@@ -1,8 +1,9 @@
-"""The count rule and the seed rule, at every entry that takes a count or a seed.
+"""The count, seed, real-number and choice rules, at every entry that takes such a value.
 
-Each rule is written once, as ``data._count`` and ``rng._check_seed``.  Every
-entry is fed the same bad values and must raise a ``ValueError`` that names
-its argument; none may truncate a value or take it without a word.
+Each rule is written once, as ``data._count``, ``rng._check_seed``, ``data._real``
+and ``data._member``.  Every entry is fed the same bad values and must raise a
+``ValueError`` that names its argument; none may truncate or coerce a value or
+take it without a word.
 """
 
 import json
@@ -19,7 +20,17 @@ from distilrec.data import (
     generate_synthetic,
     partition_batches,
 )
-from distilrec.network import NetworkConfig, init_network, load_checkpoint, save_checkpoint
+from distilrec.losses import ObservedBatch, RegLossKind, UnobservedBatch, loss_and_grads
+from distilrec.network import (
+    ForwardMode,
+    NetworkConfig,
+    forward_batch,
+    forward_cached,
+    init_network,
+    load_checkpoint,
+    save_checkpoint,
+)
+from distilrec.optim import make_optimizer
 from distilrec.rng import RngStream
 
 from oracles import interaction
@@ -121,3 +132,92 @@ def test_numpy_integer_seed_is_the_same_seed(tmp_path, entry):
 
 def test_largest_seed_accepted():
     assert RngStream(2**64 - 1).seed == 2**64 - 1
+
+
+NET = init_network(NetworkConfig(**CONFIG), RngStream(1))
+DROPOUT_NET = init_network(NetworkConfig(**CONFIG, dropout_rate=0.5), RngStream(1))
+OBSERVED = ObservedBatch(np.array([0, 1]), np.array([0, 2]), np.array([1.0, 0.0]))
+UNOBSERVED = UnobservedBatch(np.array([2, 3]), np.array([1, 4]), np.array([0.25, 0.75]))
+
+
+def objective(**over):
+    return loss_and_grads(NET, OBSERVED, UNOBSERVED, **{"gamma_reg": 0.5, **over})[0]
+
+
+# entry: (call with the real, the argument's name, its interval, a value outside it, a
+# value inside it); each call returns what the value is stored as, or what it produced.
+REAL_ENTRIES = {
+    "SplitSpec.uniform_train_fraction": (
+        lambda v: SplitSpec(uniform_train_fraction=v).uniform_train_fraction,
+        "uniform_train_fraction", "(0, 1)", 1.0, 0.3),
+    "generate_synthetic.exposure_skew": (lambda v: synthetic(exposure_skew=v)[1].interactions,
+                                         "exposure_skew", "(-inf, inf)", -np.inf, 1.5),
+    "generate_synthetic.bias": (lambda v: synthetic(bias=v)[1].interactions,
+                                "bias", "(-inf, inf)", -np.inf, -2.5),
+    "NetworkConfig.dropout_rate": (
+        lambda v: NetworkConfig(**{**CONFIG, "dropout_rate": v}).dropout_rate,
+        "dropout_rate", "[0, 1)", 1.0, 0.1),
+    "loss_and_grads.gamma_reg": (lambda v: objective(gamma_reg=v), "gamma_reg", "[0, inf)",
+                                 -0.5, 0.7),
+    "loss_and_grads.l2_coeff": (lambda v: objective(l2_coeff=v), "l2_coeff", "[0, inf)",
+                                -0.5, 0.3),
+    "OptimizerState.learning_rate": (lambda v: make_optimizer(NET, "adam", v).learning_rate,
+                                     "learning_rate", "(0, inf)", 0.0, 1e-3),
+}
+STORED = ["SplitSpec.uniform_train_fraction", "NetworkConfig.dropout_rate",
+          "OptimizerState.learning_rate"]
+
+
+@pytest.mark.parametrize("entry", REAL_ENTRIES)
+@pytest.mark.parametrize("value", [True, "0.5", np.nan, np.inf, "outside"])
+def test_real_that_is_not_finite_in_its_interval_rejected(entry, value):
+    # Unchecked, True was taken as 1 by the learning rate, gamma_reg and exposure_skew,
+    # and a string failed in a comparison or in numpy with a TypeError naming no argument.
+    call, name, interval, outside, _ = REAL_ENTRIES[entry]
+    value = outside if value == "outside" else value
+    message = f"{name} must be a finite real in {interval}, got {value!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", REAL_ENTRIES)
+def test_float32_is_the_float_it_equals(entry):
+    # An np.float32 dropout rate was stored as is: its config hashed unlike the equal
+    # config built from a float, and save_checkpoint failed in JSON.
+    call, _, _, _, inside = REAL_ENTRIES[entry]
+    by_numpy, by_float = call(np.float32(inside)), call(float(np.float32(inside)))
+    assert by_numpy == by_float
+    if entry in STORED:
+        assert type(by_numpy) is float
+
+
+def test_float32_dropout_rate_round_trips_through_checkpoint(tmp_path):
+    net = init_network(NetworkConfig(**CONFIG, dropout_rate=np.float32(0.1)), RngStream(1))
+    save_checkpoint(net, tmp_path / "net.npz")
+    loaded, _ = load_checkpoint(tmp_path / "net.npz")
+    assert loaded.config == net.config
+    assert hash(loaded.config) == hash(net.config)
+
+
+# entry: (call with the value, the argument's name, its enum, the value of a member)
+CHOICE_ENTRIES = {
+    "forward_batch.mode": (lambda v: forward_batch(DROPOUT_NET, [[0, 0]], v, RngStream(1)),
+                           "mode", ForwardMode, "deterministic"),
+    "forward_cached.mode": (lambda v: forward_cached(DROPOUT_NET, [0], [0], v, RngStream(1)),
+                            "mode", ForwardMode, "deterministic"),
+    "loss_and_grads.mode": (lambda v: loss_and_grads(DROPOUT_NET, OBSERVED, mode=v,
+                                                     rng=RngStream(1)),
+                            "mode", ForwardMode, "deterministic"),
+    "loss_and_grads.reg_kind": (lambda v: objective(reg_kind=v), "reg_kind", RegLossKind,
+                                "jeffreys"),
+}
+
+
+@pytest.mark.parametrize("entry", CHOICE_ENTRIES)
+def test_choice_that_is_not_a_member_rejected(entry):
+    # Unchecked, mode="deterministic" drew dropout masks, and reg_kind="jeffreys" gave KL.
+    call, name, enum, value = CHOICE_ENTRIES[entry]
+    message = f"{name} must be a {enum.__name__}, got {value!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call(value)
+    call(enum(value))

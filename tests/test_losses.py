@@ -301,7 +301,7 @@ class TestLossAndGradsErrors:
     def test_negative_or_nonfinite_coefficient_rejected(self, name, value):
         # Unchecked, l2_coeff=-1 gave an objective with no lower bound, and
         # gamma_reg=inf ran backprop on infinite gradients.
-        with pytest.raises(ValueError, match=rf"^{name} must be finite and >= 0, got {value}$"):
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite real in \[0, inf\), got {value}$"):
             loss_and_grads(zero_net(), observed(interaction(0, 0, 5, Source.BIASED)),
                            unobserved([(0, 1)], [0.5]), **{name: value})
 

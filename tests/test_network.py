@@ -471,14 +471,22 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ") + ".*" + message):
             load_checkpoint(path)
 
-    def test_failed_save_leaves_existing_file(self, tmp_path):
+    def test_failed_save_leaves_existing_file(self, tmp_path, monkeypatch):
+        # Opened with "wb", the old file was truncated before the write failed.
         path = tmp_path / "net.npz"
-        save_checkpoint(init_network(small_config(), RngStream(1)), path, seed=1)
+        net = init_network(small_config(), RngStream(1))
+        save_checkpoint(net, path, seed=1)
         before = path.read_bytes()
-        net = init_network(small_config(dropout_rate=np.float32(0.5)), RngStream(1))
-        with pytest.raises((TypeError, ValueError)):  # JSON cannot encode an np.float32
-            save_checkpoint(net, path, seed=1)
+
+        def failing_savez(fh, **arrays):
+            fh.write(b"x" * 10)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", failing_savez)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(net, path, seed=2)
         assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["net.npz"]
 
     @pytest.mark.parametrize("seed", ["x", 1.5, True])
     def test_seed_load_rejects_is_rejected_by_save(self, tmp_path, seed):

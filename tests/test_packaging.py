@@ -47,9 +47,20 @@ def test_names_without_caller_stay_deleted():
              for name in gone & set(vars(owner))]
     assert not found
     assert [f.name for f in dataclasses.fields(SyntheticWorld)] == ["prob"]
-    assert not {"beta1", "beta2", "epsilon_hat"} & {f.name for f in dataclasses.fields(OptimizerState)}
+    assert not ({"beta1", "beta2", "epsilon_hat", "kind", "m", "v"}
+                & {f.name for f in dataclasses.fields(OptimizerState)})
     assert "scale" not in inspect.signature(generate_synthetic).parameters
     assert "p" not in inspect.signature(RngStream.choice).parameters
+
+
+def test_package_root_exports_only_version():
+    # Each name is imported from the module that defines it; the root re-exported 17.
+    script = ("import distilrec\n"
+              "print(sorted(n for n in vars(distilrec) if not n.startswith('__')), "
+              "distilrec.__version__)\n")
+    out = subprocess.run([sys.executable, "-c", script], cwd=SRC, check=True, timeout=60,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["[]", distilrec.__version__]
 
 
 def test_every_script_target_resolves():
