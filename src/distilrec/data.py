@@ -12,6 +12,8 @@ their columns, which are checked before any row is built.  Rows are built
 in one place, with the cyclic garbage collector paused: each row is a new
 tracked tuple, so hundreds of thousands of them set off repeated
 collections that walk the rows built so far, none of which can be garbage.
+Rows with the same user (or item) id share one ``int`` object for it, so a
+row costs its tuple and list slot, not two fresh ints besides.
 
 The native loaders parse each file with one ``np.loadtxt``.  Only a file
 it rejects, or one whose values fail a range check, is read again line by
@@ -96,6 +98,18 @@ def _collector_paused():
             gc.enable()
 
 
+def _shared_ids(ids: np.ndarray) -> list[int]:
+    """``ids.tolist()`` with every equal id the same ``int`` object, for ids in
+    ``[0, k)`` with fewer than ``ids.size`` possible values: one object per id
+    is read from a table of ``k`` ints, where ``tolist`` makes a fresh 32-byte
+    int per entry.  With as many possible ids as entries, as on a sparse grid,
+    the table would hold more than it saves, so ``tolist`` is kept."""
+    k = int(ids.max()) + 1 if ids.size else 0
+    if k < ids.size:
+        return np.arange(k).astype(object)[ids].tolist()
+    return ids.tolist()
+
+
 def _rows(users, items, ratings, labels, sources) -> list[Interaction]:
     """The one place rows are built: one ``Interaction`` per column entry.
 
@@ -103,12 +117,16 @@ def _rows(users, items, ratings, labels, sources) -> list[Interaction]:
     be garbage while the list holds them (see the module docstring).
     ``tuple.__new__`` builds each row from its fields, skipping the
     Python-level ``__new__`` that ``Interaction(...)`` runs per row; the rows
-    are equal.
+    are equal.  Rows with the same user (or item) id share its ``int``
+    (``_shared_ids``), since a ``Dataset`` stays alive for a whole run: a row
+    then costs its 80-byte tuple and 8-byte list slot, not 152 bytes, and
+    366k Yahoo!-shaped rows trace 34.0 MiB rather than 52.8.  Ratings and
+    labels are small ints, of which CPython keeps one object each already.
     """
     with _collector_paused():
         return list(map(tuple.__new__, repeat(Interaction),
-                        zip(users.tolist(), items.tolist(), ratings.tolist(), labels.tolist(),
-                            sources.tolist())))
+                        zip(_shared_ids(users), _shared_ids(items), ratings.tolist(),
+                            labels.tolist(), sources.tolist())))
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -145,12 +163,17 @@ def _count(value, name: str, low: int = 1) -> int:
 
 def _real(value, name: str, low=-np.inf, high=np.inf, low_closed=False) -> float:
     """The one real-number rule: ``value`` as a float if it is a finite real in (low, high),
-    or in [low, high) with ``low_closed``; a bool, a string and NaN fail."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (low <= value if low_closed else low < value) or not -np.inf < value < high):
+    or in [low, high) with ``low_closed``; a bool, a string and NaN fail.  The float is
+    what is checked, so an int beyond the float range fails here, naming ``name``."""
+    try:
+        real = (float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool)
+                else np.nan)
+    except OverflowError:
+        real = np.nan
+    if not (low <= real if low_closed else low < real) or not -np.inf < real < high:
         interval = f"{'[' if low_closed else '('}{low:g}, {high:g})"
         raise ValueError(f"{name} must be a finite real in {interval}, got {value!r}")
-    return float(value)
+    return real
 
 
 def _member(value, name: str, enum: type[Enum]):

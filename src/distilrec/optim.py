@@ -4,6 +4,11 @@ The gradient (from ``losses.loss_and_grads``) and Adam's two moments,
 ``OptimizerState.moments`` (None for SGD), are each a ``Network`` of the
 parameters' config, so one config comparison checks each, and their
 ``param_arrays`` pair up with the parameters'.
+
+Adam updates each array in place through two scratch arrays of its shape,
+made per call and freed with it, in the operation order of the
+out-of-place expressions, so the bits are theirs; no temporary the size of
+an embedding table is made per operation.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _real
+from .data import _count, _real
 from .network import Network
 
 __all__ = ["OptimizerState", "make_optimizer", "apply_update"]
@@ -24,11 +29,12 @@ BETA1, BETA2, EPSILON_HAT = 0.9, 0.999, 1e-8
 @dataclass
 class OptimizerState:
     learning_rate: float                            # a finite real > 0, stored as a float
-    step: int = 0
+    step: int = 0                                   # updates applied, a whole number >= 0
     moments: tuple[Network, Network] | None = None  # Adam's first and second; None for SGD
 
     def __post_init__(self):
         self.learning_rate = _real(self.learning_rate, "learning_rate", 0.0)
+        self.step = _count(self.step, "step", 0)
 
 
 def make_optimizer(net: Network, kind: str = "adam", learning_rate: float = 1e-3) -> OptimizerState:
@@ -67,11 +73,14 @@ def apply_update(opt: OptimizerState, net: Network, grads: Network) -> None:
         bias2 = 1.0 - BETA2 ** opt.step
         first, second = opt.moments
         for p, g, m, v in zip(params, garrs, first.param_arrays(), second.param_arrays()):
+            a, b = np.empty_like(p), np.empty_like(p)
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            m += np.multiply(1.0 - BETA1, g, out=a)
             v *= BETA2
-            v += (1.0 - BETA2) * np.square(g)
-            p -= lr * (m / bias1) / (np.sqrt(v / bias2) + EPSILON_HAT)
+            v += np.multiply(1.0 - BETA2, np.square(g, out=a), out=a)
+            # p -= lr * (m / bias1) / (np.sqrt(v / bias2) + EPSILON_HAT)
+            np.add(np.sqrt(np.divide(v, bias2, out=a), out=a), EPSILON_HAT, out=a)
+            p -= np.divide(np.multiply(lr, np.divide(m, bias1, out=b), out=b), a, out=b)
 
     if not net.all_finite():
         raise FloatingPointError("parameters became non-finite after update")

@@ -915,16 +915,14 @@ class TestRowsMatchPerRowReference:
         assert ds.interactions == rows
         assert Dataset(ds.interactions, ds.n_users, ds.n_items) == ds
 
-    @pytest.mark.parametrize("seed", [1, 2, 3, 1000])
-    def test_generate_synthetic(self, seed):
-        n_users, n_items, latent_dim, skew, n_biased, n_uniform = 30, 25, 4, 3.0, 120, 90
-        world, ds = generate_synthetic(n_users, n_items, latent_dim, skew, n_biased, n_uniform,
-                                       seed=seed, bias=-1.5)
+    @staticmethod
+    def reference_synthetic(n_users, n_items, latent_dim, skew, n_biased, n_uniform, seed, bias):
+        """``prob`` and the rows of ``generate_synthetic``, by whole-grid arrays and a row loop."""
         root = RngStream(seed)
         fr = root.split("factors").generator
         u_f = fr.normal(size=(n_users, latent_dim)) / np.sqrt(latent_dim)
         i_f = fr.normal(size=(n_items, latent_dim))
-        logits = 3.0 * (u_f @ i_f.T) - 1.5
+        logits = 3.0 * (u_f @ i_f.T) + bias
         prob = 1.0 / (1.0 + np.exp(-logits))
         log_w = skew * prob.reshape(-1)
         gumbel = -np.log(-np.log(root.split("biased-cells").random(log_w.size)))
@@ -939,9 +937,98 @@ class TestRowsMatchPerRowReference:
             low_ratings = label_rng.integers(1, 5, size=cells.size)
             for u, i, y, r in zip(us.tolist(), its.tolist(), labels.tolist(), low_ratings.tolist()):
                 rows.append(interaction(int(u), int(i), 5 if y else int(r), src))
+        return prob, rows
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 1000])
+    def test_generate_synthetic(self, seed):
+        sizes = (30, 25, 4, 3.0, 120, 90)
+        world, ds = generate_synthetic(*sizes, seed=seed, bias=-1.5)
+        prob, rows = self.reference_synthetic(*sizes, seed, -1.5)
         np.testing.assert_array_equal(world.prob, prob)
         assert ds.interactions == rows
         assert Dataset(ds.interactions, ds.n_users, ds.n_items) == ds
+
+
+def assert_ids_shared(rows):
+    """Every user and item id is an ``int``, one object per distinct id; ids above
+    CPython's cached small ints are present, so sharing is not the interpreter's."""
+    for field in ("user", "item"):
+        ids = [getattr(r, field) for r in rows]
+        assert {type(i) for i in ids} == {int}
+        assert max(ids) > 256
+        assert len({id(i) for i in ids}) == len(set(ids))
+
+
+class TestRowsShareIdObjects:
+    """Rows with the same id hold the same ``int``, and equal the per-row reference."""
+
+    def test_generate_synthetic(self):
+        sizes = (300, 400, 4, 2.0, 3000, 600)
+        _, ds = generate_synthetic(*sizes, seed=5, bias=-1.0)
+        assert ds.interactions == TestRowsMatchPerRowReference.reference_synthetic(
+            *sizes, 5, -1.0)[1]
+        assert_ids_shared(ds.interactions)
+
+    def test_load_yahoo(self, tmp_path):
+        gen = np.random.default_rng(4)
+        raw_users = gen.choice(10**6, 400, replace=False) + 1
+        raw_items = gen.choice(10**4, 350, replace=False) + 1
+        lines = {}
+        for name, n in (("b.txt", 3000), ("u.txt", 500)):
+            cells = gen.choice(400 * 350, n, replace=False)
+            lines[name] = [f"{raw_users[c // 350]}\t{raw_items[c % 350]}\t{r}\n"
+                           for c, r in zip(cells.tolist(), gen.integers(1, 6, n).tolist())]
+            (tmp_path / name).write_text("".join(lines[name]))
+        ds = load_yahoo(tmp_path / "b.txt", tmp_path / "u.txt")
+        rows, n_users, n_items = TestRowsMatchPerRowReference.reference_yahoo(lines["b.txt"],
+                                                                              lines["u.txt"])
+        assert ds.interactions == rows
+        assert n_users > 256 and n_items > 256
+        assert_ids_shared(ds.interactions)
+
+    def test_load_coat(self, tmp_path):
+        gen = np.random.default_rng(6)
+        matrices = [gen.integers(1, 6, size=(290, 300)) * (gen.random((290, 300)) < p)
+                    for p in (0.08, 0.02)]
+        for name, m in zip(("train", "test"), matrices):
+            TestCoatLoader.write_matrix(tmp_path / name, m)
+        ds = load_coat(tmp_path / "train", tmp_path / "test")
+        assert ds.interactions == TestRowsMatchPerRowReference.reference_coat(matrices)
+        assert_ids_shared(ds.interactions)
+
+    @staticmethod
+    def traced(build):
+        """What ``build()`` returns, and the bytes traced as still held and at the peak."""
+        tracemalloc.start()
+        try:
+            out = build()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, held, peak
+
+    def test_rows_hold_at_most_100_bytes_each(self):
+        # Ids 300-399 and 300-499 on a 400 x 500 grid, above CPython's cached small
+        # ints: with a fresh 32-byte int per id, rows held about 161 bytes each.
+        gen = np.random.default_rng(0)
+        n = 20_000
+        users, items = gen.integers(300, 400, n), gen.integers(300, 500, n)
+        ratings = gen.integers(1, 6, n)
+        columns = (users, items, ratings, (ratings == 5).astype(np.int64),
+                   np.full(n, Source.BIASED, dtype=object))
+        rows, held, _ = self.traced(lambda: data._rows(*columns))
+        assert len(rows) == n
+        assert held <= 100 * n
+
+    def test_few_rows_with_large_ids_build_no_id_table(self):
+        # A table of ids up to 10**5 would hold over 3 MB; the rows need three ints each.
+        users = np.array([99_998, 99_999, 100_000])
+        columns = (users, users - 7, np.array([5, 4, 1]), np.array([1, 0, 0]),
+                   np.full(3, Source.UNIFORM, dtype=object))
+        rows, _, peak = self.traced(lambda: data._rows(*columns))
+        assert rows == [interaction(u, u - 7, r, Source.UNIFORM)
+                        for u, r in zip(users.tolist(), (5, 4, 1))]
+        assert peak < 10_000
 
 
 class TestCollectorPaused:

@@ -408,6 +408,63 @@ class TestOptimizer:
         assert opt.step == 1
 
 
+def out_of_place_adam(p, g, m, v, lr, step):
+    """Adam's update as it was written before it ran in place through scratch arrays."""
+    m *= 0.9
+    m += (1.0 - 0.9) * g
+    v *= 0.999
+    v += (1.0 - 0.999) * np.square(g)
+    p -= lr * (m / (1.0 - 0.9 ** step)) / (np.sqrt(v / (1.0 - 0.999 ** step)) + 1e-8)
+
+
+class TestInPlaceUpdateIsTheOutOfPlaceOne:
+    """50 steps of ``apply_update`` give the bits of the out-of-place expressions."""
+
+    @staticmethod
+    def gradient(net, gen):
+        """Normal draws at one scale per array, from 1e-6 to 10, with about half of the
+        entries zero, as rows a step does not touch are."""
+        g = net.zeros_like()
+        for arr in g.param_arrays():
+            arr[...] = gen.normal(size=arr.shape) * 10.0 ** gen.uniform(-6, 1)
+            arr[gen.random(arr.shape) < 0.5] = 0.0
+        return g
+
+    def run(self, kind, config, learning_rate, reference):
+        net = init_network(config, RngStream(1))
+        opt, gen = make_optimizer(net, kind, learning_rate), np.random.default_rng(2)
+        params = [a.copy() for a in net.param_arrays()]
+        moments = [[np.zeros_like(a) for a in params] for _ in range(2)]
+        for step in range(1, 51):
+            grads = self.gradient(net, gen)
+            apply_update(opt, net, grads)
+            for p, g, m, v in zip(params, grads.param_arrays(), *moments):
+                reference(p, g, m, v, learning_rate, step)
+            got = net.param_arrays()
+            if opt.moments is not None:
+                got += opt.moments[0].param_arrays() + opt.moments[1].param_arrays()
+                want = params + moments[0] + moments[1]
+            else:
+                want = params
+            assert opt.step == step
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(a, b)
+
+    CONFIGS = {"coat": (NetworkConfig(290, 300, 64, (64, 32), dropout_rate=0.1), 1e-3),
+               "one-row-width-one": (NetworkConfig(1, 1, 1, (1,)), 0.3)}
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_adam(self, name):
+        self.run("adam", *self.CONFIGS[name], out_of_place_adam)
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_sgd(self, name):
+        def sgd(p, g, m, v, lr, step):
+            p -= lr * g
+
+        self.run("sgd", *self.CONFIGS[name], sgd)
+
+
 # Adam steps at Coat shape (290 x 300, embedding 64, hidden (64, 32)) at two batch
 # sizes, printing one hash of every gradient and every updated parameter.
 STEPS_SCRIPT = """

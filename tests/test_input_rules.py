@@ -30,7 +30,7 @@ from distilrec.network import (
     load_checkpoint,
     save_checkpoint,
 )
-from distilrec.optim import make_optimizer
+from distilrec.optim import OptimizerState, make_optimizer
 from distilrec.rng import RngStream
 
 from oracles import interaction
@@ -63,6 +63,9 @@ COUNT_ENTRIES = {
                                   "n_items", 0),
     "UnobservedSampler.sample": (lambda v: UnobservedSampler(2, 3, [], RngStream(1)).sample(v),
                                  "n", 0),
+    # Unchecked, step=-1 made the first Adam update divide by 1 - 0.9**0 = 0, and
+    # step=1.5 was taken and advanced to 2.5.
+    "OptimizerState.step": (lambda v: OptimizerState(0.1, step=v), "step", 0),
 }
 
 
@@ -169,10 +172,13 @@ STORED = ["SplitSpec.uniform_train_fraction", "NetworkConfig.dropout_rate",
 
 
 @pytest.mark.parametrize("entry", REAL_ENTRIES)
-@pytest.mark.parametrize("value", [True, "0.5", np.nan, np.inf, "outside"])
+@pytest.mark.parametrize("value", [True, "0.5", np.nan, np.inf,
+                                   pytest.param(10**400, id="10**400"), "outside"])
 def test_real_that_is_not_finite_in_its_interval_rejected(entry, value):
     # Unchecked, True was taken as 1 by the learning rate, gamma_reg and exposure_skew,
     # and a string failed in a comparison or in numpy with a TypeError naming no argument.
+    # An int beyond the float range passed an interval open to the right and failed in
+    # float() with a bare OverflowError: make_optimizer(net, "adam", 10**400) did.
     call, name, interval, outside, _ = REAL_ENTRIES[entry]
     value = outside if value == "outside" else value
     message = f"{name} must be a finite real in {interval}, got {value!r}"
