@@ -99,15 +99,11 @@ def _collector_paused():
 
 
 def _shared_ids(ids: np.ndarray) -> list[int]:
-    """``ids.tolist()`` with every equal id the same ``int`` object, for ids in
-    ``[0, k)`` with fewer than ``ids.size`` possible values: one object per id
-    is read from a table of ``k`` ints, where ``tolist`` makes a fresh 32-byte
-    int per entry.  With as many possible ids as entries, as on a sparse grid,
-    the table would hold more than it saves, so ``tolist`` is kept."""
-    k = int(ids.max()) + 1 if ids.size else 0
-    if k < ids.size:
-        return np.arange(k).astype(object)[ids].tolist()
-    return ids.tolist()
+    """``ids.tolist()`` with every equal id the same ``int`` object: each entry
+    is read from a table of one object per id in ``[0, max id]``, where
+    ``tolist`` makes a fresh 32-byte int per entry.  The table lives only for
+    the call, and every producer holds arrays at least its size already."""
+    return np.arange(int(ids.max()) + 1 if ids.size else 0).astype(object)[ids].tolist()
 
 
 def _rows(users, items, ratings, labels, sources) -> list[Interaction]:
@@ -119,9 +115,10 @@ def _rows(users, items, ratings, labels, sources) -> list[Interaction]:
     Python-level ``__new__`` that ``Interaction(...)`` runs per row; the rows
     are equal.  Rows with the same user (or item) id share its ``int``
     (``_shared_ids``), since a ``Dataset`` stays alive for a whole run: a row
-    then costs its 80-byte tuple and 8-byte list slot, not 152 bytes, and
-    366k Yahoo!-shaped rows trace 34.0 MiB rather than 52.8.  Ratings and
-    labels are small ints, of which CPython keeps one object each already.
+    then costs its 80-byte tuple and its list slot, 97 bytes traced rather
+    than 151, and 366k Yahoo!-shaped rows trace 34.0 MiB rather than 52.8.
+    Ratings and labels are small ints, of which CPython keeps one object
+    each already.
     """
     with _collector_paused():
         return list(map(tuple.__new__, repeat(Interaction),

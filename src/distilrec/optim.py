@@ -78,7 +78,7 @@ def apply_update(opt: OptimizerState, net: Network, grads: Network) -> None:
             m += np.multiply(1.0 - BETA1, g, out=a)
             v *= BETA2
             v += np.multiply(1.0 - BETA2, np.square(g, out=a), out=a)
-            # p -= lr * (m / bias1) / (np.sqrt(v / bias2) + EPSILON_HAT)
+            # the operation order of out_of_place_adam (tests/test_gradients.py): same bits
             np.add(np.sqrt(np.divide(v, bias2, out=a), out=a), EPSILON_HAT, out=a)
             p -= np.divide(np.multiply(lr, np.divide(m, bias1, out=b), out=b), a, out=b)
 
