@@ -211,6 +211,17 @@ def _check_on_grid(users: np.ndarray, items: np.ndarray, n_users: int, n_items: 
                          f"in a {n_users} x {n_items} grid")
 
 
+def _check_columns(owner: str, **columns) -> None:
+    """The one rule for a batch's parallel columns: each 1-D, each as long as the first."""
+    shapes = {name: np.shape(column) for name, column in columns.items()}
+    lead = next(iter(shapes))
+    for name, shape in shapes.items():
+        if len(shape) != 1:
+            raise ValueError(f"{owner}: {name} has shape {shape}, not 1-D")
+        if shape != shapes[lead]:
+            raise ValueError(f"{owner}: {shape[0]} {name} for {shapes[lead][0]} {lead}")
+
+
 _INT_FIELDS = ("user", "item", "rating", "label")
 
 
@@ -270,6 +281,7 @@ class Dataset:
         return dataset
 
     def by_source(self, source: Source) -> list[Interaction]:
+        _member(source, "source", Source)
         return [inter for inter in self.interactions if inter.source is source]
 
 

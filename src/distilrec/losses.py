@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import _member, _real
+from .data import _check_columns, _first, _member, _real
 from .network import ForwardMode, Network, backprop, forward_cached
 from .rng import RngStream
 
@@ -118,17 +118,16 @@ class LossBreakdown:
         return LossBreakdown(data_term, distill_term, reg_term, total)
 
 
-def _check_lengths(batch, *fields: str) -> None:
-    n = len(batch.users)
-    for name in fields:
-        if (m := len(getattr(batch, name))) != n:
-            raise ValueError(f"{type(batch).__name__}: {m} {name} for {n} users")
-
-
 def _check_labels(labels: np.ndarray) -> None:
     """Names the first label that is not 0 or 1; NaN is neither."""
-    if (bad := np.flatnonzero((labels != 0) & (labels != 1))).size:
-        raise ValueError(f"label at index {bad[0]} is {labels[bad[0]]}, not 0 or 1")
+    if (k := _first((labels != 0) & (labels != 1))) is not None:
+        raise ValueError(f"label at index {k} is {labels[k]}, not 0 or 1")
+
+
+def _check_unit_interval(values: np.ndarray, noun: str) -> None:
+    """Names the first of ``values``, each a ``noun``, outside [0, 1]; NaN is outside."""
+    if (k := _first(~((values >= 0.0) & (values <= 1.0)))) is not None:
+        raise ValueError(f"{noun} at index {k} is {values[k]}, outside [0, 1]")
 
 
 @dataclass
@@ -138,7 +137,7 @@ class ObservedBatch:
     labels: np.ndarray
 
     def __post_init__(self):
-        _check_lengths(self, "items", "labels")
+        _check_columns(type(self).__name__, **vars(self))
         _check_labels(np.asarray(self.labels))
 
 
@@ -149,10 +148,8 @@ class UnobservedBatch:
     teacher_targets: np.ndarray   # constants: the teacher is detached
 
     def __post_init__(self):
-        _check_lengths(self, "items", "teacher_targets")
-        t = np.asarray(self.teacher_targets)
-        if (bad := np.flatnonzero(~((t >= 0.0) & (t <= 1.0)))).size:
-            raise ValueError(f"teacher target at index {bad[0]} is {t[bad[0]]}, outside [0, 1]")
+        _check_columns(type(self).__name__, **vars(self))
+        _check_unit_interval(np.asarray(self.teacher_targets), "teacher target")
 
 
 def loss_and_grads(

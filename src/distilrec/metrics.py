@@ -7,9 +7,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .losses import _bce_terms, _check_labels
+from .losses import _bce_terms, _check_labels, _check_unit_interval
 from .network import ForwardMode, Network, forward_batch
-from .data import Interaction, pack
+from .data import Interaction, _first, pack
 
 __all__ = ["MetricsResult", "UndefinedMetricError", "auc", "bce_eval", "evaluate"]
 
@@ -33,9 +33,8 @@ def _checked(scores: Sequence[float], labels: Sequence[int]) -> tuple[np.ndarray
     if s.ndim != 1 or s.shape != y.shape:
         raise ValueError(f"scores and labels must be equal-length 1-D sequences, "
                          f"got shapes {s.shape} and {y.shape}")
-    nan = np.flatnonzero(np.isnan(s))
-    if nan.size:
-        raise ValueError(f"score at index {nan[0]} is NaN")
+    if (k := _first(np.isnan(s))) is not None:
+        raise ValueError(f"score at index {k} is NaN")
     _check_labels(y)
     return s, y
 
@@ -65,9 +64,7 @@ def bce_eval(scores: Sequence[float], labels: Sequence[int]) -> float:
     s, y = _checked(scores, labels)
     if s.size == 0:
         raise ValueError("bce_eval requires a nonempty input")
-    bad = np.flatnonzero((s < 0.0) | (s > 1.0))
-    if bad.size:
-        raise ValueError(f"score at index {bad[0]} is {s[bad[0]]}, outside [0, 1]")
+    _check_unit_interval(s, "score")
     return float(np.mean(_bce_terms(s, y)))
 
 

@@ -21,12 +21,14 @@ keeps is its activations: ``backprop`` recovers the ReLU gates and the
 dropout masks from them, since a unit is live exactly when its activation
 is positive, and every live unit was scaled by 1/(1-dropout_rate).
 
-Scoring keeps no tape.  ``forward_batch`` factors the first layer,
+Both forwards share the factored first layer, ``_first_layer``,
 ``[e_u; e_i] @ W0 = (user_emb @ W0[:d])[u] + (item_emb @ W0[d:])[i]``,
-projecting once per call only the table rows its pairs touch, then walks
-the pairs in blocks of ``SCORE_BLOCK`` rows through the rest of the stack,
-drawing each block's dropout masks layer by layer.  Only the probabilities outlive a block.
-Both forwards share one layer stack, ``_layer_stack``.
+projecting once per call only the table rows the ids touch, and one layer
+stack, ``_layer_stack``; no concatenated input is built.  So the network
+that is sampled is the network that is trained, bit for bit.  Scoring
+keeps no tape: ``forward_batch`` walks the pairs in blocks of
+``SCORE_BLOCK`` rows through the stack, drawing each block's dropout masks
+layer by layer.  Only the probabilities outlive a block.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import _as_int64, _as_pairs, _check_on_grid, _count, _member, _real
+from .data import _as_int64, _as_pairs, _check_columns, _check_on_grid, _count, _member, _real
 from .rng import RngStream, _check_seed
 
 __all__ = [
@@ -174,11 +176,11 @@ def param_count(net_or_config: Network | NetworkConfig) -> int:
 
 @dataclass
 class ForwardCache:
-    """What ``backprop`` reads: inputs, activations and outputs."""
+    """What ``backprop`` reads: ids, activations and outputs; the first layer's input
+    is gathered again from the tables."""
 
     users: np.ndarray
     items: np.ndarray
-    x: np.ndarray                      # concatenated embeddings, (B, 2d)
     acts: list[np.ndarray]             # post-ReLU, post-dropout, (B, w_k)
     scale: float                       # 1/(1-dropout_rate) if masks were drawn, else 1
     logits: np.ndarray                 # final pre-activation, (B,)
@@ -228,17 +230,16 @@ def forward_cached(
     In TRAIN_DROPOUT / STOCHASTIC_INFERENCE a fresh Bernoulli mask is
     drawn for every element and every hidden layer, scaled by
     1/(1-dropout_rate) so the expectation matches DETERMINISTIC output.
-    Ids must be whole numbers on the config's grid; integer arrays pass with a dtype test.
+    Ids must be 1-D, of one length, and whole numbers on the config's grid; integer arrays
+    pass with a dtype test.
     """
     users = _as_int64(users, "user id")
     items = _as_int64(items, "item id")
-    if users.shape != items.shape:
-        raise ValueError(f"users and items differ in shape: {users.shape} vs {items.shape}")
+    _check_columns("forward_cached", users=users, items=items)
     _check_on_grid(users, items, net.config.n_users, net.config.n_items)
     scale = _mask_scale(net, mode, rng)
-    x = np.concatenate([net.user_emb[users], net.item_emb[items]], axis=1)
-    acts, logits, probs = _layer_stack(net, x @ net.weights[0], scale, rng)
-    return ForwardCache(users, items, x, acts, scale or 1.0, logits, probs)
+    acts, logits, probs = _layer_stack(net, _first_layer(net, users, items)(), scale, rng)
+    return ForwardCache(users, items, acts, scale or 1.0, logits, probs)
 
 
 def _row_sum_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -255,23 +256,20 @@ def backprop(net: Network, cache: ForwardCache, dlogits: np.ndarray) -> Network:
 
     Recovers the ReLU gates and dropout masks from the activations, so
     the gradient is taken of exactly the function the forward pass
-    evaluated.  Weight gradients sum over the rows by ``_row_sum_product``;
-    only the two embedding tables are zero-filled, to scatter the rows'
-    gradients into.
+    evaluated.  Weight gradients sum over the rows by ``_row_sum_product``,
+    the first layer's as its user and item halves stacked; only the two
+    embedding tables are zero-filled, to scatter the rows' gradients into.
     """
     cfg = net.config
     n_hidden = len(cfg.hidden_sizes)
     weights, biases = [None] * (n_hidden + 1), [None] * (n_hidden + 1)
-    g = np.asarray(dlogits, dtype=np.float64).reshape(-1, 1)   # (B, 1)
+    da = np.asarray(dlogits, dtype=np.float64).reshape(-1, 1)   # (B, 1)
 
-    weights[-1] = _row_sum_product(cache.acts[-1], g)
-    biases[-1] = g.sum(axis=0)
-    da = g @ net.weights[-1].T
-
-    for k in range(n_hidden - 1, -1, -1):
-        dz = da * ((cache.acts[k] > 0.0) * cache.scale)
-        a_prev = cache.acts[k - 1] if k > 0 else cache.x
-        weights[k] = _row_sum_product(a_prev, dz)
+    for k in range(n_hidden, -1, -1):
+        dz = da if k == n_hidden else da * ((cache.acts[k] > 0.0) * cache.scale)
+        inputs = ([cache.acts[k - 1]] if k > 0   # the first layer's input, table by table
+                  else [net.user_emb[cache.users], net.item_emb[cache.items]])
+        weights[k] = np.vstack([_row_sum_product(a, dz) for a in inputs])
         biases[k] = dz.sum(axis=0)
         da = dz @ net.weights[k].T
 
@@ -294,6 +292,15 @@ def _projected(table: np.ndarray, ids: np.ndarray,
     return table[present] @ w, np.cumsum(present)[ids] - 1
 
 
+def _first_layer(net: Network, users: np.ndarray, items: np.ndarray):
+    """``rows -> ([e_u; e_i] @ W0)[rows]`` over the pairs, as ``(user_emb @ W0[:d])[u] +
+    (item_emb @ W0[d:])[i]``; only the table rows the ids touch are projected, once."""
+    d = net.config.embedding_dim
+    proj_u, users = _projected(net.user_emb, users, net.weights[0][:d])
+    proj_i, items = _projected(net.item_emb, items, net.weights[0][d:])
+    return lambda rows=slice(None): proj_u[users[rows]] + proj_i[items[rows]]
+
+
 def forward_batch(
     net: Network,
     pairs,
@@ -307,22 +314,18 @@ def forward_batch(
     its half of the first layer.  Then the pairs run in blocks of
     ``SCORE_BLOCK`` rows and only their probabilities are kept.  Masks are drawn as in
     ``forward_cached``, one per element, block by block and within a block
-    layer by layer.  Values equal ``forward_cached(...).probs`` up to the
-    rounding of the factored first layer.
+    layer by layer.  Values equal ``forward_cached(...).probs``: deterministic ones at
+    any n, sampled ones within one block, under a same-seeded stream.
     """
     arr = _as_pairs(pairs)
     users, items = arr[:, 0], arr[:, 1]
     _check_on_grid(users, items, net.config.n_users, net.config.n_items)
     scale = _mask_scale(net, mode, rng)
-    d = net.config.embedding_dim
-    proj_u, users = _projected(net.user_emb, users, net.weights[0][:d])
-    proj_i, items = _projected(net.item_emb, items, net.weights[0][d:])
+    first_layer = _first_layer(net, users, items)
     probs = np.empty(len(arr))
     for start in range(0, len(arr), SCORE_BLOCK):
         rows = slice(start, start + SCORE_BLOCK)
-        z0 = proj_u[users[rows]]
-        z0 += proj_i[items[rows]]
-        probs[rows] = _layer_stack(net, z0, scale, rng)[2]
+        probs[rows] = _layer_stack(net, first_layer(rows), scale, rng)[2]
     return probs
 
 
@@ -336,7 +339,10 @@ def save_checkpoint(net: Network, path, seed: int | None = None) -> None:
               "config": asdict(net.config)}
     raw = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
     arrays = {f"param_{k:02d}": a for k, a in enumerate(net.param_arrays())}
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+    except OSError as exc:  # it names its random file, not ``path``
+        raise type(exc)(f"{path}: cannot create a file beside it: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "wb") as fh:
             np.savez(fh, header=raw, **arrays)

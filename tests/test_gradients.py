@@ -173,10 +173,13 @@ class TestTapeMatchesStoredMaskReference:
 
         p = net.config.dropout_rate
         masks_rng = rng.split("dropout")
+        d = net.config.embedding_dim
+        proj_u, rows_u = network._projected(net.user_emb, users, net.weights[0][:d])
+        proj_i, rows_i = network._projected(net.item_emb, items, net.weights[0][d:])
         x = np.concatenate([net.user_emb[users], net.item_emb[items]], axis=1)
-        a, pre_acts, acts, masks = x, [], [], []
-        for w, b in zip(net.weights[:-1], net.biases[:-1]):
-            z = a @ w + b
+        a, pre_acts, acts, masks = None, [], [], []
+        for k, (w, b) in enumerate(zip(net.weights[:-1], net.biases[:-1])):
+            z = (proj_u[rows_u] + proj_i[rows_i] if k == 0 else a @ w) + b
             mask = (masks_rng.random(z.shape) >= p) / (1.0 - p)
             a = np.maximum(z, 0.0) * mask
             pre_acts.append(z)
@@ -193,7 +196,6 @@ class TestTapeMatchesStoredMaskReference:
             ref_w.insert(0, (acts[k - 1] if k > 0 else x).T @ dz)
             ref_b.insert(0, dz.sum(axis=0))
             da = dz @ net.weights[k].T
-        d = net.config.embedding_dim
         ref_u, ref_i = np.zeros_like(net.user_emb), np.zeros_like(net.item_emb)
         np.add.at(ref_u, users, da[:, :d])
         np.add.at(ref_i, items, da[:, d:])

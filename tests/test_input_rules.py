@@ -1,9 +1,9 @@
-"""The count, seed, real-number and choice rules, at every entry that takes such a value.
+"""The count, seed, real-number, choice and column rules, at every entry that takes such a value.
 
-Each rule is written once, as ``data._count``, ``rng._check_seed``, ``data._real``
-and ``data._member``.  Every entry is fed the same bad values and must raise a
-``ValueError`` that names its argument; none may truncate or coerce a value or
-take it without a word.
+Each rule is written once, as ``data._count``, ``rng._check_seed``, ``data._real``,
+``data._member`` and ``data._check_columns``.  Every entry is fed the same bad values
+and must raise a ``ValueError`` that names its argument; none may truncate or coerce a
+value or take it without a word.
 """
 
 import json
@@ -216,6 +216,8 @@ CHOICE_ENTRIES = {
                             "mode", ForwardMode, "deterministic"),
     "loss_and_grads.reg_kind": (lambda v: objective(reg_kind=v), "reg_kind", RegLossKind,
                                 "jeffreys"),
+    # Unchecked, by_source("uniform") and by_source(None) returned [].
+    "Dataset.by_source": (lambda v: synthetic()[1].by_source(v), "source", Source, "uniform"),
 }
 
 
@@ -227,3 +229,43 @@ def test_choice_that_is_not_a_member_rejected(entry):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         call(value)
     call(enum(value))
+
+
+def test_by_source_of_none_rejected():
+    with pytest.raises(ValueError, match="^source must be a Source, got None$"):
+        synthetic()[1].by_source(None)
+
+
+# entry: (call with its parallel columns, their names)
+COLUMN_ENTRIES = {
+    "ObservedBatch": (ObservedBatch, ("users", "items", "labels")),
+    "UnobservedBatch": (UnobservedBatch, ("users", "items", "teacher_targets")),
+    "forward_cached": (lambda users, items: forward_cached(NET, users, items,
+                                                           ForwardMode.DETERMINISTIC),
+                       ("users", "items")),
+}
+
+
+@pytest.mark.parametrize("entry, column", [(entry, column) for entry, (_, names)
+                                           in COLUMN_ENTRIES.items() for column in names])
+@pytest.mark.parametrize("shape", [(2, 1), (), (1, 2)], ids=str)
+def test_column_that_is_not_1d_rejected_naming_it(entry, column, shape):
+    # Unchecked, (2, 1) ids failed inside np.concatenate and 0-d ids with an AxisError or
+    # "len() of unsized object"; forward_cached scored (2, 1) ids and backprop then failed.
+    call, names = COLUMN_ENTRIES[entry]
+    columns = {name: np.zeros(2, dtype=np.int64) for name in names}
+    call(**columns)
+    columns[column] = np.zeros(shape, dtype=np.int64)
+    message = f"{entry}: {column} has shape {shape}, not 1-D"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call(**columns)
+
+
+@pytest.mark.parametrize("entry, column", [(entry, column) for entry, (_, names)
+                                           in COLUMN_ENTRIES.items() for column in names[1:]])
+def test_column_of_another_length_rejected_naming_it(entry, column):
+    call, names = COLUMN_ENTRIES[entry]
+    columns = {name: np.zeros(2, dtype=np.int64) for name in names}
+    columns[column] = np.zeros(3, dtype=np.int64)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{entry}: 3 {column} for 2 users") + "$"):
+        call(**columns)

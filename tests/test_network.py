@@ -169,7 +169,7 @@ class TestForward:
         net = init_network(small_config(), RngStream(1))
         for users, items in (([0], [0, 1, 2]), ([0, 1], [0, 1, 2])):
             with pytest.raises(ValueError,
-                               match=r"^users and items differ in shape: \(\d,\) vs \(3,\)$"):
+                               match=r"^forward_cached: 3 items for \d users$"):
                 forward_cached(net, users, items, ForwardMode.DETERMINISTIC)
 
     def test_integer_and_whole_float_ids_score_alike(self):
@@ -208,14 +208,49 @@ BLOCK_SIZES = [0, 1, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, 2 * SCORE_BL
 HIDDEN = [(4,), (4, 3), (5, 4, 3)]
 
 
+def coat_shaped(dropout_rate):
+    cfg = NetworkConfig(n_users=290, n_items=300, embedding_dim=64, hidden_sizes=(64, 32),
+                        dropout_rate=dropout_rate)
+    return init_network(cfg, RngStream(4))
+
+
+SCORER_CASES = ([(hidden, n) for hidden in HIDDEN for n in BLOCK_SIZES]
+                + [("coat", n) for n in (300, SCORE_BLOCK, 2 * SCORE_BLOCK + 3)])
+
+
+def case_id(value):
+    return "x".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
 class TestScorerMatchesTrainingForward:
-    @pytest.mark.parametrize("hidden", HIDDEN)
-    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    """Scoring and training share one first layer and one layer stack, so they agree
+    bit for bit; an unfactored first layer in either differs in the last bits."""
+
+    @staticmethod
+    def net(hidden, dropout_rate):
+        if hidden == "coat":
+            return coat_shaped(dropout_rate)
+        return init_network(small_config(hidden_sizes=hidden, dropout_rate=dropout_rate),
+                            RngStream(4))
+
+    @pytest.mark.parametrize("hidden, n", SCORER_CASES, ids=case_id)
     def test_deterministic_equals_forward_cached(self, hidden, n):
-        net = init_network(small_config(hidden_sizes=hidden, dropout_rate=0.3), RngStream(4))
+        net = self.net(hidden, 0.3)
         pairs = random_pairs(net.config, n)
         want = forward_cached(net, pairs[:, 0], pairs[:, 1], ForwardMode.DETERMINISTIC).probs
-        np.testing.assert_allclose(forward_batch(net, pairs), want, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(forward_batch(net, pairs), want)
+
+    @pytest.mark.parametrize("hidden, n", [(h, n) for h, n in SCORER_CASES if n <= SCORE_BLOCK],
+                             ids=case_id)
+    def test_one_block_of_samples_equals_training_forward(self, hidden, n):
+        # Within one block the scorer draws its masks as the training forward does.
+        net = self.net(hidden, 0.4)
+        pairs = random_pairs(net.config, n)
+        stream, rng = RngStream(8), RngStream(8)
+        got = forward_batch(net, pairs, ForwardMode.STOCHASTIC_INFERENCE, stream)
+        want = forward_cached(net, pairs[:, 0], pairs[:, 1], ForwardMode.TRAIN_DROPOUT, rng).probs
+        np.testing.assert_array_equal(got, want)
+        assert stream.random() == rng.random()
 
     @pytest.mark.parametrize("hidden", HIDDEN)
     @pytest.mark.parametrize("n", BLOCK_SIZES)
@@ -487,6 +522,13 @@ class TestCheckpoint:
             save_checkpoint(net, path, seed=2)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["net.npz"]
+
+    def test_save_into_missing_directory_names_path(self, tmp_path):
+        # The error named the random temporary file, not the path asked for.
+        path = tmp_path / "missing" / "net.npz"
+        with pytest.raises(FileNotFoundError, match="^" + re.escape(f"{path}: ")):
+            save_checkpoint(init_network(small_config(), RngStream(1)), path)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("seed", ["x", 1.5, True])
     def test_seed_load_rejects_is_rejected_by_save(self, tmp_path, seed):
