@@ -208,12 +208,6 @@ BLOCK_SIZES = [0, 1, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, 2 * SCORE_BL
 HIDDEN = [(4,), (4, 3), (5, 4, 3)]
 
 
-def coat_shaped(dropout_rate):
-    cfg = NetworkConfig(n_users=290, n_items=300, embedding_dim=64, hidden_sizes=(64, 32),
-                        dropout_rate=dropout_rate)
-    return init_network(cfg, RngStream(4))
-
-
 SCORER_CASES = ([(hidden, n) for hidden in HIDDEN for n in BLOCK_SIZES]
                 + [("coat", n) for n in (300, SCORE_BLOCK, 2 * SCORE_BLOCK + 3)])
 
@@ -229,9 +223,11 @@ class TestScorerMatchesTrainingForward:
     @staticmethod
     def net(hidden, dropout_rate):
         if hidden == "coat":
-            return coat_shaped(dropout_rate)
-        return init_network(small_config(hidden_sizes=hidden, dropout_rate=dropout_rate),
-                            RngStream(4))
+            cfg = NetworkConfig(n_users=290, n_items=300, embedding_dim=64, hidden_sizes=(64, 32),
+                                dropout_rate=dropout_rate)
+        else:
+            cfg = small_config(hidden_sizes=hidden, dropout_rate=dropout_rate)
+        return init_network(cfg, RngStream(4))
 
     @pytest.mark.parametrize("hidden, n", SCORER_CASES, ids=case_id)
     def test_deterministic_equals_forward_cached(self, hidden, n):
