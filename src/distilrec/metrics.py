@@ -9,7 +9,7 @@ import numpy as np
 
 from .losses import _bce_terms, _check_labels, _check_unit_interval
 from .network import ForwardMode, Network, forward_batch
-from .data import Interaction, _first, pack
+from .data import Interaction, _check_columns, _first, pack
 
 __all__ = ["MetricsResult", "UndefinedMetricError", "auc", "bce_eval", "evaluate"]
 
@@ -26,13 +26,12 @@ class MetricsResult:
     n_neg: int
 
 
-def _checked(scores: Sequence[float], labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Equal-length 1-D float scores and 0/1 labels; names the first bad entry."""
+def _checked(owner: str, scores: Sequence[float],
+             labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``owner``'s 1-D float scores and 0/1 labels, of one length; names the first bad entry."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
-    if s.ndim != 1 or s.shape != y.shape:
-        raise ValueError(f"scores and labels must be equal-length 1-D sequences, "
-                         f"got shapes {s.shape} and {y.shape}")
+    _check_columns(owner, scores=s, labels=y)
     if (k := _first(np.isnan(s))) is not None:
         raise ValueError(f"score at index {k} is NaN")
     _check_labels(y)
@@ -45,7 +44,7 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     Pairwise definition with half credit for ties, computed via average
     ranks (Mann-Whitney) in O(n log n).  Requires both classes present.
     """
-    s, y = _checked(scores, labels)
+    s, y = _checked("auc", scores, labels)
     pos = y == 1
     n_pos = int(pos.sum())
     n_neg = int(y.size - n_pos)
@@ -61,7 +60,7 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
 
 def bce_eval(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Mean clamped binary cross-entropy of probabilities in [0, 1]."""
-    s, y = _checked(scores, labels)
+    s, y = _checked("bce_eval", scores, labels)
     if s.size == 0:
         raise ValueError("bce_eval requires a nonempty input")
     _check_unit_interval(s, "score")

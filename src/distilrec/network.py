@@ -157,7 +157,7 @@ def init_network(config: NetworkConfig, rng: RngStream) -> Network:
     uniform on +-sqrt(6 / (fan_in + fan_out)); embedding tables count
     their entity dimension as fan_in.  Deterministic given the stream.
     """
-    r = rng.split("init")
+    r = _member(rng, "rng", RngStream).split("init")
 
     def fan_uniform(fan_in: int, fan_out: int) -> np.ndarray:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -188,13 +188,13 @@ class ForwardCache:
 
 
 def _mask_scale(net: Network, mode: ForwardMode, rng: RngStream | None) -> float | None:
-    """1/(1-dropout_rate) if ``mode``, a ``ForwardMode``, draws dropout masks, else None."""
-    if (_member(mode, "mode", ForwardMode) is ForwardMode.DETERMINISTIC
-            or net.config.dropout_rate == 0.0):
-        return None
-    if rng is None:
-        raise ValueError(f"mode {mode} requires an rng stream")
-    return 1.0 / (1.0 - net.config.dropout_rate)
+    """1/(1-dropout_rate) if ``mode``, a ``ForwardMode``, draws dropout masks, else None;
+    ``rng`` must be an ``RngStream`` if masks are drawn or if it is given."""
+    draws = (_member(mode, "mode", ForwardMode) is not ForwardMode.DETERMINISTIC
+             and net.config.dropout_rate != 0.0)
+    if draws or rng is not None:
+        _member(rng, "rng", RngStream)
+    return 1.0 / (1.0 - net.config.dropout_rate) if draws else None
 
 
 def _layer_stack(net: Network, z0: np.ndarray, scale: float | None, rng: RngStream | None):
@@ -231,7 +231,7 @@ def forward_cached(
     drawn for every element and every hidden layer, scaled by
     1/(1-dropout_rate) so the expectation matches DETERMINISTIC output.
     Ids must be 1-D, of one length, and whole numbers on the config's grid; integer arrays
-    pass with a dtype test.
+    pass with a dtype test.  ``rng``, needed only to draw masks, must be an ``RngStream``.
     """
     users = _as_int64(users, "user id")
     items = _as_int64(items, "item id")
@@ -259,7 +259,9 @@ def backprop(net: Network, cache: ForwardCache, dlogits: np.ndarray) -> Network:
     evaluated.  Weight gradients sum over the rows by ``_row_sum_product``,
     the first layer's as its user and item halves stacked; only the two
     embedding tables are zero-filled, to scatter the rows' gradients into.
+    ``dlogits`` must be 1-D, one per row of the cache.
     """
+    _check_columns("backprop", users=cache.users, dlogits=dlogits)
     cfg = net.config
     n_hidden = len(cfg.hidden_sizes)
     weights, biases = [None] * (n_hidden + 1), [None] * (n_hidden + 1)

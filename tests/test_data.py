@@ -732,8 +732,9 @@ class TestUnobservedSampler:
     @pytest.mark.parametrize("observed_keys", [[0, 7, 8, 9, 19], []])
     def test_ranks_map_to_free_cells_in_key_order(self, observed_keys):
         # In a 4 x 5 grid: the first key, a run of adjacent keys and the last key.
-        arange_ranks = SimpleNamespace(generator=SimpleNamespace(
-            integers=lambda low, high, size: np.arange(low, high)))
+        arange_ranks = RngStream(0)
+        arange_ranks.generator = SimpleNamespace(
+            integers=lambda low, high, size: np.arange(low, high))
         keys = np.array(observed_keys, dtype=np.int64)
         sampler = UnobservedSampler(4, 5, np.column_stack(np.divmod(keys, 5)), arange_ranks)
         free = np.setdiff1d(np.arange(20), keys)

@@ -1,11 +1,13 @@
-"""The count, seed, real-number, choice and column rules, at every entry that takes such a value.
+"""The count, seed, real-number, choice, stream and column rules, at every entry that takes
+such a value.
 
 Each rule is written once, as ``data._count``, ``rng._check_seed``, ``data._real``,
-``data._member`` and ``data._check_columns``.  Every entry is fed the same bad values
-and must raise a ``ValueError`` that names its argument; none may truncate or coerce a
-value or take it without a word.
+``data._member`` (for enum choices and random streams alike) and ``data._check_columns``.
+Every entry is fed the same bad values and must raise a ``ValueError`` that names its
+argument; none may truncate or coerce a value or take it without a word.
 """
 
+import dataclasses
 import json
 import re
 
@@ -21,9 +23,11 @@ from distilrec.data import (
     partition_batches,
 )
 from distilrec.losses import ObservedBatch, RegLossKind, UnobservedBatch, loss_and_grads
+from distilrec.metrics import auc, bce_eval
 from distilrec.network import (
     ForwardMode,
     NetworkConfig,
+    backprop,
     forward_batch,
     forward_cached,
     init_network,
@@ -236,13 +240,21 @@ def test_by_source_of_none_rejected():
         synthetic()[1].by_source(None)
 
 
-# entry: (call with its parallel columns, their names)
+# A 2-row tape; backprop's entry puts the users it is fed in place of the tape's.
+CACHE = forward_cached(NET, [0, 1], [0, 1], ForwardMode.DETERMINISTIC)
+
+# entry: (call with its parallel columns, their names); the first is the length's reference.
 COLUMN_ENTRIES = {
     "ObservedBatch": (ObservedBatch, ("users", "items", "labels")),
     "UnobservedBatch": (UnobservedBatch, ("users", "items", "teacher_targets")),
     "forward_cached": (lambda users, items: forward_cached(NET, users, items,
                                                            ForwardMode.DETERMINISTIC),
                        ("users", "items")),
+    "auc": (auc, ("scores", "labels")),
+    "bce_eval": (bce_eval, ("scores", "labels")),
+    "backprop": (lambda users, dlogits: backprop(NET, dataclasses.replace(CACHE, users=users),
+                                                 dlogits),
+                 ("users", "dlogits")),
 }
 
 
@@ -252,8 +264,9 @@ COLUMN_ENTRIES = {
 def test_column_that_is_not_1d_rejected_naming_it(entry, column, shape):
     # Unchecked, (2, 1) ids failed inside np.concatenate and 0-d ids with an AxisError or
     # "len() of unsized object"; forward_cached scored (2, 1) ids and backprop then failed.
+    # auc and bce_eval had a shape rule of their own, and backprop failed inside matmul.
     call, names = COLUMN_ENTRIES[entry]
-    columns = {name: np.zeros(2, dtype=np.int64) for name in names}
+    columns = {name: np.arange(2) for name in names}   # both labels, so auc is defined
     call(**columns)
     columns[column] = np.zeros(shape, dtype=np.int64)
     message = f"{entry}: {column} has shape {shape}, not 1-D"
@@ -265,7 +278,58 @@ def test_column_that_is_not_1d_rejected_naming_it(entry, column, shape):
                                            in COLUMN_ENTRIES.items() for column in names[1:]])
 def test_column_of_another_length_rejected_naming_it(entry, column):
     call, names = COLUMN_ENTRIES[entry]
-    columns = {name: np.zeros(2, dtype=np.int64) for name in names}
+    columns = {name: np.arange(2) for name in names}
     columns[column] = np.zeros(3, dtype=np.int64)
-    with pytest.raises(ValueError, match="^" + re.escape(f"{entry}: 3 {column} for 2 users") + "$"):
+    message = f"{entry}: 3 {column} for 2 {names[0]}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         call(**columns)
+
+
+def test_backprop_of_too_few_dlogits_rejected():
+    # Unchecked, this failed inside the first matmul, naming no argument.
+    cache = forward_cached(NET, [0, 1, 2], [0, 1, 2], ForwardMode.DETERMINISTIC)
+    with pytest.raises(ValueError, match="^backprop: 2 dlogits for 3 users$"):
+        backprop(NET, cache, [1.0, 2.0])
+
+
+# entry: call with the stream; each draws from it, or keeps it to draw from later.
+STREAM_ENTRIES = {
+    "partition_batches": lambda r: partition_batches(ROWS, 2, r),
+    "UnobservedSampler": lambda r: UnobservedSampler(3, 4, [[0, 0]], r).sample(2),
+    "UnobservedSampler.from_dataset": lambda r: UnobservedSampler.from_dataset(
+        synthetic()[1], r).sample(2),
+    "init_network": lambda r: init_network(NetworkConfig(**CONFIG), r),
+    "forward_cached": lambda r: forward_cached(DROPOUT_NET, [0], [0], ForwardMode.TRAIN_DROPOUT,
+                                               r),
+    "forward_batch": lambda r: forward_batch(DROPOUT_NET, [[0, 0]],
+                                             ForwardMode.STOCHASTIC_INFERENCE, r),
+    "loss_and_grads": lambda r: loss_and_grads(DROPOUT_NET, OBSERVED,
+                                               mode=ForwardMode.TRAIN_DROPOUT, rng=r),
+}
+NOT_STREAMS = [7, "rng", np.random.default_rng(0), None]
+
+
+@pytest.mark.parametrize("entry", STREAM_ENTRIES)
+@pytest.mark.parametrize("value", NOT_STREAMS, ids=["int", "str", "Generator", "None"])
+def test_rng_that_is_not_a_stream_rejected(entry, value):
+    # Unchecked, partition_batches(rows, 2, 7) raised an AttributeError, the sampler took a
+    # numpy Generator and failed only at .sample, and the forwards and loss_and_grads drew
+    # masks from a Generator, outside the RngStream.random that perfbench times.
+    message = f"rng must be a RngStream, got {value!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        STREAM_ENTRIES[entry](value)
+    STREAM_ENTRIES[entry](RngStream(1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda r: forward_cached(NET, [0], [0], ForwardMode.DETERMINISTIC, r),
+    lambda r: forward_batch(DROPOUT_NET, [[0, 0]], ForwardMode.DETERMINISTIC, r),
+    lambda r: loss_and_grads(NET, OBSERVED, mode=ForwardMode.TRAIN_DROPOUT, rng=r),
+], ids=["forward_cached", "forward_batch", "loss_and_grads"])
+@pytest.mark.parametrize("value", NOT_STREAMS[:3], ids=["int", "str", "Generator"])
+def test_rng_given_where_no_mask_is_drawn_still_checked(call, value):
+    # No mask is drawn without dropout or in DETERMINISTIC mode, but a stream that is given
+    # goes through the same rule; None is then accepted.
+    with pytest.raises(ValueError, match="^rng must be a RngStream, got "):
+        call(value)
+    call(None)
