@@ -19,8 +19,9 @@ The native loaders parse each file with one ``np.loadtxt``.  Only a file
 it rejects, or one whose values fail a range check, is read again line by
 line, to name the first bad line as ``path:line``.
 
-Sizes, real numbers, enum choices and random streams enter the library by
-one rule each, written here: ``_count``, ``_real`` and ``_member``.
+Sizes, real numbers and typed arguments (enum choices, random streams,
+batches, specs, gradients) enter the library by one rule each, written
+here: ``_count``, ``_real`` and ``_member``.
 
 The module also builds synthetic ground-truth worlds with a known
 preference matrix; these serve as oracles for debiasing experiments.
@@ -178,11 +179,12 @@ def _real(value, name: str, low=-np.inf, high=np.inf, low_closed=False) -> float
     return real
 
 
-def _member(value, name: str, kind: type):
-    """The one choice rule: ``value`` if it is an instance of ``kind``, an enum or any other
-    class such as ``RngStream``; no string is coerced and no look-alike object passes."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+def _member(value, name: str, *kinds: type):
+    """The one choice rule: ``value`` if it is an instance of one of ``kinds``, enums or any
+    other classes such as ``RngStream``; no string is coerced and no look-alike object passes."""
+    if not isinstance(value, kinds):
+        raise ValueError(f"{name} must be a {' or '.join(k.__name__ for k in kinds)}, "
+                         f"got {value!r}")
     return value
 
 
@@ -469,7 +471,7 @@ def split_uniform(
     as possible (validation gets the odd element).  The three parts are
     disjoint and exhaustive, and each must be nonempty.
     """
-    n = len(uniform_data)
+    n, spec = len(uniform_data), _member(spec, "spec", SplitSpec)
     n_train = int(np.floor(spec.uniform_train_fraction * n))
     n_val = int(np.ceil((n - n_train) / 2))
     if 0 in (sizes := (n_train, n_val, n - n_train - n_val)):

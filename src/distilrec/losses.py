@@ -4,14 +4,18 @@
 gradient together: a binary-cross-entropy data term over the required
 ``ObservedBatch``, an L2 penalty on weights and embeddings and, for the
 student, a teacher-alignment term over an ``UnobservedBatch``.  That
-term is one of four discrepancies between the two predicted
-probabilities (MAE, MSE, KL with the teacher as reference distribution,
-or the symmetric Jeffreys divergence), each written once in
-``_reg_terms`` with its derivative in the student's logit.  One forward
-pass scores both batches, so dropout masks are shared by value and
-gradient, and one backward pass yields the whole gradient.  The teacher
-calls it without the unobserved batch, on uniform-source data only;
-its predictions enter the student's call only as constant targets.
+term is one of two discrepancies between the two predicted
+probabilities, each written once in ``_reg_terms`` with its derivative in
+the student's logit.  On the coat-rounds grid (perfbench's recipe with 8
+dropout-TS rounds, gamma in {0.25, 0.5, 1, 2}, seeds 1-10, truth AUC):
+
+- KL, perfbench's at gamma = 1: +0.111 over gamma = 0 before the rounds, +0.023 after;
+- MSE at gamma = 2: +0.039 over KL at gamma = 1 after the rounds, at 10 of 10 seeds.
+
+One forward pass scores both batches, so dropout masks are shared by
+value and gradient, and one backward pass yields the whole gradient.  The
+teacher calls it without the unobserved batch, on uniform-source data
+only; its predictions enter the student's call only as constant targets.
 Probabilities are clamped into [CLAMP_EPS, 1 - CLAMP_EPS] before any
 logarithm.
 """
@@ -55,10 +59,10 @@ class NonFiniteLossError(ArithmeticError):
 
 
 class RegLossKind(Enum):
-    MAE = "mae"
-    MSE = "mse"
-    KL = "kl"
-    JEFFREYS = "jeffreys"
+    """The distillation discrepancy; truth AUC on the coat-rounds gamma grid, seeds 1-10."""
+
+    MSE = "mse"   # at gamma = 2: +0.039 over KL at 1 after 8 rounds, ahead of KL at every gamma
+    KL = "kl"     # perfbench's, at gamma = 1: +0.111 over gamma = 0 before the rounds, +0.023 after
 
 
 def _bce_terms(p_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -76,25 +80,20 @@ def _reg_terms(kind: RegLossKind, t: np.ndarray, s: np.ndarray) -> tuple[np.ndar
     """Per-pair discrepancy of student ``s`` from teacher ``t`` and its logit gradient.
 
     The gradient is the derivative in the student's logit, zero where
-    ``s`` is clamped.  KL uses the teacher as the reference distribution;
-    Jeffreys is the symmetrized sum of both directions.  Always finite
-    after clamping, nonnegative, and zero exactly when the clamped inputs
-    coincide.
+    ``s`` is clamped.
+    MSE: ``(t - s)**2``, whose logit gradient has no kink where ``s`` meets ``t``.
+    KL, the teacher as reference distribution: logit gradient ``s - t``, as BCE's.
+    Always finite after clamping, nonnegative, and zero exactly when the
+    clamped inputs coincide.
     """
     inside = (s > CLAMP_EPS) & (s < 1.0 - CLAMP_EPS)
     t, s = _clamp(t), _clamp(s)
-    ds = s * (1.0 - s)   # d s / d logit
-    if kind is RegLossKind.MAE:
-        value, dlogit = np.abs(t - s), np.sign(s - t) * ds
-    elif kind is RegLossKind.MSE:
+    if kind is RegLossKind.MSE:
+        ds = s * (1.0 - s)   # d s / d logit
         value, dlogit = np.square(t - s), 2.0 * (s - t) * ds
     else:
         lt, ls, l1t, l1s = np.log(t), np.log(s), np.log1p(-t), np.log1p(-s)
         value, dlogit = t * (lt - ls) + (1.0 - t) * (l1t - l1s), s - t
-        if kind is RegLossKind.JEFFREYS:
-            # kl_ts + kl_st, each direction summed alone so that swapping t and s is exact.
-            value = value + (s * (ls - lt) + (1.0 - s) * (l1s - l1t))
-            dlogit = dlogit + (ls - l1s - lt + l1t) * ds
     return value, np.where(inside, dlogit, 0.0)
 
 
@@ -172,14 +171,17 @@ def loss_and_grads(
     draws TRAIN_DROPOUT masks once; one backward pass takes the
     logit gradients ``p - y`` of the BCE slice and ``_reg_terms``' of the
     distillation slice.  Raises NonFiniteLossError if any term degenerates.
+    ``reg_kind`` stays a parameter, defaulting to KL, because perfbench
+    passes it.
     """
-    if observed is None or len(observed.users) == 0:
+    if observed is None or len(_member(observed, "observed", ObservedBatch).users) == 0:
         raise ValueError("loss_and_grads requires a nonempty observed batch")
     gamma_reg = _real(gamma_reg, "gamma_reg", 0.0, low_closed=True)
     l2_coeff = _real(l2_coeff, "l2_coeff", 0.0, low_closed=True)
     _member(reg_kind, "reg_kind", RegLossKind)
     if unobserved is None:
         unobserved = UnobservedBatch(*[np.empty(0, dtype=np.int64)] * 3)
+    _member(unobserved, "unobserved", UnobservedBatch)
     n, m = len(observed.users), len(unobserved.users)
     cache = forward_cached(net, np.concatenate([observed.users, unobserved.users]),
                            np.concatenate([observed.items, unobserved.items]), mode, rng)

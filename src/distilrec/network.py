@@ -34,7 +34,6 @@ layer by layer.  Only the probabilities outlive a block.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 import zipfile
@@ -52,7 +51,6 @@ __all__ = [
     "Network",
     "init_network",
     "forward_batch",
-    "param_count",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -81,7 +79,8 @@ class NetworkConfig:
         for name in ("n_users", "n_items", "embedding_dim"):
             object.__setattr__(self, name, _count(getattr(self, name), name))
         object.__setattr__(self, "hidden_sizes", tuple(
-            _count(h, f"hidden_sizes[{k}]") for k, h in enumerate(self.hidden_sizes)))
+            _count(h, f"hidden_sizes[{k}]")
+            for k, h in enumerate(_member(self.hidden_sizes, "hidden_sizes", tuple, list))))
         if not 1 <= len(self.hidden_sizes) <= 3:
             raise ValueError("hidden_sizes must contain 1 to 3 layers")
         object.__setattr__(self, "dropout_rate",
@@ -166,12 +165,6 @@ def init_network(config: NetworkConfig, rng: RngStream) -> Network:
     arrays = [fan_uniform(*shape) if len(shape) == 2 else np.zeros(shape)
               for _, shape in config.param_shapes()]
     return Network.from_arrays(config, arrays)
-
-
-def param_count(net_or_config: Network | NetworkConfig) -> int:
-    """Exact number of trainable scalar parameters."""
-    cfg = net_or_config.config if isinstance(net_or_config, Network) else net_or_config
-    return sum(math.prod(shape) for _, shape in cfg.param_shapes())
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _count, _real
+from .data import _count, _member, _real
 from .network import Network
 
 __all__ = ["OptimizerState", "make_optimizer", "apply_update"]
@@ -53,7 +53,7 @@ def apply_update(opt: OptimizerState, net: Network, grads: Network) -> None:
     parameter non-finite raises ``FloatingPointError`` after it is applied:
     the parameters, the moments and ``opt.step`` keep their new values.
     """
-    if grads.config != net.config:
+    if _member(grads, "grads", Network).config != net.config:
         raise ValueError(f"gradient config {grads.config} differs from the network's "
                          f"{net.config}; shapes and dropout_rate must match")
     if opt.moments is not None and [m.config for m in opt.moments] != [net.config] * 2:

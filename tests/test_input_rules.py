@@ -2,7 +2,8 @@
 such a value.
 
 Each rule is written once, as ``data._count``, ``rng._check_seed``, ``data._real``,
-``data._member`` (for enum choices and random streams alike) and ``data._check_columns``.
+``data._member`` (for enum choices, random streams and every other typed argument) and
+``data._check_columns``.
 Every entry is fed the same bad values and must raise a ``ValueError`` that names its
 argument; none may truncate or coerce a value or take it without a word.
 """
@@ -21,6 +22,7 @@ from distilrec.data import (
     UnobservedSampler,
     generate_synthetic,
     partition_batches,
+    split_uniform,
 )
 from distilrec.losses import ObservedBatch, RegLossKind, UnobservedBatch, loss_and_grads
 from distilrec.metrics import auc, bce_eval
@@ -34,7 +36,7 @@ from distilrec.network import (
     load_checkpoint,
     save_checkpoint,
 )
-from distilrec.optim import OptimizerState, make_optimizer
+from distilrec.optim import OptimizerState, apply_update, make_optimizer
 from distilrec.rng import RngStream
 
 from oracles import interaction
@@ -209,30 +211,52 @@ def test_float32_dropout_rate_round_trips_through_checkpoint(tmp_path):
     assert hash(loaded.config) == hash(net.config)
 
 
-# entry: (call with the value, the argument's name, its enum, the value of a member)
+def update(grads):
+    net = init_network(NetworkConfig(**CONFIG), RngStream(1))
+    apply_update(make_optimizer(net), net, grads)
+
+
+# entry: (call with the value, the argument's name, the class or classes it takes, values
+# that are not one, a value that is)
 CHOICE_ENTRIES = {
     "forward_batch.mode": (lambda v: forward_batch(DROPOUT_NET, [[0, 0]], v, RngStream(1)),
-                           "mode", ForwardMode, "deterministic"),
+                           "mode", "ForwardMode", ["deterministic"], ForwardMode.DETERMINISTIC),
     "forward_cached.mode": (lambda v: forward_cached(DROPOUT_NET, [0], [0], v, RngStream(1)),
-                            "mode", ForwardMode, "deterministic"),
+                            "mode", "ForwardMode", ["deterministic"], ForwardMode.DETERMINISTIC),
     "loss_and_grads.mode": (lambda v: loss_and_grads(DROPOUT_NET, OBSERVED, mode=v,
                                                      rng=RngStream(1)),
-                            "mode", ForwardMode, "deterministic"),
-    "loss_and_grads.reg_kind": (lambda v: objective(reg_kind=v), "reg_kind", RegLossKind,
-                                "jeffreys"),
+                            "mode", "ForwardMode", ["deterministic"], ForwardMode.DETERMINISTIC),
+    "loss_and_grads.reg_kind": (lambda v: objective(reg_kind=v), "reg_kind", "RegLossKind",
+                                ["kl"], RegLossKind.KL),
     # Unchecked, by_source("uniform") and by_source(None) returned [].
-    "Dataset.by_source": (lambda v: synthetic()[1].by_source(v), "source", Source, "uniform"),
+    "Dataset.by_source": (lambda v: synthetic()[1].by_source(v), "source", "Source",
+                          ["uniform"], Source.UNIFORM),
+    # Unchecked, 64 raised "TypeError: 'int' object is not iterable", and "64" failed on
+    # its first character as hidden_sizes[0]. A list is what a checkpoint's JSON config holds.
+    "NetworkConfig.hidden_sizes": (lambda v: NetworkConfig(**{**CONFIG, "hidden_sizes": v}),
+                                   "hidden_sizes", "tuple or list", [64, "64"], [4, 2]),
+    # Unchecked, each of these raised an AttributeError.
+    "split_uniform.spec": (lambda v: split_uniform(ROWS, v), "spec", "SplitSpec", [0.2],
+                           SplitSpec(0.2, 1)),
+    "loss_and_grads.observed": (lambda v: loss_and_grads(NET, v), "observed", "ObservedBatch",
+                                [tuple(vars(OBSERVED).values())], OBSERVED),
+    "loss_and_grads.unobserved": (lambda v: loss_and_grads(NET, OBSERVED, v), "unobserved",
+                                  "UnobservedBatch", [tuple(vars(UNOBSERVED).values())],
+                                  UNOBSERVED),
+    "apply_update.grads": (update, "grads", "Network", [None], NET.zeros_like()),
 }
 
 
 @pytest.mark.parametrize("entry", CHOICE_ENTRIES)
 def test_choice_that_is_not_a_member_rejected(entry):
-    # Unchecked, mode="deterministic" drew dropout masks, and reg_kind="jeffreys" gave KL.
-    call, name, enum, value = CHOICE_ENTRIES[entry]
-    message = f"{name} must be a {enum.__name__}, got {value!r}"
-    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-        call(value)
-    call(enum(value))
+    # Unchecked, mode="deterministic" drew dropout masks, and any reg_kind string, "mse"
+    # too, gave KL.
+    call, name, kinds, wrong, right = CHOICE_ENTRIES[entry]
+    for value in wrong:
+        message = f"{name} must be a {kinds}, got {value!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            call(value)
+    call(right)
 
 
 def test_by_source_of_none_rejected():

@@ -42,9 +42,7 @@ def closed_form(kind, t, s):
     t = np.clip(t, CLAMP_EPS, 1.0 - CLAMP_EPS)
     s = np.clip(s, CLAMP_EPS, 1.0 - CLAMP_EPS)
     kl_ts = t * (np.log(t) - np.log(s)) + (1.0 - t) * (np.log1p(-t) - np.log1p(-s))
-    kl_st = s * (np.log(s) - np.log(t)) + (1.0 - s) * (np.log1p(-s) - np.log1p(-t))
-    return {RegLossKind.MAE: np.abs(t - s), RegLossKind.MSE: np.square(t - s),
-            RegLossKind.KL: kl_ts, RegLossKind.JEFFREYS: kl_ts + kl_st}[kind]
+    return {RegLossKind.MSE: np.square(t - s), RegLossKind.KL: kl_ts}[kind]
 
 
 class TestBce:
@@ -95,12 +93,6 @@ class TestRegLoss:
         assert reg_one(RegLossKind.KL, 0.9, 0.5) == pytest.approx(KL_09_05, abs=1e-12)
         assert KL_09_05 == pytest.approx(0.368064, abs=5e-7)
 
-    def test_jeffreys_symmetry(self):
-        gen = np.random.default_rng(7)
-        for _ in range(200):
-            t, s = gen.uniform(0.01, 0.99, size=2)
-            assert reg_one(RegLossKind.JEFFREYS, t, s) == reg_one(RegLossKind.JEFFREYS, s, t)
-
     def test_kl_nonnegative(self):
         gen = np.random.default_rng(8)
         t = gen.uniform(0, 1, size=5000)
@@ -111,16 +103,6 @@ class TestRegLoss:
         # Unclamped KL(1, s -> 0) diverges; the clamp keeps it finite.
         v = reg_one(RegLossKind.KL, 1.0, 0.0)
         assert np.isfinite(v)
-        v = reg_one(RegLossKind.JEFFREYS, 1.0, 0.0)
-        assert np.isfinite(v)
-
-    def test_mse_below_mae_for_probability_gaps(self):
-        gen = np.random.default_rng(9)
-        t = gen.uniform(0, 1, size=2000)
-        s = gen.uniform(0, 1, size=2000)
-        mse, _ = _reg_terms(RegLossKind.MSE, t, s)
-        mae, _ = _reg_terms(RegLossKind.MAE, t, s)
-        assert np.all(mse <= mae + 1e-15)
 
     @pytest.mark.parametrize("kind", list(RegLossKind))
     def test_values_equal_closed_forms_bit_for_bit(self, kind):
@@ -131,7 +113,6 @@ class TestRegLoss:
 
     @pytest.mark.parametrize("kind", list(RegLossKind))
     def test_dlogit_matches_central_difference_in_logit(self, kind):
-        # Teacher and student at least 0.1 apart, so MAE stays off its kink.
         gen = np.random.default_rng(12)
         t = np.concatenate([gen.uniform(0.05, 0.45, size=200), gen.uniform(0.55, 0.95, size=200)])
         s = np.concatenate([gen.uniform(0.55, 0.95, size=200), gen.uniform(0.05, 0.45, size=200)])
@@ -252,7 +233,7 @@ class TestStudentLoss:
         net = zero_net()
         bd, _ = loss_and_grads(
             net, observed(interaction(0, 0, 1, Source.BIASED)), unobserved([(0, 1), (1, 0)], [0.5, 0.5]),
-            gamma_reg=5.0, reg_kind=RegLossKind.JEFFREYS, l2_coeff=0.0,
+            gamma_reg=5.0, reg_kind=RegLossKind.MSE, l2_coeff=0.0,
         )
         assert bd.distill_term == pytest.approx(0.0, abs=1e-12)
 

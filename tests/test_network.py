@@ -16,7 +16,6 @@ from distilrec.network import (
     forward_cached,
     init_network,
     load_checkpoint,
-    param_count,
     save_checkpoint,
 )
 from distilrec.rng import RngStream
@@ -104,24 +103,6 @@ class TestInit:
         with pytest.raises(ValueError, match=r"biases\[1\] has dtype int64; float64 expected"):
             Network(net.config, net.user_emb, net.item_emb, net.weights,
                     [net.biases[0], net.biases[1].astype(np.int64), net.biases[2]])
-
-
-class TestParamCount:
-    def test_shape_arithmetic_example(self):
-        # 290*10 + 300*10 + (20*32 + 32) + (32*1 + 1)
-        cfg = NetworkConfig(290, 300, 10, (32,))
-        assert param_count(cfg) == 290 * 10 + 300 * 10 + (20 * 32 + 32) + (32 + 1)
-        assert param_count(cfg) == 6605
-
-    def test_minimal_example(self):
-        cfg = NetworkConfig(1, 1, 1, (1,))
-        assert param_count(cfg) == 1 + 1 + (2 * 1 + 1) + (1 + 1)
-        assert param_count(cfg) == 7
-
-    def test_counts_match_actual_arrays(self):
-        cfg = small_config(hidden_sizes=(4, 3))
-        net = init_network(cfg, RngStream(0))
-        assert param_count(net) == sum(a.size for a in net.param_arrays())
 
 
 class TestForward:

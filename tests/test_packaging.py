@@ -38,7 +38,8 @@ def test_names_without_caller_stay_deleted():
             "write_canonical_tsv", "positive_ratio", "exposure_weights", "clone",
             "uniform", "integers", "permutation", "_is_observed", "binarize", "interaction",
             "_reg_grad_wrt_student", "_whole_file_fields", "_parse_triples", "_parse_matrix",
-            "FIELD_DIGITS", "observed_pairs", "_shapes_match", "_check_ids", "_whole"}
+            "FIELD_DIGITS", "observed_pairs", "_shapes_match", "_check_ids", "_whole",
+            "param_count", "MAE", "JEFFREYS"}
     modules = [importlib.import_module(f"distilrec.{info.name}")
                for info in pkgutil.iter_modules(distilrec.__path__)]
     classes = [obj for m in modules for obj in vars(m).values()
