@@ -129,6 +129,58 @@ class TestRegLoss:
         assert np.all(np.isfinite(values))
         np.testing.assert_array_equal(dlogit, 0.0)
 
+    def test_mse_symmetric(self):
+        gen = np.random.default_rng(7)
+        for _ in range(200):
+            t, s = gen.uniform(0.01, 0.99, size=2)
+            assert reg_one(RegLossKind.MSE, t, s) == reg_one(RegLossKind.MSE, s, t)
+
+    def test_mse_at_most_half_kl(self):
+        # Pinsker's inequality for two Bernoullis: KL(t || s) >= 2 (t - s)**2.
+        gen = np.random.default_rng(9)
+        t = gen.uniform(0, 1, size=2000)
+        s = gen.uniform(0, 1, size=2000)
+        mse, _ = _reg_terms(RegLossKind.MSE, t, s)
+        kl, _ = _reg_terms(RegLossKind.KL, t, s)
+        assert np.all(mse <= kl / 2.0 + 1e-15)
+
+    def test_mse_dlogit_at_most_half_kl_dlogit(self):
+        # 2 (s - t) s (1 - s) against s - t, with s (1 - s) <= 1/4: MSE pulls more softly.
+        gen = np.random.default_rng(14)
+        t = gen.uniform(0, 1, size=2000)
+        s = gen.uniform(0, 1, size=2000)
+        _, mse = _reg_terms(RegLossKind.MSE, t, s)
+        _, kl = _reg_terms(RegLossKind.KL, t, s)
+        assert np.all(np.sign(mse) == np.sign(kl))
+        assert np.all(np.abs(mse) <= np.abs(kl) / 2.0 + 1e-15)
+
+    def test_mse_dlogit_has_no_kink_where_student_meets_teacher(self):
+        # Zero at s = t, with slope 2 t (1 - t) in s on both sides.
+        t = np.linspace(0.1, 0.9, 9)
+        _, at = _reg_terms(RegLossKind.MSE, t, t)
+        np.testing.assert_array_equal(at, 0.0)
+        for delta in (1e-6, -1e-6):
+            _, near = _reg_terms(RegLossKind.MSE, t, t + delta)
+            np.testing.assert_allclose(near / delta, 2.0 * t * (1.0 - t), rtol=1e-5)
+
+    def test_kl_is_mse_over_twice_bernoulli_variance_for_small_gaps(self):
+        # Second order in s - t: KL(t || s) = (t - s)**2 / (2 t (1 - t)) + O(|t - s|**3).
+        t = np.linspace(0.1, 0.9, 9)
+        s = t + 1e-4
+        mse, _ = _reg_terms(RegLossKind.MSE, t, s)
+        kl, _ = _reg_terms(RegLossKind.KL, t, s)
+        np.testing.assert_allclose(kl, mse / (2.0 * t * (1.0 - t)), rtol=5e-3)
+
+    def test_kl_from_a_hard_teacher_is_bce_up_to_the_clamp(self):
+        # With t in {0, 1} the teacher's entropy vanishes but for the clamp, so
+        # KL(t || s) is the data term's BCE of s against the label t.
+        gen = np.random.default_rng(15)
+        s = gen.uniform(0.01, 0.99, size=500)
+        for label in (0, 1):
+            kl, _ = _reg_terms(RegLossKind.KL, np.full(s.size, float(label)), s)
+            bce = [bce_eval([v], [label]) for v in s]
+            np.testing.assert_allclose(kl, bce, rtol=0.0, atol=1e-5)
+
     def test_kl_dlogit_is_student_minus_teacher(self):
         # The same form as the BCE slice's p - y, bit for bit.
         gen = np.random.default_rng(13)
@@ -236,6 +288,30 @@ class TestStudentLoss:
             gamma_reg=5.0, reg_kind=RegLossKind.MSE, l2_coeff=0.0,
         )
         assert bd.distill_term == pytest.approx(0.0, abs=1e-12)
+
+    def test_mse_closed_form_sum(self):
+        # Observed (p=0.5, y=1) and two unobserved pairs with (0.9 - 0.5)**2 and (0.2 - 0.5)**2.
+        net = zero_net()
+        bd, _ = loss_and_grads(
+            net,
+            observed(interaction(0, 0, 5, Source.BIASED)),
+            unobserved([(0, 1), (1, 0)], [0.9, 0.2]),
+            gamma_reg=2.0,
+            reg_kind=RegLossKind.MSE,
+            l2_coeff=0.0,
+        )
+        assert bd.distill_term == pytest.approx((0.16 + 0.09) / 2, abs=1e-12)
+        assert bd.total == pytest.approx(LN2 + 0.25, abs=1e-12)
+
+    def test_reg_kind_defaults_to_kl(self):
+        net = init_network(NetworkConfig(3, 3, 2, (3,)), RngStream(5))
+        obs = observed(interaction(0, 0, 5, Source.BIASED), interaction(1, 2, 3, Source.BIASED))
+        unobs = unobserved([(1, 1), (2, 0)], [0.25, 0.75])
+        bd, grads = loss_and_grads(net, obs, unobs, gamma_reg=0.5)
+        bd_kl, grads_kl = loss_and_grads(net, obs, unobs, gamma_reg=0.5, reg_kind=RegLossKind.KL)
+        assert bd == bd_kl
+        for a, b in zip(grads.param_arrays(), grads_kl.param_arrays()):
+            np.testing.assert_array_equal(a, b)
 
     def test_target_length_mismatch(self):
         with pytest.raises(ValueError, match="UnobservedBatch: 1 teacher_targets for 2 users"):

@@ -64,6 +64,42 @@ class TestConfigValidation:
                                              *cfg.hidden_sizes))
 
 
+    def test_positional_whole_number_as_hidden_sizes_rejected_by_name(self):
+        # Unchecked, this raised "TypeError: 'int' object is not iterable".
+        with pytest.raises(ValueError, match=r"^hidden_sizes must be a tuple or list, got 64$"):
+            NetworkConfig(5, 6, 3, 64)
+
+    def test_list_hidden_sizes_equal_tuple(self):
+        # A checkpoint's JSON config holds hidden_sizes as a list.
+        from_list, from_tuple = small_config(hidden_sizes=[4, 3]), small_config(hidden_sizes=(4, 3))
+        assert from_list.hidden_sizes == (4, 3)
+        assert from_list == from_tuple
+        assert hash(from_list) == hash(from_tuple)
+
+
+class TestParamShapes:
+    def test_shape_arithmetic_example(self):
+        # 290*10 + 300*10 + (20*32 + 32) + (32*1 + 1)
+        cfg = NetworkConfig(290, 300, 10, (32,))
+        assert [shape for _, shape in cfg.param_shapes()] == [
+            (290, 10), (300, 10), (20, 32), (32,), (32, 1), (1,)]
+        assert sum(np.prod(shape) for _, shape in cfg.param_shapes()) == 6605
+
+    def test_minimal_example(self):
+        cfg = NetworkConfig(1, 1, 1, (1,))
+        assert [shape for _, shape in cfg.param_shapes()] == [(1, 1), (1, 1), (2, 1), (1,),
+                                                               (1, 1), (1,)]
+        assert sum(np.prod(shape) for _, shape in cfg.param_shapes()) == 7
+
+    def test_shapes_match_actual_arrays(self):
+        cfg = small_config(hidden_sizes=(4, 3))
+        net = init_network(cfg, RngStream(0))
+        assert [name for name, _ in cfg.param_shapes()] == [
+            "user_emb", "item_emb", "weights[0]", "biases[0]", "weights[1]", "biases[1]",
+            "weights[2]", "biases[2]"]
+        assert [shape for _, shape in cfg.param_shapes()] == [a.shape for a in net.param_arrays()]
+
+
 class TestInit:
     def test_same_seed_bit_identical(self):
         cfg = small_config()
