@@ -19,9 +19,12 @@ The native loaders parse each file with one ``np.loadtxt``.  Only a file
 it rejects, or one whose values fail a range check, is read again line by
 line, to name the first bad line as ``path:line``.
 
-Sizes, real numbers and typed arguments (enum choices, random streams,
-batches, specs, gradients) enter the library by one rule each, written
-here: ``_count``, ``_real`` and ``_member``.
+Real numbers and typed arguments (enum choices, random streams, batches,
+specs, networks, gradients) enter the library by one rule each, written
+here: ``_real`` and ``_member``.  Sizes enter by ``_count`` and its
+whole-number test ``_is_whole``, written in ``rng`` beside the seed rule
+and imported here: ``RngStream.choice`` takes its counts by them too, and
+``data`` imports ``rng``, not the reverse.
 
 The module also builds synthetic ground-truth worlds with a known
 preference matrix; these serve as oracles for debiasing experiments.
@@ -43,7 +46,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .rng import RngStream, _check_seed
+from .rng import RngStream, _check_seed, _count, _is_whole
 
 __all__ = [
     "Source",
@@ -148,20 +151,6 @@ def _first(mask: np.ndarray) -> int | None:
 
 def _column(interactions: Sequence[Interaction], name: str, dtype=np.int64) -> np.ndarray:
     return np.fromiter(map(attrgetter(name), interactions), dtype=dtype, count=len(interactions))
-
-
-def _is_whole(v) -> bool:
-    """The one whole-number test: a real number within int64 with no fractional part."""
-    return isinstance(v, numbers.Real) and -2**63 <= v < 2**63 and v % 1 == 0
-
-
-def _count(value, name: str, low: int = 1) -> int:
-    """The one count rule: ``value`` as an int if it is a whole number >= ``low``; 64.0 passes."""
-    if isinstance(value, bool) or not _is_whole(value):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value!r}")
-    return int(value)
 
 
 def _real(value, name: str, low=-np.inf, high=np.inf, low_closed=False) -> float:
@@ -293,9 +282,10 @@ class Dataset:
         return [inter for inter in self.interactions if inter.source is source]
 
 
-# Bound once, here: the producers build through the class defined above,
-# whatever the module's ``Dataset`` name is later made to refer to.
-_dataset_of_columns = Dataset._from_columns
+# Bound once, here: the producers build through, and ``UnobservedSampler.from_dataset``
+# tests against, the class defined above, whatever the module's ``Dataset`` name is later
+# made to refer to.
+_Dataset = Dataset
 
 
 def pack(interactions: Sequence[Interaction]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -393,7 +383,7 @@ def load_yahoo(biased_path, uniform_path) -> Dataset:
     item_ids, items = np.unique(triples[:, 1], return_inverse=True)
     ratings = triples[:, 2]
     nb = len(biased)
-    return _dataset_of_columns(user_ids.size, item_ids.size,
+    return _Dataset._from_columns(user_ids.size, item_ids.size,
                                [(users[:nb], items[:nb], ratings[:nb], Source.BIASED),
                                 (users[nb:], items[nb:], ratings[nb:], Source.UNIFORM)])
 
@@ -441,7 +431,7 @@ def load_coat(train_matrix_path, test_matrix_path) -> Dataset:
     for matrix, src in ((biased_m, Source.BIASED), (uniform_m, Source.UNIFORM)):
         us, its = np.nonzero(matrix)
         groups.append((us, its, matrix[us, its], src))
-    return _dataset_of_columns(n_users, n_items, groups)
+    return _Dataset._from_columns(n_users, n_items, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +509,8 @@ class UnobservedSampler:
 
     @classmethod
     def from_dataset(cls, dataset: Dataset, rng: RngStream) -> "UnobservedSampler":
-        pairs = np.column_stack([_column(dataset.interactions, name) for name in ("user", "item")])
+        rows = _member(dataset, "dataset", _Dataset).interactions
+        pairs = np.column_stack([_column(rows, name) for name in ("user", "item")])
         return cls(dataset.n_users, dataset.n_items, pairs, rng)
 
     def sample(self, n: int) -> np.ndarray:
@@ -644,4 +635,4 @@ def generate_synthetic(
         labels = label_rng.random(cells.size) < prob[us, its]
         ratings = np.where(labels, 5, label_rng.integers(1, 5, size=cells.size))
         groups.append((us, its, ratings, src))
-    return world, _dataset_of_columns(n_users, n_items, groups)
+    return world, _Dataset._from_columns(n_users, n_items, groups)

@@ -12,12 +12,19 @@ dropout-TS rounds, gamma in {0.25, 0.5, 1, 2}, seeds 1-10, truth AUC):
 - KL, perfbench's at gamma = 1: +0.111 over gamma = 0 before the rounds, +0.023 after;
 - MSE at gamma = 2: +0.039 over KL at gamma = 1 after the rounds, at 10 of 10 seeds.
 
-One forward pass scores both batches, so dropout masks are shared by
-value and gradient, and one backward pass yields the whole gradient.  The
-teacher calls it without the unobserved batch, on uniform-source data
-only; its predictions enter the student's call only as constant targets.
-Probabilities are clamped into [CLAMP_EPS, 1 - CLAMP_EPS] before any
-logarithm.
+The distillation term takes unobserved rows exactly when ``gamma_reg > 0``:
+the teacher calls ``loss_and_grads`` at gamma = 0 with no unobserved batch
+(or an empty one), on uniform-source data only, and the student at
+gamma > 0 with a nonempty one, whose targets are the teacher's predictions,
+held constant.  Any other pairing is a ``ValueError``.  One forward pass
+scores both batches, so dropout masks are shared by value and gradient,
+and one backward pass yields the whole gradient.
+
+One clamp rule serves both terms: probabilities are clamped into
+[CLAMP_EPS, 1 - CLAMP_EPS] before any logarithm, and the clamp drops no
+gradient.  BCE's logit gradient ``p - y`` pulls an observed row back from
+the clamp, and the distillation gradient, taken at the clamped student,
+pulls an unobserved one back toward the teacher.
 """
 
 from __future__ import annotations
@@ -79,14 +86,15 @@ def l2_reg(net: Network) -> float:
 def _reg_terms(kind: RegLossKind, t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair discrepancy of student ``s`` from teacher ``t`` and its logit gradient.
 
-    The gradient is the derivative in the student's logit, zero where
-    ``s`` is clamped.
+    Both are taken at the clamped ``t`` and ``s``: the gradient is the
+    derivative in the student's logit there, nonzero wherever the clamped
+    inputs differ, so a student clamped at either end is still pulled
+    toward the teacher, as BCE's ``p - y`` pulls an observed row.
     MSE: ``(t - s)**2``, whose logit gradient has no kink where ``s`` meets ``t``.
     KL, the teacher as reference distribution: logit gradient ``s - t``, as BCE's.
-    Always finite after clamping, nonnegative, and zero exactly when the
-    clamped inputs coincide.
+    Always finite, nonnegative, and zero exactly when the clamped inputs
+    coincide.
     """
-    inside = (s > CLAMP_EPS) & (s < 1.0 - CLAMP_EPS)
     t, s = _clamp(t), _clamp(s)
     if kind is RegLossKind.MSE:
         ds = s * (1.0 - s)   # d s / d logit
@@ -94,7 +102,7 @@ def _reg_terms(kind: RegLossKind, t: np.ndarray, s: np.ndarray) -> tuple[np.ndar
     else:
         lt, ls, l1t, l1s = np.log(t), np.log(s), np.log1p(-t), np.log1p(-s)
         value, dlogit = t * (lt - ls) + (1.0 - t) * (l1t - l1s), s - t
-    return value, np.where(inside, dlogit, 0.0)
+    return value, dlogit
 
 
 @dataclass(frozen=True)
@@ -163,16 +171,18 @@ def loss_and_grads(
 ) -> tuple[LossBreakdown, Network]:
     """Composite objective value and its gradient w.r.t. ``net``.
 
-    The observed batch is required and nonempty; a missing unobserved
-    batch (the teacher's call) adds no rows and a zero distillation term.
-    ``gamma_reg`` and ``l2_coeff`` must be finite reals >= 0, ``reg_kind`` a
-    ``RegLossKind`` and ``mode`` a ``ForwardMode``.  One forward pass scores
-    all rows, observed first (so an id error's row counts them first), and
-    draws TRAIN_DROPOUT masks once; one backward pass takes the
-    logit gradients ``p - y`` of the BCE slice and ``_reg_terms``' of the
-    distillation slice.  Raises NonFiniteLossError if any term degenerates.
-    ``reg_kind`` stays a parameter, defaulting to KL, because perfbench
-    passes it.
+    The observed batch is required and nonempty.  The unobserved batch has
+    rows exactly when ``gamma_reg > 0``, the student's call; at
+    ``gamma_reg = 0``, the teacher's call, it is None or empty and the
+    distillation term is 0.  Any other pairing raises a ``ValueError`` naming
+    ``gamma_reg``, before the forward.  ``gamma_reg`` and ``l2_coeff`` must be
+    finite reals >= 0 and ``reg_kind`` a ``RegLossKind``; ``forward_cached``
+    checks ``net``, ``mode`` and ``rng``.  One forward pass scores all rows, observed first (so an
+    id error's row counts them first), and draws TRAIN_DROPOUT masks once;
+    one backward pass takes the logit gradients ``p - y`` of the BCE slice
+    and ``_reg_terms``' of the distillation slice.  Raises NonFiniteLossError
+    if any term degenerates.  ``reg_kind`` stays a parameter, defaulting to
+    KL, because perfbench passes it, on the teacher's call too.
     """
     if observed is None or len(_member(observed, "observed", ObservedBatch).users) == 0:
         raise ValueError("loss_and_grads requires a nonempty observed batch")
@@ -181,8 +191,10 @@ def loss_and_grads(
     _member(reg_kind, "reg_kind", RegLossKind)
     if unobserved is None:
         unobserved = UnobservedBatch(*[np.empty(0, dtype=np.int64)] * 3)
-    _member(unobserved, "unobserved", UnobservedBatch)
-    n, m = len(observed.users), len(unobserved.users)
+    n, m = len(observed.users), len(_member(unobserved, "unobserved", UnobservedBatch).users)
+    if (m > 0) != (gamma_reg > 0.0):
+        raise ValueError(f"gamma_reg must be > 0 exactly when the unobserved batch has rows, "
+                         f"got gamma_reg={gamma_reg} with {m} unobserved rows")
     cache = forward_cached(net, np.concatenate([observed.users, unobserved.users]),
                            np.concatenate([observed.items, unobserved.items]), mode, rng)
     p, s = cache.probs[:n], cache.probs[n:]

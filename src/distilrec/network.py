@@ -42,8 +42,8 @@ from enum import Enum
 
 import numpy as np
 
-from .data import _as_int64, _as_pairs, _check_columns, _check_on_grid, _count, _member, _real
-from .rng import RngStream, _check_seed
+from .data import _as_int64, _as_pairs, _check_columns, _check_on_grid, _member, _real
+from .rng import RngStream, _check_seed, _count
 
 __all__ = [
     "ForwardMode",
@@ -156,6 +156,7 @@ def init_network(config: NetworkConfig, rng: RngStream) -> Network:
     uniform on +-sqrt(6 / (fan_in + fan_out)); embedding tables count
     their entity dimension as fan_in.  Deterministic given the stream.
     """
+    _member(config, "config", NetworkConfig)
     r = _member(rng, "rng", RngStream).split("init")
 
     def fan_uniform(fan_in: int, fan_out: int) -> np.ndarray:
@@ -226,6 +227,7 @@ def forward_cached(
     Ids must be 1-D, of one length, and whole numbers on the config's grid; integer arrays
     pass with a dtype test.  ``rng``, needed only to draw masks, must be an ``RngStream``.
     """
+    _member(net, "net", Network)
     users = _as_int64(users, "user id")
     items = _as_int64(items, "item id")
     _check_columns("forward_cached", users=users, items=items)
@@ -254,7 +256,8 @@ def backprop(net: Network, cache: ForwardCache, dlogits: np.ndarray) -> Network:
     embedding tables are zero-filled, to scatter the rows' gradients into.
     ``dlogits`` must be 1-D, one per row of the cache.
     """
-    _check_columns("backprop", users=cache.users, dlogits=dlogits)
+    _member(net, "net", Network)
+    _check_columns("backprop", users=_member(cache, "cache", ForwardCache).users, dlogits=dlogits)
     cfg = net.config
     n_hidden = len(cfg.hidden_sizes)
     weights, biases = [None] * (n_hidden + 1), [None] * (n_hidden + 1)
@@ -312,6 +315,7 @@ def forward_batch(
     layer by layer.  Values equal ``forward_cached(...).probs``: deterministic ones at
     any n, sampled ones within one block, under a same-seeded stream.
     """
+    _member(net, "net", Network)
     arr = _as_pairs(pairs)
     users, items = arr[:, 0], arr[:, 1]
     _check_on_grid(users, items, net.config.n_users, net.config.n_items)
@@ -329,6 +333,7 @@ def save_checkpoint(net: Network, path, seed: int | None = None) -> None:
 
     ``seed`` is None or an ``RngStream`` seed, at both ends; any other raises ``ValueError``.
     Written to a temporary file, then moved onto ``path``: a failed save changes no file."""
+    _member(net, "net", Network)
     seed = seed if seed is None else _check_seed(seed)
     header = {"format_version": CHECKPOINT_FORMAT_VERSION, "seed": seed,
               "config": asdict(net.config)}

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _count, _member, _real
+from .data import _member, _real
 from .network import Network
+from .rng import _count
 
 __all__ = ["OptimizerState", "make_optimizer", "apply_update"]
 
@@ -38,8 +39,9 @@ class OptimizerState:
 
 
 def make_optimizer(net: Network, kind: str = "adam", learning_rate: float = 1e-3) -> OptimizerState:
+    _member(net, "net", Network)
     if kind not in ("sgd", "adam"):
-        raise ValueError(f"unknown optimizer kind {kind!r}")
+        raise ValueError(f"kind must be 'sgd' or 'adam', got {kind!r}")
     moments = (net.zeros_like(), net.zeros_like()) if kind == "adam" else None
     return OptimizerState(learning_rate, moments=moments)
 
@@ -47,18 +49,25 @@ def make_optimizer(net: Network, kind: str = "adam", learning_rate: float = 1e-3
 def apply_update(opt: OptimizerState, net: Network, grads: Network) -> None:
     """One in-place parameter update.
 
-    A gradient or moment of another config (dropout_rate included) or a
-    non-finite gradient is rejected before anything changes, so a caller
-    may recover, e.g. by skipping the batch.  An update that makes a
-    parameter non-finite raises ``FloatingPointError`` after it is applied:
-    the parameters, the moments and ``opt.step`` keep their new values.
+    An argument of the wrong type, moments other than a tuple of two
+    ``Network``s, a gradient or moment of another config (dropout_rate
+    included) or a non-finite gradient is rejected before anything changes,
+    so a caller may recover, e.g. by skipping the batch.  An update that
+    makes a parameter non-finite raises ``FloatingPointError`` after it is
+    applied: the parameters, the moments and ``opt.step`` keep their new
+    values.
     """
+    _member(opt, "opt", OptimizerState)
+    _member(net, "net", Network)
     if _member(grads, "grads", Network).config != net.config:
         raise ValueError(f"gradient config {grads.config} differs from the network's "
                          f"{net.config}; shapes and dropout_rate must match")
-    if opt.moments is not None and [m.config for m in opt.moments] != [net.config] * 2:
-        raise ValueError("Adam moments do not match network parameters; "
-                         "build the state with make_optimizer")
+    if opt.moments is not None:
+        configs = [_member(m, f"moments[{k}]", Network).config
+                   for k, m in enumerate(_member(opt.moments, "moments", tuple))]
+        if configs != [net.config] * 2:
+            raise ValueError("Adam moments do not match network parameters; "
+                             "build the state with make_optimizer")
     if not grads.all_finite():
         raise ValueError("non-finite gradient; network left unchanged")
 

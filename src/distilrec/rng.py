@@ -12,6 +12,7 @@ same streams as the reverse order).
 from __future__ import annotations
 
 import hashlib
+import numbers
 
 import numpy as np
 
@@ -28,6 +29,20 @@ def _check_seed(seed) -> int:
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return int(seed)
+
+
+def _is_whole(v) -> bool:
+    """The one whole-number test: a real number within int64 with no fractional part."""
+    return isinstance(v, numbers.Real) and -2**63 <= v < 2**63 and v % 1 == 0
+
+
+def _count(value, name: str, low: int = 1) -> int:
+    """The one count rule: ``value`` as an int if it is a whole number >= ``low``; 64.0 passes."""
+    if isinstance(value, bool) or not _is_whole(value):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return int(value)
 
 
 class RngStream:
@@ -50,7 +65,9 @@ class RngStream:
         return self.generator.random(size=size)
 
     def choice(self, n: int, size: int, replace: bool = True) -> np.ndarray:
-        return self.generator.choice(n, size=size, replace=replace)
+        """``size`` draws from ``range(n)``; ``n`` >= 1 and ``size`` >= 0 are counts."""
+        return self.generator.choice(_count(n, "n"), size=_count(size, "size", 0),
+                                     replace=replace)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self._spawn_key})"

@@ -54,7 +54,7 @@ def columns_entry(rows, n_users, n_items):
     per run of rows of one source.  Labels follow the rating rule."""
     groups = [(*map(list, zip(*[(r.user, r.item, r.rating) for r in run])), source)
               for source, run in itertools.groupby(rows, key=attrgetter("source"))]
-    return data._dataset_of_columns(n_users, n_items, groups)
+    return data._Dataset._from_columns(n_users, n_items, groups)
 
 
 def both_entries(rows, n_users, n_items):
@@ -602,8 +602,8 @@ def test_off_grid_id_rejected_alike_at_every_entry(entry):
     build = {
         "rows": lambda: Dataset([interaction(*row, Source.BIASED)
                                  for row in zip(users, items, ratings)], 2, 3),
-        "columns": lambda: data._dataset_of_columns(2, 3, [(users, items, ratings,
-                                                            Source.BIASED)]),
+        "columns": lambda: data._Dataset._from_columns(2, 3, [(users, items, ratings,
+                                                                Source.BIASED)]),
         "sampler": lambda: UnobservedSampler(2, 3, np.column_stack([users, items]),
                                              RngStream(1)),
         "forward_cached": lambda: forward_cached(net, users, items, ForwardMode.DETERMINISTIC),

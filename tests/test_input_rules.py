@@ -1,7 +1,7 @@
 """The count, seed, real-number, choice, stream and column rules, at every entry that takes
 such a value.
 
-Each rule is written once, as ``data._count``, ``rng._check_seed``, ``data._real``,
+Each rule is written once, as ``rng._count``, ``rng._check_seed``, ``data._real``,
 ``data._member`` (for enum choices, random streams and every other typed argument) and
 ``data._check_columns``.
 Every entry is fed the same bad values and must raise a ``ValueError`` that names its
@@ -11,6 +11,8 @@ argument; none may truncate or coerce a value or take it without a word.
 import dataclasses
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from distilrec.data import (
     split_uniform,
 )
 from distilrec.losses import ObservedBatch, RegLossKind, UnobservedBatch, loss_and_grads
-from distilrec.metrics import auc, bce_eval
+from distilrec.metrics import auc, bce_eval, evaluate
 from distilrec.network import (
     ForwardMode,
     NetworkConfig,
@@ -72,6 +74,9 @@ COUNT_ENTRIES = {
     # Unchecked, step=-1 made the first Adam update divide by 1 - 0.9**0 = 0, and
     # step=1.5 was taken and advanced to 2.5.
     "OptimizerState.step": (lambda v: OptimizerState(0.1, step=v), "step", 0),
+    # Unchecked, choice(True, 1) drew from {0} and choice(5, 2.5) raised numpy's TypeError.
+    "RngStream.choice.n": (lambda v: RngStream(1).choice(v, 1), "n", 1),
+    "RngStream.choice.size": (lambda v: RngStream(1).choice(5, v), "size", 0),
 }
 
 
@@ -211,9 +216,32 @@ def test_float32_dropout_rate_round_trips_through_checkpoint(tmp_path):
     assert hash(loaded.config) == hash(net.config)
 
 
-def update(grads):
+def update(**over):
+    """One Adam update of a fresh network by a zero gradient, ``over`` replacing arguments."""
     net = init_network(NetworkConfig(**CONFIG), RngStream(1))
-    apply_update(make_optimizer(net), net, grads)
+    apply_update(**{"opt": make_optimizer(net), "net": net, "grads": net.zeros_like(), **over})
+
+
+def saved(net):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(net, Path(tmp) / "net.npz")
+
+
+# A 2-row tape; backprop's entry puts the users it is fed in place of the tape's.
+CACHE = forward_cached(NET, [0, 1], [0, 1], ForwardMode.DETERMINISTIC)
+TESTSET = [interaction(0, 0, 5, Source.UNIFORM), interaction(0, 1, 1, Source.UNIFORM)]
+
+# entry: call with the network, each at an entry that takes one.
+NET_ENTRIES = {
+    "forward_batch": lambda v: forward_batch(v, [[0, 0]]),
+    "forward_cached": lambda v: forward_cached(v, [0], [0], ForwardMode.DETERMINISTIC),
+    "loss_and_grads": lambda v: loss_and_grads(v, OBSERVED),
+    "backprop": lambda v: backprop(v, CACHE, np.zeros(2)),
+    "apply_update": lambda v: update(net=v),
+    "make_optimizer": lambda v: make_optimizer(v, "sgd"),
+    "save_checkpoint": saved,
+    "evaluate": lambda v: evaluate(v, TESTSET),
+}
 
 
 # entry: (call with the value, the argument's name, the class or classes it takes, values
@@ -240,10 +268,27 @@ CHOICE_ENTRIES = {
                            SplitSpec(0.2, 1)),
     "loss_and_grads.observed": (lambda v: loss_and_grads(NET, v), "observed", "ObservedBatch",
                                 [tuple(vars(OBSERVED).values())], OBSERVED),
-    "loss_and_grads.unobserved": (lambda v: loss_and_grads(NET, OBSERVED, v), "unobserved",
-                                  "UnobservedBatch", [tuple(vars(UNOBSERVED).values())],
-                                  UNOBSERVED),
-    "apply_update.grads": (update, "grads", "Network", [None], NET.zeros_like()),
+    "loss_and_grads.unobserved": (lambda v: loss_and_grads(NET, OBSERVED, v, gamma_reg=0.5),
+                                  "unobserved", "UnobservedBatch",
+                                  [tuple(vars(UNOBSERVED).values())], UNOBSERVED),
+    "apply_update.grads": (lambda v: update(grads=v), "grads", "Network", [None],
+                           NET.zeros_like()),
+    "init_network.config": (lambda v: init_network(v, RngStream(1)), "config", "NetworkConfig",
+                            [CONFIG], NetworkConfig(**CONFIG)),
+    **{f"{entry}.net": (call, "net", "Network", [None, NET.config], NET)
+       for entry, call in NET_ENTRIES.items()},
+    "backprop.cache": (lambda v: backprop(NET, v, np.zeros(2)), "cache", "ForwardCache",
+                       [None], CACHE),
+    "apply_update.opt": (lambda v: update(opt=v), "opt", "OptimizerState", [None, 0.1],
+                         OptimizerState(0.1)),
+    "OptimizerState.moments": (lambda v: update(opt=OptimizerState(0.1, moments=v)),
+                               "moments", "tuple", ["adam", [NET.zeros_like()] * 2],
+                               (NET.zeros_like(), NET.zeros_like())),
+    "OptimizerState.moments[1]": (
+        lambda v: update(opt=OptimizerState(0.1, moments=(NET.zeros_like(), v))),
+        "moments[1]", "Network", [None], NET.zeros_like()),
+    "UnobservedSampler.from_dataset": (lambda v: UnobservedSampler.from_dataset(v, RngStream(1)),
+                                       "dataset", "Dataset", [ROWS], synthetic()[1]),
 }
 
 
@@ -263,9 +308,6 @@ def test_by_source_of_none_rejected():
     with pytest.raises(ValueError, match="^source must be a Source, got None$"):
         synthetic()[1].by_source(None)
 
-
-# A 2-row tape; backprop's entry puts the users it is fed in place of the tape's.
-CACHE = forward_cached(NET, [0, 1], [0, 1], ForwardMode.DETERMINISTIC)
 
 # entry: (call with its parallel columns, their names); the first is the length's reference.
 COLUMN_ENTRIES = {

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from distilrec import losses
 from distilrec.data import Source, pack
 from distilrec.losses import (
     CLAMP_EPS,
@@ -122,12 +124,14 @@ class TestRegLoss:
         _, dlogit = _reg_terms(kind, t, s)
         np.testing.assert_allclose(dlogit, (up - down) / (2.0 * h), rtol=1e-6)
 
-    @pytest.mark.parametrize("kind", list(RegLossKind))
-    def test_dlogit_zero_where_student_clamped(self, kind):
-        s = np.array([0.0, 1e-12, CLAMP_EPS, 1.0 - CLAMP_EPS, 1.0 - 1e-12, 1.0])
-        values, dlogit = _reg_terms(kind, np.full(s.size, 0.3), s)
+    def test_kl_dlogit_at_clamped_student_is_clamped_student_minus_teacher(self):
+        # The clamp guards the logarithms and drops no gradient: a student clamped at
+        # either end is pulled toward the teacher, as BCE's p - y pulls an observed row.
+        s = np.array([0.0, 1e-12, 1.0 - 1e-12, 1.0])
+        values, dlogit = _reg_terms(RegLossKind.KL, np.full(s.size, 0.3), s)
         assert np.all(np.isfinite(values))
-        np.testing.assert_array_equal(dlogit, 0.0)
+        np.testing.assert_array_equal(dlogit, np.clip(s, CLAMP_EPS, 1.0 - CLAMP_EPS) - 0.3)
+        assert np.all(dlogit != 0.0)
 
     def test_mse_symmetric(self):
         gen = np.random.default_rng(7)
@@ -313,6 +317,15 @@ class TestStudentLoss:
         for a, b in zip(grads.param_arrays(), grads_kl.param_arrays()):
             np.testing.assert_array_equal(a, b)
 
+    def test_saturated_student_is_pulled_toward_the_teacher(self):
+        # An output bias of 40 saturates p to 1.0, where the observed positive gives no
+        # gradient; the distillation row still pulls the bias down toward its target 0.3.
+        net = zero_net()
+        net.biases[-1][0] = 40.0
+        _, grads = loss_and_grads(net, observed(interaction(0, 0, 5, Source.BIASED)),
+                                  unobserved([(0, 1)], [0.3]), gamma_reg=1.0)
+        assert grads.biases[-1][0] == pytest.approx(0.7, abs=1e-6)
+
     def test_target_length_mismatch(self):
         with pytest.raises(ValueError, match="UnobservedBatch: 1 teacher_targets for 2 users"):
             UnobservedBatch(np.array([0, 1]), np.array([1, 1]), np.array([0.5]))
@@ -367,6 +380,24 @@ class TestLossAndGradsErrors:
         with pytest.raises(ValueError, match=r"^row 3: id out of range: user=2, item=0"):
             loss_and_grads(zero_net(), obs, unobserved([(0, 1), (2, 0)], [0.5, 0.5]),
                            gamma_reg=1.0)
+
+    @pytest.mark.parametrize("unobs, gamma", [
+        (unobserved([(0, 1)], [0.5]), 0.0),
+        (None, 0.5),
+        (unobserved([], []), 0.5),
+    ], ids=["rows-at-gamma-0", "none-at-gamma-0.5", "empty-at-gamma-0.5"])
+    def test_unobserved_rows_exactly_when_gamma_positive(self, monkeypatch, unobs, gamma):
+        # At gamma 0, rows ran through the forward and backprop for nothing; at gamma > 0
+        # with no rows, the student silently trained the teacher's objective.
+        def no_forward(*args, **kwargs):
+            raise AssertionError("the pairing is checked before the forward")
+        monkeypatch.setattr(losses, "forward_cached", no_forward)
+        rows = 0 if unobs is None else unobs.users.size
+        message = (f"gamma_reg must be > 0 exactly when the unobserved batch has rows, "
+                   f"got gamma_reg={gamma} with {rows} unobserved rows")
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            loss_and_grads(zero_net(), observed(interaction(0, 0, 5, Source.BIASED)), unobs,
+                           gamma_reg=gamma, reg_kind=RegLossKind.MSE)
 
     @pytest.mark.parametrize("unobs", [None, unobserved([(0, 1)], [0.5])])
     def test_observed_batch_required(self, unobs):
