@@ -19,13 +19,6 @@ The native loaders parse each file with one ``np.loadtxt``.  Only a file
 it rejects, or one whose values fail a range check, is read again line by
 line, to name the first bad line as ``path:line``.
 
-Real numbers and typed arguments (enum choices, random streams, batches,
-specs, networks, gradients) enter the library by one rule each, written
-here: ``_real`` and ``_member``.  Sizes enter by ``_count`` and its
-whole-number test ``_is_whole``, written in ``rng`` beside the seed rule
-and imported here: ``RngStream.choice`` takes its counts by them too, and
-``data`` imports ``rng``, not the reverse.
-
 The module also builds synthetic ground-truth worlds with a known
 preference matrix; these serve as oracles for debiasing experiments.
 """
@@ -33,7 +26,6 @@ preference matrix; these serve as oracles for debiasing experiments.
 from __future__ import annotations
 
 import gc
-import numbers
 import re
 import warnings
 from contextlib import contextmanager
@@ -46,7 +38,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .rng import RngStream, _check_seed, _count, _is_whole
+from ._rules import (_as_int64, _as_pairs, _check_on_grid, _check_seed, _count, _first, _member,
+                     _real)
+from .rng import RngStream
 
 __all__ = [
     "Source",
@@ -143,80 +137,8 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-def _first(mask: np.ndarray) -> int | None:
-    """Index of the first true entry of ``mask``, or None."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else None
-
-
 def _column(interactions: Sequence[Interaction], name: str, dtype=np.int64) -> np.ndarray:
     return np.fromiter(map(attrgetter(name), interactions), dtype=dtype, count=len(interactions))
-
-
-def _real(value, name: str, low=-np.inf, high=np.inf, low_closed=False) -> float:
-    """The one real-number rule: ``value`` as a float if it is a finite real in (low, high),
-    or in [low, high) with ``low_closed``; a bool, a string and NaN fail.  The float is
-    what is checked, so an int beyond the float range fails here, naming ``name``."""
-    try:
-        real = (float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool)
-                else np.nan)
-    except OverflowError:
-        real = np.nan
-    if not (low <= real if low_closed else low < real) or not -np.inf < real < high:
-        interval = f"{'[' if low_closed else '('}{low:g}, {high:g})"
-        raise ValueError(f"{name} must be a finite real in {interval}, got {value!r}")
-    return real
-
-
-def _member(value, name: str, *kinds: type):
-    """The one choice rule: ``value`` if it is an instance of one of ``kinds``, enums or any
-    other classes such as ``RngStream``; no string is coerced and no look-alike object passes."""
-    if not isinstance(value, kinds):
-        raise ValueError(f"{name} must be a {' or '.join(k.__name__ for k in kinds)}, "
-                         f"got {value!r}")
-    return value
-
-
-def _as_int64(values, what: str) -> np.ndarray:
-    """``values`` as int64, naming the row of the first entry that is not a whole number
-    within int64.  Input of a dtype that casts safely to int64 pays only that test."""
-    arr = np.asarray(values)
-    if not np.can_cast(arr.dtype, np.int64):
-        # As objects, a mixed list keeps its entries rather than numpy's common type.
-        for k, v in enumerate(np.asarray(values, dtype=object).reshape(-1).tolist()):
-            if not _is_whole(v):
-                raise ValueError(f"row {k // arr.shape[1] if arr.ndim == 2 else k}: "
-                                 f"{what} {v!r} is not an integer within int64")
-    return arr.astype(np.int64, copy=False)
-
-
-def _as_pairs(pairs) -> np.ndarray:
-    """(user, item) pairs as an int64 array shaped (n, 2); ``[]`` is n = 0."""
-    arr = np.asarray(pairs)
-    if arr.shape == (0,):
-        arr = arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"pairs must have shape (n, 2), got {arr.shape}")
-    return _as_int64(arr, "pair id")
-
-
-def _check_on_grid(users: np.ndarray, items: np.ndarray, n_users: int, n_items: int) -> None:
-    """The one grid rule for the library's (user, item) ids; names the first row off it."""
-    if (k := _first((users < 0) | (users >= n_users)
-                    | (items < 0) | (items >= n_items))) is not None:
-        raise ValueError(f"row {k}: id out of range: user={users[k]}, item={items[k]} "
-                         f"in a {n_users} x {n_items} grid")
-
-
-def _check_columns(owner: str, **columns) -> None:
-    """The one rule for a batch's parallel columns: each 1-D, each as long as the first."""
-    shapes = {name: np.shape(column) for name, column in columns.items()}
-    lead = next(iter(shapes))
-    for name, shape in shapes.items():
-        if len(shape) != 1:
-            raise ValueError(f"{owner}: {name} has shape {shape}, not 1-D")
-        if shape != shapes[lead]:
-            raise ValueError(f"{owner}: {shape[0]} {name} for {shapes[lead][0]} {lead}")
 
 
 _INT_FIELDS = ("user", "item", "rating", "label")

@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import _check_columns, _first, _member, _real
+from ._rules import _check_columns, _check_labels, _check_unit_interval, _member, _real
 from .network import ForwardMode, Network, backprop, forward_cached
 from .rng import RngStream
 
@@ -123,18 +123,6 @@ class LossBreakdown:
             if not np.isfinite(value):
                 raise NonFiniteLossError(name, value)
         return LossBreakdown(data_term, distill_term, reg_term, total)
-
-
-def _check_labels(labels: np.ndarray) -> None:
-    """Names the first label that is not 0 or 1; NaN is neither."""
-    if (k := _first((labels != 0) & (labels != 1))) is not None:
-        raise ValueError(f"label at index {k} is {labels[k]}, not 0 or 1")
-
-
-def _check_unit_interval(values: np.ndarray, noun: str) -> None:
-    """Names the first of ``values``, each a ``noun``, outside [0, 1]; NaN is outside."""
-    if (k := _first(~((values >= 0.0) & (values <= 1.0)))) is not None:
-        raise ValueError(f"{noun} at index {k} is {values[k]}, outside [0, 1]")
 
 
 @dataclass

@@ -7,9 +7,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .losses import _bce_terms, _check_labels, _check_unit_interval
+from ._rules import _check_columns, _check_labels, _check_unit_interval, _first
+from .data import Interaction, pack
+from .losses import _bce_terms
 from .network import ForwardMode, Network, forward_batch
-from .data import Interaction, _check_columns, _first, pack
 
 __all__ = ["MetricsResult", "UndefinedMetricError", "auc", "bce_eval", "evaluate"]
 

@@ -42,8 +42,9 @@ from enum import Enum
 
 import numpy as np
 
-from .data import _as_int64, _as_pairs, _check_columns, _check_on_grid, _member, _real
-from .rng import RngStream, _check_seed, _count
+from ._rules import (_as_int64, _as_pairs, _check_columns, _check_on_grid, _check_seed, _count,
+                     _member, _real)
+from .rng import RngStream
 
 __all__ = [
     "ForwardMode",

@@ -17,14 +17,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _member, _real
+from ._rules import _count, _member, _real
 from .network import Network
-from .rng import _count
 
 __all__ = ["OptimizerState", "make_optimizer", "apply_update"]
 
 # Adam's moment decay rates and denominator guard.
 BETA1, BETA2, EPSILON_HAT = 0.9, 0.999, 1e-8
+
+
+def _check_moments(moments):
+    """The one moments rule: ``moments`` if it is None (SGD) or a tuple of exactly two
+    ``Network``s (Adam's first and second)."""
+    if moments is not None:
+        for k, m in enumerate(_member(moments, "moments", tuple)):
+            _member(m, f"moments[{k}]", Network)
+        if len(moments) != 2:
+            raise ValueError(f"moments must hold 2 Networks, got {len(moments)}")
+    return moments
 
 
 @dataclass
@@ -36,6 +46,7 @@ class OptimizerState:
     def __post_init__(self):
         self.learning_rate = _real(self.learning_rate, "learning_rate", 0.0)
         self.step = _count(self.step, "step", 0)
+        _check_moments(self.moments)
 
 
 def make_optimizer(net: Network, kind: str = "adam", learning_rate: float = 1e-3) -> OptimizerState:
@@ -62,12 +73,10 @@ def apply_update(opt: OptimizerState, net: Network, grads: Network) -> None:
     if _member(grads, "grads", Network).config != net.config:
         raise ValueError(f"gradient config {grads.config} differs from the network's "
                          f"{net.config}; shapes and dropout_rate must match")
-    if opt.moments is not None:
-        configs = [_member(m, f"moments[{k}]", Network).config
-                   for k, m in enumerate(_member(opt.moments, "moments", tuple))]
-        if configs != [net.config] * 2:
-            raise ValueError("Adam moments do not match network parameters; "
-                             "build the state with make_optimizer")
+    moments = _check_moments(opt.moments)
+    if moments is not None and [m.config for m in moments] != [net.config] * 2:
+        raise ValueError("Adam moments do not match network parameters; "
+                         "build the state with make_optimizer")
     if not grads.all_finite():
         raise ValueError("non-finite gradient; network left unchanged")
 

@@ -12,9 +12,10 @@ same streams as the reverse order).
 from __future__ import annotations
 
 import hashlib
-import numbers
 
 import numpy as np
+
+from ._rules import _check_seed, _count, _member
 
 __all__ = ["RngStream"]
 
@@ -22,27 +23,6 @@ __all__ = ["RngStream"]
 def _label_key(label: str) -> int:
     digest = hashlib.blake2s(label.encode("utf-8"), digest_size=4).digest()
     return int.from_bytes(digest, "little")
-
-
-def _check_seed(seed) -> int:
-    """The one seed rule: ``seed`` as an int in [0, 2**64); a bool, float or string fails."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    return int(seed)
-
-
-def _is_whole(v) -> bool:
-    """The one whole-number test: a real number within int64 with no fractional part."""
-    return isinstance(v, numbers.Real) and -2**63 <= v < 2**63 and v % 1 == 0
-
-
-def _count(value, name: str, low: int = 1) -> int:
-    """The one count rule: ``value`` as an int if it is a whole number >= ``low``; 64.0 passes."""
-    if isinstance(value, bool) or not _is_whole(value):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value!r}")
-    return int(value)
 
 
 class RngStream:
@@ -65,9 +45,12 @@ class RngStream:
         return self.generator.random(size=size)
 
     def choice(self, n: int, size: int, replace: bool = True) -> np.ndarray:
-        """``size`` draws from ``range(n)``; ``n`` >= 1 and ``size`` >= 0 are counts."""
-        return self.generator.choice(_count(n, "n"), size=_count(size, "size", 0),
-                                     replace=replace)
+        """``size`` draws from ``range(n)``; ``n`` >= 1 and ``size`` >= 0 are counts,
+        ``replace`` a ``bool`` or ``np.bool_``, and without replacement ``size`` <= ``n``."""
+        n, size = _count(n, "n"), _count(size, "size", 0)
+        if not _member(replace, "replace", bool, np.bool_) and size > n:
+            raise ValueError(f"size must be <= n = {n} without replacement, got {size}")
+        return self.generator.choice(n, size=size, replace=replace)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self._spawn_key})"

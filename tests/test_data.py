@@ -587,11 +587,6 @@ class TestSplitUniform:
                                              rf"rows leaves an empty part: sizes {sizes}$"):
             split_uniform(self.fake_uniform(n), spec)
 
-    def test_fraction_outside_open_unit_interval_rejected(self):
-        for fraction in (0.0, 1.0, -0.2, 1.5, float("nan")):
-            with pytest.raises(ValueError, match=r"uniform_train_fraction must be a finite real in \(0, 1\)"):
-                SplitSpec(uniform_train_fraction=fraction)
-
 
 @pytest.mark.parametrize("entry", ["rows", "columns", "sampler", "forward_cached",
                                    "forward_batch"])
@@ -642,10 +637,6 @@ class TestPartitionBatches:
         assert sorted(flat, key=lambda i: (i.user, i.item)) == sorted(
             data, key=lambda i: (i.user, i.item)
         )
-
-    def test_zero_batches_rejected(self):
-        with pytest.raises(ValueError, match="m must be >= 1"):
-            partition_batches(TestSplitUniform.fake_uniform(3), 0, RngStream(0))
 
     def test_more_batches_than_items_rejected(self):
         with pytest.raises(ValueError):
@@ -748,22 +739,6 @@ class TestUnobservedSampler:
 
 
 class TestGenerateSynthetic:
-    @pytest.mark.parametrize("name,value", [
-        ("exposure_skew", float("nan")), ("exposure_skew", float("inf")),
-        ("bias", float("nan")), ("bias", float("-inf")),
-    ])
-    def test_non_finite_parameter_rejected(self, name, value):
-        # Unchecked, bias=nan gave a world whose prob is all NaN and every label 0.
-        with pytest.raises(ValueError, match=rf"{name} must be a finite real in \(-inf, inf\)"):
-            generate_synthetic(5, 5, 2, **{"exposure_skew": 1.0, name: value},
-                               n_biased=5, n_uniform=5, seed=0)
-
-    @pytest.mark.parametrize("size", ["n_users", "n_items", "latent_dim", "n_biased", "n_uniform"])
-    def test_non_positive_size_rejected(self, size):
-        sizes = dict(n_users=5, n_items=5, latent_dim=2, n_biased=5, n_uniform=5)
-        with pytest.raises(ValueError, match=f"{size} must be >= 1"):
-            generate_synthetic(**{**sizes, size: 0}, exposure_skew=1.0, seed=0)
-
     @pytest.mark.parametrize("log", ["n_biased", "n_uniform"])
     def test_log_larger_than_grid_rejected(self, log):
         sizes = dict(n_biased=5, n_uniform=5)

@@ -1,9 +1,9 @@
 """The count, seed, real-number, choice, stream and column rules, at every entry that takes
 such a value.
 
-Each rule is written once, as ``rng._count``, ``rng._check_seed``, ``data._real``,
-``data._member`` (for enum choices, random streams and every other typed argument) and
-``data._check_columns``.
+Each rule is written once, in ``distilrec._rules``: ``_count``, ``_check_seed``, ``_real``,
+``_member`` (for enum choices, random streams and every other typed argument) and
+``_check_columns``.  Each is checked here, one table per rule, and not again per module.
 Every entry is fed the same bad values and must raise a ``ValueError`` that names its
 argument; none may truncate or coerce a value or take it without a word.
 """
@@ -81,14 +81,25 @@ COUNT_ENTRIES = {
 
 
 @pytest.mark.parametrize("entry", COUNT_ENTRIES)
-@pytest.mark.parametrize("value", [2.5, True, "5", "below"])
+@pytest.mark.parametrize("value", [2.5, True, "5", np.nan, np.inf, "below"])
 def test_count_that_is_not_a_whole_number_at_least_its_floor_rejected(entry, value):
     # Unchecked, m=2.5 gave 2 batches and m=True 1, Dataset and UnobservedSampler took
     # a 2.5-row grid, and generate_synthetic(5.5, ...) failed in numpy naming no argument.
     call, name, low = COUNT_ENTRIES[entry]
-    value = low - 1 if value == "below" else value
-    with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be ")):
+    if value == "below":
+        value, message = low - 1, f"{name} must be >= {low}, got {low - 1!r}"
+    else:
+        message = f"{name} must be a whole number, got {value!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         call(value)
+
+
+def test_choice_without_replacement_of_more_than_n_rejected_naming_size():
+    # Unchecked, numpy raised "Cannot take a larger sample than population when replace
+    # is False", naming no argument.
+    with pytest.raises(ValueError, match=r"^size must be <= n = 3 without replacement, got 5$"):
+        RngStream(1).choice(3, 5, replace=False)
+    assert sorted(RngStream(1).choice(3, 3, replace=False).tolist()) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("entry", COUNT_ENTRIES)
@@ -158,25 +169,25 @@ def objective(**over):
     return loss_and_grads(NET, OBSERVED, UNOBSERVED, **{"gamma_reg": 0.5, **over})[0]
 
 
-# entry: (call with the real, the argument's name, its interval, a value outside it, a
+# entry: (call with the real, the argument's name, its interval, values outside it, a
 # value inside it); each call returns what the value is stored as, or what it produced.
 REAL_ENTRIES = {
     "SplitSpec.uniform_train_fraction": (
         lambda v: SplitSpec(uniform_train_fraction=v).uniform_train_fraction,
-        "uniform_train_fraction", "(0, 1)", 1.0, 0.3),
+        "uniform_train_fraction", "(0, 1)", [1.0, 0.0, -0.2, 1.5], 0.3),
     "generate_synthetic.exposure_skew": (lambda v: synthetic(exposure_skew=v)[1].interactions,
-                                         "exposure_skew", "(-inf, inf)", -np.inf, 1.5),
+                                         "exposure_skew", "(-inf, inf)", [-np.inf], 1.5),
     "generate_synthetic.bias": (lambda v: synthetic(bias=v)[1].interactions,
-                                "bias", "(-inf, inf)", -np.inf, -2.5),
+                                "bias", "(-inf, inf)", [-np.inf], -2.5),
     "NetworkConfig.dropout_rate": (
         lambda v: NetworkConfig(**{**CONFIG, "dropout_rate": v}).dropout_rate,
-        "dropout_rate", "[0, 1)", 1.0, 0.1),
+        "dropout_rate", "[0, 1)", [1.0], 0.1),
     "loss_and_grads.gamma_reg": (lambda v: objective(gamma_reg=v), "gamma_reg", "[0, inf)",
-                                 -0.5, 0.7),
+                                 [-0.5], 0.7),
     "loss_and_grads.l2_coeff": (lambda v: objective(l2_coeff=v), "l2_coeff", "[0, inf)",
-                                -0.5, 0.3),
+                                [-0.5], 0.3),
     "OptimizerState.learning_rate": (lambda v: make_optimizer(NET, "adam", v).learning_rate,
-                                     "learning_rate", "(0, inf)", 0.0, 1e-3),
+                                     "learning_rate", "(0, inf)", [0.0, -np.inf], 1e-3),
 }
 STORED = ["SplitSpec.uniform_train_fraction", "NetworkConfig.dropout_rate",
           "OptimizerState.learning_rate"]
@@ -191,10 +202,10 @@ def test_real_that_is_not_finite_in_its_interval_rejected(entry, value):
     # An int beyond the float range passed an interval open to the right and failed in
     # float() with a bare OverflowError: make_optimizer(net, "adam", 10**400) did.
     call, name, interval, outside, _ = REAL_ENTRIES[entry]
-    value = outside if value == "outside" else value
-    message = f"{name} must be a finite real in {interval}, got {value!r}"
-    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-        call(value)
+    for value in outside if value == "outside" else [value]:
+        message = f"{name} must be a finite real in {interval}, got {value!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            call(value)
 
 
 @pytest.mark.parametrize("entry", REAL_ENTRIES)
@@ -289,6 +300,10 @@ CHOICE_ENTRIES = {
         "moments[1]", "Network", [None], NET.zeros_like()),
     "UnobservedSampler.from_dataset": (lambda v: UnobservedSampler.from_dataset(v, RngStream(1)),
                                        "dataset", "Dataset", [ROWS], synthetic()[1]),
+    # Unchecked, replace="no" drew with replacement and replace=None without it. numpy 2
+    # names its np.bool_ "bool".
+    "RngStream.choice.replace": (lambda v: RngStream(1).choice(3, 2, replace=v), "replace",
+                                 "bool or bool", ["no", None], np.False_),
 }
 
 

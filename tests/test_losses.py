@@ -248,10 +248,6 @@ class TestTeacherLoss:
         with pytest.raises(ValueError, match="nonempty"):
             loss_and_grads(zero_net(), observed(), l2_coeff=0.0)
 
-    def test_label_length_mismatch(self):
-        with pytest.raises(ValueError, match="ObservedBatch: 1 labels for 2 users"):
-            ObservedBatch(np.array([0, 1]), np.array([0, 1]), np.array([1.0]))
-
     def test_label_outside_zero_one_rejected_with_index(self):
         # Unchecked, a label of 2.0 gave a negative data term.
         with pytest.raises(ValueError, match="label at index 0 is 2.0, not 0 or 1"):
@@ -326,10 +322,6 @@ class TestStudentLoss:
                                   unobserved([(0, 1)], [0.3]), gamma_reg=1.0)
         assert grads.biases[-1][0] == pytest.approx(0.7, abs=1e-6)
 
-    def test_target_length_mismatch(self):
-        with pytest.raises(ValueError, match="UnobservedBatch: 1 teacher_targets for 2 users"):
-            UnobservedBatch(np.array([0, 1]), np.array([1, 1]), np.array([0.5]))
-
     def test_target_outside_unit_interval_rejected_with_index(self):
         # Unchecked, a target of 1.5 was clamped silently into the distillation term.
         for targets, match in (([0.5, 1.5], "index 1 is 1.5"), ([-0.1, 0.5], "index 0 is -0.1"),
@@ -365,15 +357,6 @@ class TestLossAndGradsErrors:
         with pytest.raises(NonFiniteLossError) as exc, np.errstate(invalid="ignore"):
             loss_and_grads(net, obs, l2_coeff=1.0)
         assert exc.value.term in ("reg_term", "total", "data_term")
-
-    @pytest.mark.parametrize("name", ["gamma_reg", "l2_coeff"])
-    @pytest.mark.parametrize("value", [-1.0, np.inf, np.nan])
-    def test_negative_or_nonfinite_coefficient_rejected(self, name, value):
-        # Unchecked, l2_coeff=-1 gave an objective with no lower bound, and
-        # gamma_reg=inf ran backprop on infinite gradients.
-        with pytest.raises(ValueError, match=rf"^{name} must be a finite real in \[0, inf\), got {value}$"):
-            loss_and_grads(zero_net(), observed(interaction(0, 0, 5, Source.BIASED)),
-                           unobserved([(0, 1)], [0.5]), **{name: value})
 
     def test_off_grid_unobserved_row_counts_observed_rows_first(self):
         obs = observed(interaction(0, 0, 5, Source.BIASED), interaction(1, 1, 2, Source.BIASED))

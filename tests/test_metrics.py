@@ -104,13 +104,6 @@ class TestBceEval:
 
 @pytest.mark.parametrize("metric", [auc, bce_eval])
 class TestSharedInputCheck:
-    def test_not_equal_length_1d_rejected(self, metric):
-        name = metric.__name__
-        with pytest.raises(ValueError, match=rf"^{name}: 3 labels for 1 scores$"):
-            metric([0.5], [1, 0, 1])
-        with pytest.raises(ValueError, match=rf"^{name}: scores has shape \(1, 2\), not 1-D$"):
-            metric([[0.1, 0.9]], [[0, 1]])
-
     def test_label_outside_zero_one_rejected_with_index(self, metric):
         with pytest.raises(ValueError, match="label at index 0 is 2, not 0 or 1"):
             metric([0.1, 0.9, 0.5], [2, 1, 0])

@@ -28,46 +28,16 @@ def small_config(**over):
 
 
 class TestConfigValidation:
-    def test_rejects_zero_dims(self):
-        with pytest.raises(ValueError):
-            small_config(embedding_dim=0)
-        with pytest.raises(ValueError):
-            small_config(n_users=0)
-        with pytest.raises(ValueError):
-            small_config(hidden_sizes=())
-        with pytest.raises(ValueError):
-            small_config(hidden_sizes=(4, 0))
-
-    def test_rejects_dropout_one(self):
-        with pytest.raises(ValueError):
-            small_config(dropout_rate=1.0)
-
-    def test_rejects_four_hidden_layers(self):
-        with pytest.raises(ValueError):
-            small_config(hidden_sizes=(4, 4, 4, 4))
-
-    @pytest.mark.parametrize("field, value", [
-        ("n_users", 2.5), ("n_items", 6.1), ("embedding_dim", 2.5), ("hidden_sizes", (4, 2.7)),
-        ("n_users", float("nan")), ("embedding_dim", float("inf")), ("n_items", "6"),
-    ])
-    def test_rejects_sizes_that_are_not_whole_numbers(self, field, value):
-        # Unchecked, hidden 2.7 was truncated to 2 and a fractional n_users or
-        # embedding_dim failed later in init_network with an unlocated TypeError.
-        name = "hidden_sizes[1]" if field == "hidden_sizes" else field
-        with pytest.raises(ValueError, match=re.escape(f"{name} must be a whole number")):
-            small_config(**{field: value})
+    @pytest.mark.parametrize("hidden_sizes", [(), (4, 4, 4, 4)], ids=["none", "four"])
+    def test_rejects_layer_count_outside_one_to_three(self, hidden_sizes):
+        with pytest.raises(ValueError, match=r"^hidden_sizes must contain 1 to 3 layers$"):
+            small_config(hidden_sizes=hidden_sizes)
 
     def test_whole_floats_become_ints(self):
         cfg = NetworkConfig(5.0, np.int32(6), 64.0, (np.float64(4.0), 3))
         assert (cfg.n_users, cfg.n_items, cfg.embedding_dim, cfg.hidden_sizes) == (5, 6, 64, (4, 3))
         assert all(type(v) is int for v in (cfg.n_users, cfg.n_items, cfg.embedding_dim,
                                              *cfg.hidden_sizes))
-
-
-    def test_positional_whole_number_as_hidden_sizes_rejected_by_name(self):
-        # Unchecked, this raised "TypeError: 'int' object is not iterable".
-        with pytest.raises(ValueError, match=r"^hidden_sizes must be a tuple or list, got 64$"):
-            NetworkConfig(5, 6, 3, 64)
 
     def test_list_hidden_sizes_equal_tuple(self):
         # A checkpoint's JSON config holds hidden_sizes as a list.
@@ -180,14 +150,6 @@ class TestForward:
             forward_cached(net, [1, 0.5], [0, 0], ForwardMode.DETERMINISTIC)
         with pytest.raises(ValueError, match=r"row 1: item id 'a' is not an integer"):
             forward_cached(net, [1, 1], [0, "a"], ForwardMode.DETERMINISTIC)
-
-    def test_ids_of_unequal_length_rejected_naming_both(self):
-        # Unchecked, numpy's concatenate or broadcast message named no argument.
-        net = init_network(small_config(), RngStream(1))
-        for users, items in (([0], [0, 1, 2]), ([0, 1], [0, 1, 2])):
-            with pytest.raises(ValueError,
-                               match=r"^forward_cached: 3 items for \d users$"):
-                forward_cached(net, users, items, ForwardMode.DETERMINISTIC)
 
     def test_integer_and_whole_float_ids_score_alike(self):
         net = init_network(small_config(), RngStream(1))
@@ -386,11 +348,6 @@ class TestDropout:
         draws = [forward_batch(net, [(1, 2)], ForwardMode.STOCHASTIC_INFERENCE, rng)[0]
                  for _ in range(64)]
         assert len(set(draws)) > 1
-
-    def test_requires_rng_in_stochastic_mode(self):
-        net = init_network(small_config(dropout_rate=0.5), RngStream(1))
-        with pytest.raises(ValueError, match="rng"):
-            forward_batch(net, [(0, 0)], ForwardMode.TRAIN_DROPOUT)
 
     def test_inverted_dropout_expectation(self):
         # Empirical mean of the stochastic pre-sigmoid output must sit

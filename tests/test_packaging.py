@@ -102,3 +102,48 @@ def test_third_party_imports_equal_declared_dependencies():
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names)
     assert third_party == declared
+
+
+def package_trees():
+    """Each module of the package by its name, parsed."""
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted((SRC / "distilrec").glob("*.py"))}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # No linter runs here; this is its unused-import check, on the package only.
+    unused = []
+    for module, tree in package_trees().items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{module}: {alias.name}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert not unused
+
+
+def test_every_input_rule_has_one_home():
+    # The rules live in _rules, which imports only numbers and numpy. The model stack
+    # (network, losses, optim) imports nothing from data, and the only private name one
+    # module takes from another, other than a rule, is the BCE that bce_eval shares.
+    trees = package_trees()
+    imports = [(module, node.module.removeprefix("distilrec."), alias.name)
+               for module, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module
+               and (node.level == 1 or node.module.startswith("distilrec."))
+               for alias in node.names]
+    assert not [i for i in imports if i[0] in ("network", "losses", "optim") and i[1] == "data"]
+    assert {i for i in imports if i[2].startswith("_") and i[1] != "_rules"} == {
+        ("metrics", "losses", "_bce_terms")}
+    rules = trees.pop("_rules")
+    assert {alias.name for node in ast.walk(rules)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names} == {"annotations", "numbers", "numpy"}
+    homes = {node.name: [] for node in rules.body if isinstance(node, ast.FunctionDef)}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in homes:
+                homes[node.name].append(module)
+    assert len(homes) == 12
+    assert not {name: modules for name, modules in homes.items() if modules}
