@@ -66,10 +66,11 @@ def _real(value, name: str, low=-np.inf, high=np.inf, low_closed=False) -> float
 
 def _member(value, name: str, *kinds: type):
     """The one choice rule: ``value`` if it is an instance of one of ``kinds``, enums or any
-    other classes such as ``RngStream``; no string is coerced and no look-alike object passes."""
+    other classes such as ``RngStream``; no string is coerced, no look-alike passes, and the
+    message says each class name once (numpy 2 names ``np.bool_`` "bool", as ``bool`` is)."""
     if not isinstance(value, kinds):
-        raise ValueError(f"{name} must be a {' or '.join(k.__name__ for k in kinds)}, "
-                         f"got {value!r}")
+        names = dict.fromkeys(k.__name__ for k in kinds)
+        raise ValueError(f"{name} must be a {' or '.join(names)}, got {value!r}")
     return value
 
 

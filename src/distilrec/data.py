@@ -4,16 +4,12 @@ Logged feedback arrives from two logging policies: a small slice where
 items were shown uniformly at random (an unbiased sample of preference)
 and a large slice logged by a deployed recommender (exposure-biased).
 Ratings on a 1-5 scale are binarized: only a 5 counts as a positive.
-Rows are checked once, on columns, whichever way they reach a ``Dataset``:
-whole-number ids and ratings, rating and id ranges, labels, sources and
-duplicates, each error naming the row.  ``Dataset(rows, ...)`` reads the
-columns out of rows a caller built; the generator and the loaders pass
-their columns, which are checked before any row is built.  Rows are built
-in one place, with the cyclic garbage collector paused: each row is a new
-tracked tuple, so hundreds of thousands of them set off repeated
-collections that walk the rows built so far, none of which can be garbage.
-Rows with the same user (or item) id share one ``int`` object for it, so a
-row costs its tuple and list slot, not two fresh ints besides.
+A log is held as columns, not one Python object per rating: ``Rows`` holds
+int64 ``users``, ``items`` and ``ratings`` and a bool ``is_uniform``, and
+makes an ``Interaction`` only when a caller reads a row.  A list of rows is
+read into columns once, by ``_as_rows``, which names the first bad row;
+``Dataset`` then names the first row off the grid or duplicated.  The
+generator's and the loaders' columns pass the same checks.
 
 The native loaders parse each file with one ``np.loadtxt``.  Only a file
 it rejects, or one whose values fail a range check, is read again line by
@@ -25,14 +21,12 @@ preference matrix; these serve as oracles for debiasing experiments.
 
 from __future__ import annotations
 
-import gc
 import re
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from operator import attrgetter
+from operator import eq
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -45,6 +39,7 @@ from .rng import RngStream
 __all__ = [
     "Source",
     "Interaction",
+    "Rows",
     "Dataset",
     "DataFormatError",
     "SplitSpec",
@@ -71,9 +66,8 @@ class DataFormatError(ValueError):
 class Interaction(NamedTuple):
     """One logged (user, item, rating) record plus its logging policy.
 
-    Building a row checks nothing.  Rows are checked when they enter a
-    ``Dataset``; ``pack``, ``split_uniform``, ``partition_batches`` and
-    ``metrics.evaluate`` trust the rows they are given.
+    Building a row checks nothing.  A list of rows is checked when it is read
+    into ``Rows``, by ``Dataset`` or by any function that takes rows.
     """
 
     user: int
@@ -81,47 +75,6 @@ class Interaction(NamedTuple):
     rating: int
     label: int
     source: Source
-
-
-@contextmanager
-def _collector_paused():
-    """Disable the cyclic garbage collector for the body; its prior state is
-    restored on exit, also when the body raises."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-def _shared_ids(ids: np.ndarray) -> list[int]:
-    """``ids.tolist()`` with every equal id the same ``int`` object: each entry
-    is read from a table of one object per id in ``[0, max id]``, where
-    ``tolist`` makes a fresh 32-byte int per entry.  The table lives only for
-    the call, and every producer holds arrays at least its size already."""
-    return np.arange(int(ids.max()) + 1 if ids.size else 0).astype(object)[ids].tolist()
-
-
-def _rows(users, items, ratings, labels, sources) -> list[Interaction]:
-    """The one place rows are built: one ``Interaction`` per column entry.
-
-    They are built with the cyclic collector paused, since none of them can
-    be garbage while the list holds them (see the module docstring).
-    ``tuple.__new__`` builds each row from its fields, skipping the
-    Python-level ``__new__`` that ``Interaction(...)`` runs per row; the rows
-    are equal.  Rows with the same user (or item) id share its ``int``
-    (``_shared_ids``), since a ``Dataset`` stays alive for a whole run: a row
-    then costs its 80-byte tuple and its list slot, 97 bytes traced rather
-    than 151, and 366k Yahoo!-shaped rows trace 34.0 MiB rather than 52.8.
-    Ratings and labels are small ints, of which CPython keeps one object
-    each already.
-    """
-    with _collector_paused():
-        return list(map(tuple.__new__, repeat(Interaction),
-                        zip(_shared_ids(users), _shared_ids(items), ratings.tolist(),
-                            labels.tolist(), sources.tolist())))
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -137,19 +90,64 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-def _column(interactions: Sequence[Interaction], name: str, dtype=np.int64) -> np.ndarray:
-    return np.fromiter(map(attrgetter(name), interactions), dtype=dtype, count=len(interactions))
+_SOURCES = (Source.BIASED, Source.UNIFORM)  # indexed by ``Rows.is_uniform``
+ROW_BLOCK = 1 << 12  # rows made at once when ``Rows`` is iterated
 
 
-_INT_FIELDS = ("user", "item", "rating", "label")
+class Rows:
+    """Logged rows as parallel columns: int64 ``users``, ``items`` and ``ratings``, and
+    bool ``is_uniform``; the rating rule gives the labels.  An int index makes an
+    ``Interaction``, iteration makes them ``ROW_BLOCK`` at a time, and a slice, bool mask
+    or index array gives ``Rows``; ``+`` appends ``Rows`` or a list of ``Interaction``s.
+    The columns are taken as given and made read-only, so no view changes a checked
+    ``Dataset``; ``_as_rows`` reads and checks a list.
+    """
+
+    __slots__ = ("users", "items", "ratings", "is_uniform")
+
+    def __init__(self, users, items, ratings, is_uniform):
+        self.users, self.items, self.ratings, self.is_uniform = users, items, ratings, is_uniform
+        for column in self._columns():
+            column.flags.writeable = False
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.users, self.items, self.ratings, self.is_uniform
+
+    def __len__(self) -> int:
+        return self.users.size
+
+    def _block(self, start: int, stop: int) -> list[Interaction]:
+        """Rows ``start..stop-1``, each made by ``tuple.__new__``, not ``Interaction.__new__``."""
+        users, items, ratings, is_uniform = (column[start:stop] for column in self._columns())
+        labels = (ratings == 5).astype(np.int64)
+        return list(map(tuple.__new__, repeat(Interaction), zip(
+            users.tolist(), items.tolist(), ratings.tolist(), labels.tolist(),
+            map(_SOURCES.__getitem__, is_uniform.tolist()))))
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return self[[key]]._block(0, 1)[0]
+        return Rows(*(column[key] for column in self._columns()))
+
+    def __iter__(self):
+        for start in range(0, len(self), ROW_BLOCK):
+            yield from self._block(start, start + ROW_BLOCK)
+
+    def __add__(self, other) -> "Rows":
+        return Rows(*map(np.concatenate, zip(self._columns(), _as_rows(other)._columns())))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, list):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return isinstance(other, Rows) and all(map(np.array_equal, self._columns(),
+                                                   other._columns()))
 
 
-def _checked_columns(n_users: int, n_items: int, int_columns, sources: np.ndarray):
-    """The grid as ints and the (user, item, rating, label) columns ``int_columns``
-    yields, as int64, once they and the object column ``sources`` pass the row check."""
-    n_users, n_items = _count(n_users, "n_users", 0), _count(n_items, "n_items", 0)
-    users, items, ratings, labels = (_as_int64(column, name)
-                                     for column, name in zip(int_columns, _INT_FIELDS))
+def _checked_columns(int_columns, sources: np.ndarray) -> Rows:
+    """The ``Rows`` of the (user, item, rating, label) columns ``int_columns`` yields
+    and the object column ``sources``, once they pass the row check."""
+    users, items, ratings, labels = (_as_int64(column, name) for column, name in zip(
+        int_columns, ("user", "item", "rating", "label")))
     if (k := _first((ratings < 1) | (ratings > 5))) is not None:
         raise ValueError(f"row {k}: rating {ratings[k]} outside 1-5")
     if (k := _first(labels != (ratings == 5))) is not None:
@@ -157,51 +155,51 @@ def _checked_columns(n_users: int, n_items: int, int_columns, sources: np.ndarra
     uniform = sources == Source.UNIFORM
     if (k := _first(~uniform & (sources != Source.BIASED))) is not None:
         raise ValueError(f"row {k}: source {sources[k]!r} is not a Source")
-    _check_on_grid(users, items, n_users, n_items)
-    keys = (users * n_items + items) * 2 + uniform
-    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-    if (k := _first(first[group] != np.arange(keys.size))) is not None:
-        raise ValueError(f"row {k}: duplicate of row {first[group[k]]}: user={users[k]}, "
-                         f"item={items[k]}, source={sources[k].value}")
-    return n_users, n_items, users, items, ratings, labels
+    return Rows(users, items, ratings, uniform)
+
+
+def _as_rows(rows: Rows | Sequence[Interaction]) -> Rows:
+    """The one conversion: ``rows`` as ``Rows``, a list read once and checked."""
+    if isinstance(rows, Rows):
+        return rows
+    fields = list(zip(*rows)) or [()] * len(Interaction._fields)
+    return _checked_columns(fields[:4], np.fromiter(fields[4], dtype=object, count=len(rows)))
 
 
 @dataclass
 class Dataset:
-    """Logged rows on an ``n_users`` x ``n_items`` grid, checked once, on columns.
+    """Logged rows on an ``n_users`` x ``n_items`` grid, checked once, on columns;
+    ``interactions`` is given as ``Rows`` or a list of ``Interaction``s, held as ``Rows``."""
 
-    ``Dataset(rows, ...)`` reads the columns out of rows a caller built; the
-    producers' ``_from_columns`` checks their columns before it builds a row.
-    """
-
-    interactions: list[Interaction]
+    interactions: Rows
     n_users: int
     n_items: int
 
     def __post_init__(self):
-        rows = self.interactions
-        self.n_users, self.n_items, *_ = _checked_columns(
-            self.n_users, self.n_items, (list(map(attrgetter(name), rows)) for name in _INT_FIELDS),
-            _column(rows, "source", object))
+        n_users, n_items = _count(self.n_users, "n_users", 0), _count(self.n_items, "n_items", 0)
+        rows = _as_rows(self.interactions)
+        _check_on_grid(rows.users, rows.items, n_users, n_items)
+        keys = (rows.users * n_items + rows.items) * 2 + rows.is_uniform
+        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+        if (k := _first(first[group] != np.arange(keys.size))) is not None:
+            raise ValueError(f"row {k}: duplicate of row {first[group[k]]}: user={rows.users[k]}, "
+                             f"item={rows.items[k]}, source={rows[k].source.value}")
+        self.interactions, self.n_users, self.n_items = rows, n_users, n_items
 
     @classmethod
     def _from_columns(cls, n_users: int, n_items: int, groups) -> "Dataset":
-        """The ``Dataset`` of ``groups`` of (users, items, ratings, source), rows
-        in group order; labels follow the rating rule."""
+        """The ``Dataset`` of ``groups`` of (users, items, ratings, source), in group order."""
         users, items, ratings = (np.concatenate(column)
                                  for column in zip(*(group[:3] for group in groups)))
         sources = np.repeat(np.array([group[3] for group in groups], dtype=object),
                             [len(group[0]) for group in groups])
-        n_users, n_items, *columns = _checked_columns(
-            n_users, n_items, (users, items, ratings, ratings == 5), sources)
-        dataset = cls.__new__(cls)
-        dataset.interactions = _rows(*columns, sources)
-        dataset.n_users, dataset.n_items = n_users, n_items
-        return dataset
+        return cls(_checked_columns((users, items, ratings, ratings == 5), sources),
+                   n_users, n_items)
 
-    def by_source(self, source: Source) -> list[Interaction]:
-        _member(source, "source", Source)
-        return [inter for inter in self.interactions if inter.source is source]
+    def by_source(self, source: Source) -> Rows:
+        """The ``Rows`` that ``source`` logged, in log order."""
+        uniform = self.interactions.is_uniform
+        return self.interactions[uniform == (_member(source, "source", Source) is Source.UNIFORM)]
 
 
 # Bound once, here: the producers build through, and ``UnobservedSampler.from_dataset``
@@ -210,10 +208,10 @@ class Dataset:
 _Dataset = Dataset
 
 
-def pack(interactions: Sequence[Interaction]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(users, items, labels) arrays for vectorized scoring/training."""
-    return (_column(interactions, "user"), _column(interactions, "item"),
-            _column(interactions, "label", np.float64))
+def pack(interactions: Rows | Sequence[Interaction]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Copies of the (users, items, labels) columns for vectorized scoring/training."""
+    rows = _as_rows(interactions)
+    return rows.users.copy(), rows.items.copy(), (rows.ratings == 5).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -375,34 +373,36 @@ class SplitSpec:
 
 
 def split_uniform(
-    uniform_data: Sequence[Interaction], spec: SplitSpec
-) -> tuple[list[Interaction], list[Interaction], list[Interaction]]:
-    """Seeded shuffle, then partition into (train, validation, test).
+    uniform_data: Rows | Sequence[Interaction], spec: SplitSpec
+) -> tuple[Rows, Rows, Rows]:
+    """Seeded shuffle, then partition into (train, validation, test) ``Rows``.
 
     Sizes are floor(f*n) for train, then the remainder split as evenly
     as possible (validation gets the odd element).  The three parts are
     disjoint and exhaustive, and each must be nonempty.
     """
-    n, spec = len(uniform_data), _member(spec, "spec", SplitSpec)
+    rows, spec = _as_rows(uniform_data), _member(spec, "spec", SplitSpec)
+    n = len(rows)
     n_train = int(np.floor(spec.uniform_train_fraction * n))
     n_val = int(np.ceil((n - n_train) / 2))
     if 0 in (sizes := (n_train, n_val, n - n_train - n_val)):
         raise ValueError(f"uniform_train_fraction {spec.uniform_train_fraction} of {n} uniform "
                          f"rows leaves an empty part: sizes {sizes}")
     order = RngStream(spec.seed).split("uniform-split").generator.permutation(n)
-    shuffled = [uniform_data[k] for k in order]
+    shuffled = rows[order]
     return shuffled[:n_train], shuffled[n_train:n_train + n_val], shuffled[n_train + n_val:]
 
 
 def partition_batches(
-    data: Sequence[Interaction], m: int, rng: RngStream
-) -> list[list[Interaction]]:
-    """Seeded shuffle into m batches; the first n%m batches get one extra."""
-    n, m, rng = len(data), _count(m, "m"), _member(rng, "rng", RngStream)
+    data: Rows | Sequence[Interaction], m: int, rng: RngStream
+) -> list[Rows]:
+    """Seeded shuffle into m ``Rows`` batches; the first n%m batches get one extra."""
+    rows = _as_rows(data)
+    n, m, rng = len(rows), _count(m, "m"), _member(rng, "rng", RngStream)
     if m > n:
         raise ValueError(f"cannot split {n} records into {m} batches")
     parts = np.array_split(rng.generator.permutation(n), m)
-    return [[data[k] for k in part.tolist()] for part in parts]
+    return [rows[part] for part in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +432,7 @@ class UnobservedSampler:
     @classmethod
     def from_dataset(cls, dataset: Dataset, rng: RngStream) -> "UnobservedSampler":
         rows = _member(dataset, "dataset", _Dataset).interactions
-        pairs = np.column_stack([_column(rows, name) for name in ("user", "item")])
-        return cls(dataset.n_users, dataset.n_items, pairs, rng)
+        return cls(dataset.n_users, dataset.n_items, np.column_stack([rows.users, rows.items]), rng)
 
     def sample(self, n: int) -> np.ndarray:
         """n pairs uniform over the unobserved complement, shape (n, 2)."""

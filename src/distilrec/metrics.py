@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rules import _check_columns, _check_labels, _check_unit_interval, _first
-from .data import Interaction, pack
+from .data import Interaction, Rows, pack
 from .losses import _bce_terms
 from .network import ForwardMode, Network, forward_batch
 
@@ -68,7 +68,7 @@ def bce_eval(scores: Sequence[float], labels: Sequence[int]) -> float:
     return float(np.mean(_bce_terms(s, y)))
 
 
-def evaluate(net: Network, testset: Sequence[Interaction]) -> MetricsResult:
+def evaluate(net: Network, testset: Rows | Sequence[Interaction]) -> MetricsResult:
     """Score every test interaction deterministically, then AUC + BCE.
 
     Dropout never participates in measurement; stochastic scoring is a

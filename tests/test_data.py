@@ -1,6 +1,4 @@
 import collections
-import contextlib
-import gc
 import itertools
 import tracemalloc
 import warnings
@@ -26,6 +24,7 @@ from distilrec.data import (
     partition_batches,
     split_uniform,
 )
+from distilrec.metrics import MetricsResult, auc, bce_eval, evaluate
 from distilrec.network import (
     ForwardMode,
     NetworkConfig,
@@ -925,132 +924,158 @@ class TestRowsMatchPerRowReference:
         assert Dataset(ds.interactions, ds.n_users, ds.n_items) == ds
 
 
-def assert_ids_shared(rows):
-    """Every user and item id is an ``int``, one object per distinct id; ids above
-    CPython's cached small ints are present, so sharing is not the interpreter's."""
-    for field in ("user", "item"):
-        ids = [getattr(r, field) for r in rows]
-        assert {type(i) for i in ids} == {int}
-        assert max(ids) > 256
-        assert len({id(i) for i in ids}) == len(set(ids))
+def traced(build):
+    """What ``build()`` returns, and the bytes traced as still held."""
+    tracemalloc.start()
+    try:
+        out = build()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held
 
 
-class TestRowsShareIdObjects:
-    """Rows with the same id hold the same ``int``, and equal the per-row reference."""
+class TestRows:
+    """``Rows`` and each consumer of rows, against the list semantics written inline."""
 
-    def test_generate_synthetic(self):
-        sizes = (300, 400, 4, 2.0, 3000, 600)
-        _, ds = generate_synthetic(*sizes, seed=5, bias=-1.0)
-        assert ds.interactions == TestRowsMatchPerRowReference.reference_synthetic(
-            *sizes, 5, -1.0)[1]
-        assert_ids_shared(ds.interactions)
+    N_ITEMS = 7
 
-    def test_load_yahoo(self, tmp_path):
-        gen = np.random.default_rng(4)
-        raw_users = gen.choice(10**6, 400, replace=False) + 1
-        raw_items = gen.choice(10**4, 350, replace=False) + 1
-        lines = {}
-        for name, n in (("b.txt", 3000), ("u.txt", 500)):
-            cells = gen.choice(400 * 350, n, replace=False)
-            lines[name] = [f"{raw_users[c // 350]}\t{raw_items[c % 350]}\t{r}\n"
-                           for c, r in zip(cells.tolist(), gen.integers(1, 6, n).tolist())]
-            (tmp_path / name).write_text("".join(lines[name]))
-        ds = load_yahoo(tmp_path / "b.txt", tmp_path / "u.txt")
-        rows, n_users, n_items = TestRowsMatchPerRowReference.reference_yahoo(lines["b.txt"],
-                                                                              lines["u.txt"])
-        assert ds.interactions == rows
-        assert n_users > 256 and n_items > 256
-        assert_ids_shared(ds.interactions)
+    @classmethod
+    def listed(cls, n, seed=0):
+        """``n`` distinct rows of both sources in a seeded order, as a list."""
+        order = np.random.default_rng(seed).permutation(n).tolist()
+        return [interaction(k // cls.N_ITEMS, k % cls.N_ITEMS, k % 5 + 1,
+                            Source.UNIFORM if k % 3 == 0 else Source.BIASED) for k in order]
 
-    def test_load_coat(self, tmp_path):
-        gen = np.random.default_rng(6)
-        matrices = [gen.integers(1, 6, size=(290, 300)) * (gen.random((290, 300)) < p)
-                    for p in (0.08, 0.02)]
-        for name, m in zip(("train", "test"), matrices):
-            TestCoatLoader.write_matrix(tmp_path / name, m)
-        ds = load_coat(tmp_path / "train", tmp_path / "test")
-        assert ds.interactions == TestRowsMatchPerRowReference.reference_coat(matrices)
-        assert_ids_shared(ds.interactions)
+    @classmethod
+    def dataset(cls, rows, n):
+        return Dataset(rows, n // cls.N_ITEMS + 1, cls.N_ITEMS)
 
-    @staticmethod
-    def traced(build):
-        """What ``build()`` returns, and the bytes traced as still held."""
-        tracemalloc.start()
-        try:
-            out = build()
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return out, held
+    @classmethod
+    def given(cls, n):
+        """``listed(n)`` and the ``Rows`` its ``Dataset`` holds; each consumer takes either."""
+        want = cls.listed(n)
+        return want, cls.dataset(want, n).interactions
 
-    def test_rows_hold_40_bytes_less_each_than_with_fresh_ints(self):
-        # Ids 300-399 and 300-499 on a 400 x 500 grid, above CPython's cached small
-        # ints.  With a fresh 32-byte int per id, as ``tolist()`` makes, a row holds
-        # two more ints: CPython 3.11 traced 161 bytes a row that way and 97 shared.
+    @pytest.mark.parametrize("n", [0, 1, data.ROW_BLOCK - 1, data.ROW_BLOCK, data.ROW_BLOCK + 1])
+    def test_iteration_and_int_indices_give_the_rows(self, n):
+        want, rows = self.given(n)
+        assert isinstance(rows, data.Rows) and len(rows) == n
+        got = list(rows)
+        assert got == want
+        assert [tuple(map(type, r)) for r in got] == [tuple(map(type, r)) for r in want]
+        assert [rows[k] for k in range(n)] == want
+
+    def test_negative_int_index_counts_from_the_end(self):
+        want, rows = self.given(5)
+        assert [rows[k] for k in range(-5, 0)] == want
+        assert rows[np.int64(-2)] == want[-2]
+        for k in (5, -6):
+            with pytest.raises(IndexError):
+                rows[k]
+
+    def test_slice_mask_and_index_array_give_rows(self):
+        want, rows = self.given(30)
+        mask = np.arange(30) % 4 == 1
+        index = np.array([29, 0, 3, 3, -1])
+        for key, expected in ((slice(3, 20, 2), want[3:20:2]), (slice(None, -1), want[:-1]),
+                              (mask, [r for r, keep in zip(want, mask) if keep]),
+                              (index, [want[k] for k in index])):
+            assert isinstance(rows[key], data.Rows) and rows[key] == expected
+
+    def test_sum_with_rows_or_a_list_is_rows(self):
+        want, rows = self.given(9)
+        for other in (want[4:], rows[4:]):
+            total = rows[:4] + other
+            assert isinstance(total, data.Rows) and total == want
+
+    def test_sum_with_a_list_holding_a_bad_row_names_it(self):
+        _, rows = self.given(3)
+        bad = [interaction(0, 0, 5, Source.UNIFORM), Interaction(0, 1, 4, 1, Source.BIASED)]
+        with pytest.raises(ValueError, match=r"^row 1: label 1 inconsistent with rating 4$"):
+            rows + bad
+
+    def test_equality_compares_columns(self):
+        want, rows = self.given(6)
+        assert rows == self.given(6)[1] and rows == want
+        assert rows != self.dataset(self.listed(6, seed=1), 6).interactions
+        assert rows != rows[:5] and rows != want[:5] and rows != tuple(want)
+
+    def test_by_source(self):
+        want, rows = self.given(60)
+        for given in (want, rows):
+            ds = self.dataset(given, 60)
+            for source in Source:
+                part = ds.by_source(source)
+                assert isinstance(part, data.Rows)
+                assert part == [r for r in want if r.source is source]
+
+    def test_split_uniform(self):
+        want, rows = self.given(60)
+        order = RngStream(3).split("uniform-split").generator.permutation(60)
+        shuffled = [want[k] for k in order]
+        expected = (shuffled[:12], shuffled[12:36], shuffled[36:])
+        for given in (want, rows):
+            parts = split_uniform(given, SplitSpec(0.2, 3))
+            assert all(isinstance(part, data.Rows) for part in parts) and parts == expected
+
+    def test_partition_batches(self):
+        want, rows = self.given(60)
+        order = RngStream(4).generator.permutation(60)
+        expected = [[want[k] for k in part] for part in np.array_split(order, 7)]
+        for given in (want, rows):
+            assert partition_batches(given, 7, RngStream(4)) == expected
+
+    def test_pack(self):
+        want, rows = self.given(60)
+        expected = ([r.user for r in want], [r.item for r in want], [float(r.label) for r in want])
+        for given in (want, rows):
+            packed = pack(given)
+            assert [column.dtype for column in packed] == [np.int64, np.int64, np.float64]
+            for column, values in zip(packed, expected):
+                np.testing.assert_array_equal(column, values)
+
+    def test_evaluate(self):
+        want, rows = self.given(60)
+        net = init_network(NetworkConfig(60 // self.N_ITEMS + 1, self.N_ITEMS, 2, (2,)),
+                           RngStream(1))
+        scores = forward_batch(net, [[r.user, r.item] for r in want])
+        labels = [r.label for r in want]
+        expected = MetricsResult(auc(scores, labels), bce_eval(scores, labels), sum(labels),
+                                 len(labels) - sum(labels))
+        for given in (want, rows):
+            assert evaluate(net, given) == expected
+
+    def test_from_dataset(self):
+        want, rows = self.given(60)
+        expected = sorted({r.user * self.N_ITEMS + r.item for r in want})
+        for given in (want, rows):
+            np.testing.assert_array_equal(observed_keys(self.dataset(given, 60)), expected)
+
+    def test_dataset_unchanged_by_packed_arrays_or_views(self):
+        want, rows = self.given(20)
+        ds = self.dataset(rows, 20)
+        for packed in (pack(ds.interactions), pack(ds.interactions[2:9]),
+                       pack(ds.by_source(Source.BIASED))):
+            for column in packed:
+                column[:] = 0
+        for rows in (ds.interactions, ds.interactions[2:9], ds.by_source(Source.BIASED)):
+            with pytest.raises(ValueError, match="read-only"):
+                rows.users[0] = 0
+        assert ds.interactions == want
+
+    def test_dataset_holds_at_most_32_bytes_a_row(self):
+        # Three int64 columns and a bool column, 25 bytes a row.  Held as one
+        # Interaction a row, with the ids' ints shared, a Dataset traced 97.
+        n, n_users, n_items = 20_000, 400, 500
         gen = np.random.default_rng(0)
-        n = 20_000
-        users, items = gen.integers(300, 400, n), gen.integers(300, 500, n)
+        users, items = np.divmod(np.sort(gen.choice(n_users * n_items, n, replace=False)), n_items)
         ratings = gen.integers(1, 6, n)
-        labels = (ratings == 5).astype(np.int64)
-        sources = np.full(n, Source.BIASED, dtype=object)
-        rows, held = self.traced(lambda: data._rows(users, items, ratings, labels, sources))
-        fresh, held_fresh = self.traced(lambda: list(map(
-            tuple.__new__, itertools.repeat(Interaction),
-            zip(users.tolist(), items.tolist(), ratings.tolist(), labels.tolist(),
-                sources.tolist()))))
-        assert rows == fresh
-        assert held <= held_fresh - 40 * n
-
-
-class TestCollectorPaused:
-    """Rows are built with the cyclic collector off; the caller's state comes back."""
-
-    @staticmethod
-    def build(n):
-        column = np.arange(n)
-        return data._rows(column, column, column % 5 + 1, (column % 5 == 4).astype(np.int64),
-                          np.full(n, Source.BIASED, dtype=object))
-
-    @pytest.fixture
-    def collections_started(self):
-        started = []
-
-        def count(phase, info):
-            if phase == "start":
-                started.append(info["generation"])
-
-        gc.callbacks.append(count)
-        yield started
-        gc.callbacks.remove(count)
-
-    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
-    def collector(self, request):
-        was_enabled = gc.isenabled()
-        (gc.enable if request.param else gc.disable)()
-        yield request.param
-        (gc.enable if was_enabled else gc.disable)()
-
-    def test_no_collection_while_rows_are_built(self, collections_started, monkeypatch):
-        assert gc.isenabled()
-        n = 50 * gc.get_threshold()[0]  # rows enough for many young collections
-        monkeypatch.setattr(data, "_collector_paused", contextlib.nullcontext)
-        self.build(n)
-        unpaused = len(collections_started)
-        monkeypatch.undo()
-        collections_started.clear()
-        self.build(n)
-        # Allocations made while the collector was off are still counted, so one
-        # collection may start at the first allocation after it is back on.
-        assert len(collections_started) <= 1 < 10 <= unpaused
-
-    def test_state_restored_after_a_build(self, collector):
-        rows = self.build(3)
-        assert rows == [interaction(k, k, k + 1, Source.BIASED) for k in range(3)]
-        assert gc.isenabled() is collector
-
-    def test_state_restored_after_a_body_that_raises(self, collector):
-        with pytest.raises(RuntimeError, match="inside"):
-            with data._collector_paused():
-                assert not gc.isenabled()
-                raise RuntimeError("inside")
-        assert gc.isenabled() is collector
+        listed = [interaction(u, i, r, Source.BIASED)
+                  for u, i, r in zip(users.tolist(), items.tolist(), ratings.tolist())]
+        for build in (lambda: Dataset(listed, n_users, n_items),
+                      lambda: data._Dataset._from_columns(
+                          n_users, n_items, [(users, items, ratings, Source.BIASED)])):
+            ds, held = traced(build)
+            assert ds.interactions == listed
+            assert held <= 32 * n

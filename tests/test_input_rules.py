@@ -301,9 +301,9 @@ CHOICE_ENTRIES = {
     "UnobservedSampler.from_dataset": (lambda v: UnobservedSampler.from_dataset(v, RngStream(1)),
                                        "dataset", "Dataset", [ROWS], synthetic()[1]),
     # Unchecked, replace="no" drew with replacement and replace=None without it. numpy 2
-    # names its np.bool_ "bool".
+    # names its np.bool_ "bool", and the message names it once.
     "RngStream.choice.replace": (lambda v: RngStream(1).choice(3, 2, replace=v), "replace",
-                                 "bool or bool", ["no", None], np.False_),
+                                 "bool", ["no", None], np.False_),
 }
 
 

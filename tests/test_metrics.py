@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from distilrec.data import Source
-from distilrec.metrics import MetricsResult, UndefinedMetricError, auc, bce_eval, evaluate
+from distilrec.metrics import UndefinedMetricError, auc, bce_eval, evaluate
 from distilrec.network import NetworkConfig, init_network
 from distilrec.rng import RngStream
 

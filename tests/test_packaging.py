@@ -39,7 +39,8 @@ def test_names_without_caller_stay_deleted():
             "uniform", "integers", "permutation", "_is_observed", "binarize", "interaction",
             "_reg_grad_wrt_student", "_whole_file_fields", "_parse_triples", "_parse_matrix",
             "FIELD_DIGITS", "observed_pairs", "_shapes_match", "_check_ids", "_whole",
-            "param_count", "MAE", "JEFFREYS"}
+            "param_count", "MAE", "JEFFREYS", "_rows", "_shared_ids", "_collector_paused",
+            "_column"}
     modules = [importlib.import_module(f"distilrec.{info.name}")
                for info in pkgutil.iter_modules(distilrec.__path__)]
     classes = [obj for m in modules for obj in vars(m).values()
@@ -111,9 +112,11 @@ def package_trees():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # No linter runs here; this is its unused-import check, on the package only.
+    # No linter runs here; this is its unused-import check, on the package and its tests.
+    trees = {**package_trees(), **{f"tests/{path.stem}": ast.parse(path.read_text())
+                                   for path in sorted((REPO / "tests").glob("*.py"))}}
     unused = []
-    for module, tree in package_trees().items():
+    for module, tree in trees.items():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{module}: {alias.name}" for node in ast.walk(tree)
                    if isinstance(node, (ast.Import, ast.ImportFrom))
