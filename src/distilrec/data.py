@@ -6,10 +6,12 @@ and a large slice logged by a deployed recommender (exposure-biased).
 Ratings on a 1-5 scale are binarized: only a 5 counts as a positive.
 A log is held as columns, not one Python object per rating: ``Rows`` holds
 int64 ``users``, ``items`` and ``ratings`` and a bool ``is_uniform``, and
-makes an ``Interaction`` only when a caller reads a row.  A list of rows is
-read into columns once, by ``_as_rows``, which names the first bad row;
-``Dataset`` then names the first row off the grid or duplicated.  The
-generator's and the loaders' columns pass the same checks.
+makes an ``Interaction`` only when a caller reads a row.  ``Rows`` checks its
+columns on construction, naming the first bad row, so every log is checked
+once, where its columns are made: by the generator, a loader, a slice, a
+sum or a caller.  A list of rows is read into columns once, by ``_as_rows``,
+which adds the list's own checks of label and source.  ``Dataset`` then
+checks only the log: its grid and the first row off it or duplicated.
 
 The native loaders parse each file with one ``np.loadtxt``.  Only a file
 it rejects, or one whose values fail a range check, is read again line by
@@ -32,8 +34,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._rules import (_as_int64, _as_pairs, _check_on_grid, _check_seed, _count, _first, _member,
-                     _real)
+from ._rules import (_as_int64, _check_columns, _check_on_grid, _check_seed, _count, _first,
+                     _member, _real)
 from .rng import RngStream
 
 __all__ = [
@@ -99,13 +101,21 @@ class Rows:
     bool ``is_uniform``; the rating rule gives the labels.  An int index makes an
     ``Interaction``, iteration makes them ``ROW_BLOCK`` at a time, and a slice, bool mask
     or index array gives ``Rows``; ``+`` appends ``Rows`` or a list of ``Interaction``s.
-    The columns are taken as given and made read-only, so no view changes a checked
-    ``Dataset``; ``_as_rows`` reads and checks a list.
+    The columns are checked on construction: whole int64 ids and ratings, ratings in
+    1-5, each naming its first bad row, a bool ``is_uniform``, and all four 1-D and of
+    one length.  They are then made read-only, so no view changes a checked ``Dataset``.
     """
 
     __slots__ = ("users", "items", "ratings", "is_uniform")
 
     def __init__(self, users, items, ratings, is_uniform):
+        users, items, ratings = (_as_int64(column, name) for column, name in zip(
+            (users, items, ratings), ("user", "item", "rating")))
+        _check_columns("Rows", users=users, items=items, ratings=ratings, is_uniform=is_uniform)
+        if (k := _first((ratings < 1) | (ratings > 5))) is not None:
+            raise ValueError(f"row {k}: rating {ratings[k]} outside 1-5")
+        if (is_uniform := np.asarray(is_uniform)).dtype != bool:
+            raise ValueError(f"Rows: is_uniform has dtype {is_uniform.dtype}, not bool")
         self.users, self.items, self.ratings, self.is_uniform = users, items, ratings, is_uniform
         for column in self._columns():
             column.flags.writeable = False
@@ -143,33 +153,31 @@ class Rows:
                                                    other._columns()))
 
 
-def _checked_columns(int_columns, sources: np.ndarray) -> Rows:
-    """The ``Rows`` of the (user, item, rating, label) columns ``int_columns`` yields
-    and the object column ``sources``, once they pass the row check."""
-    users, items, ratings, labels = (_as_int64(column, name) for column, name in zip(
-        int_columns, ("user", "item", "rating", "label")))
-    if (k := _first((ratings < 1) | (ratings > 5))) is not None:
-        raise ValueError(f"row {k}: rating {ratings[k]} outside 1-5")
-    if (k := _first(labels != (ratings == 5))) is not None:
-        raise ValueError(f"row {k}: label {labels[k]} inconsistent with rating {ratings[k]}")
-    uniform = sources == Source.UNIFORM
-    if (k := _first(~uniform & (sources != Source.BIASED))) is not None:
-        raise ValueError(f"row {k}: source {sources[k]!r} is not a Source")
-    return Rows(users, items, ratings, uniform)
-
-
 def _as_rows(rows: Rows | Sequence[Interaction]) -> Rows:
-    """The one conversion: ``rows`` as ``Rows``, a list read once and checked."""
+    """The one conversion: ``rows`` as ``Rows``, a list read once and checked.
+
+    A list's first fault wins in the order: a value not a whole int64 (user, item,
+    rating, then label), a rating outside 1-5, a label against its rating, a source.
+    """
     if isinstance(rows, Rows):
         return rows
     fields = list(zip(*rows)) or [()] * len(Interaction._fields)
-    return _checked_columns(fields[:4], np.fromiter(fields[4], dtype=object, count=len(rows)))
+    users, items, ratings, labels = (_as_int64(column, name) for column, name in zip(
+        fields, ("user", "item", "rating", "label")))
+    sources = np.fromiter(fields[4], dtype=object, count=len(rows))
+    checked = Rows(users, items, ratings, sources == Source.UNIFORM)
+    if (k := _first(labels != (ratings == 5))) is not None:
+        raise ValueError(f"row {k}: label {labels[k]} inconsistent with rating {ratings[k]}")
+    if (k := _first(~checked.is_uniform & (sources != Source.BIASED))) is not None:
+        raise ValueError(f"row {k}: source {sources[k]!r} is not a Source")
+    return checked
 
 
 @dataclass
 class Dataset:
-    """Logged rows on an ``n_users`` x ``n_items`` grid, checked once, on columns;
-    ``interactions`` is given as ``Rows`` or a list of ``Interaction``s, held as ``Rows``."""
+    """Logged rows on an ``n_users`` x ``n_items`` grid; ``interactions`` is given as
+    ``Rows`` or a list of ``Interaction``s and held as ``Rows``, whose rows are checked.
+    The log itself is checked here: every row on the grid, none a duplicate."""
 
     interactions: Rows
     n_users: int
@@ -186,25 +194,14 @@ class Dataset:
                              f"item={rows.items[k]}, source={rows[k].source.value}")
         self.interactions, self.n_users, self.n_items = rows, n_users, n_items
 
-    @classmethod
-    def _from_columns(cls, n_users: int, n_items: int, groups) -> "Dataset":
-        """The ``Dataset`` of ``groups`` of (users, items, ratings, source), in group order."""
-        users, items, ratings = (np.concatenate(column)
-                                 for column in zip(*(group[:3] for group in groups)))
-        sources = np.repeat(np.array([group[3] for group in groups], dtype=object),
-                            [len(group[0]) for group in groups])
-        return cls(_checked_columns((users, items, ratings, ratings == 5), sources),
-                   n_users, n_items)
-
     def by_source(self, source: Source) -> Rows:
         """The ``Rows`` that ``source`` logged, in log order."""
         uniform = self.interactions.is_uniform
         return self.interactions[uniform == (_member(source, "source", Source) is Source.UNIFORM)]
 
 
-# Bound once, here: the producers build through, and ``UnobservedSampler.from_dataset``
-# tests against, the class defined above, whatever the module's ``Dataset`` name is later
-# made to refer to.
+# Bound once, here: the producers build through, and ``UnobservedSampler`` tests against,
+# the class defined above, whatever the module's ``Dataset`` name is later made to refer to.
 _Dataset = Dataset
 
 
@@ -301,11 +298,9 @@ def load_yahoo(biased_path, uniform_path) -> Dataset:
     triples = np.concatenate([biased, _read_triples(Path(uniform_path))])
     user_ids, users = np.unique(triples[:, 0], return_inverse=True)
     item_ids, items = np.unique(triples[:, 1], return_inverse=True)
-    ratings = triples[:, 2]
-    nb = len(biased)
-    return _Dataset._from_columns(user_ids.size, item_ids.size,
-                               [(users[:nb], items[:nb], ratings[:nb], Source.BIASED),
-                                (users[nb:], items[nb:], ratings[nb:], Source.UNIFORM)])
+    is_uniform = np.repeat([False, True], [len(biased), len(triples) - len(biased)])
+    return _Dataset(Rows(users, items, triples[:, 2].copy(), is_uniform),
+                    user_ids.size, item_ids.size)
 
 
 def _row_fault(n: int, values: list[int] | None, width: int) -> str | None:
@@ -346,12 +341,11 @@ def load_coat(train_matrix_path, test_matrix_path) -> Dataset:
         raise DataFormatError(
             f"matrix shapes differ: {biased_m.shape} vs {uniform_m.shape}"
         )
-    n_users, n_items = biased_m.shape
-    groups = []
-    for matrix, src in ((biased_m, Source.BIASED), (uniform_m, Source.UNIFORM)):
-        us, its = np.nonzero(matrix)
-        groups.append((us, its, matrix[us, its], src))
-    return _Dataset._from_columns(n_users, n_items, groups)
+    # Nonzero cells in C order: the biased log, then the uniform one, each by user, then item.
+    logs = np.stack([biased_m, uniform_m])
+    sources, users, items = np.nonzero(logs)
+    return _Dataset(Rows(users, items, logs[sources, users, items], sources == 1),
+                    *biased_m.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +369,16 @@ class SplitSpec:
 def split_uniform(
     uniform_data: Rows | Sequence[Interaction], spec: SplitSpec
 ) -> tuple[Rows, Rows, Rows]:
-    """Seeded shuffle, then partition into (train, validation, test) ``Rows``.
+    """Seeded shuffle of uniformly logged rows, then partition into (train, validation,
+    test) ``Rows``; a biased row is rejected, naming it.
 
     Sizes are floor(f*n) for train, then the remainder split as evenly
     as possible (validation gets the odd element).  The three parts are
     disjoint and exhaustive, and each must be nonempty.
     """
     rows, spec = _as_rows(uniform_data), _member(spec, "spec", SplitSpec)
+    if (k := _first(~rows.is_uniform)) is not None:
+        raise ValueError(f"row {k}: source biased; split_uniform takes uniform rows only")
     n = len(rows)
     n_train = int(np.floor(spec.uniform_train_fraction * n))
     n_val = int(np.ceil((n - n_train) / 2))
@@ -411,28 +408,25 @@ def partition_batches(
 
 
 class UnobservedSampler:
-    """Uniform with-replacement sampler over never-logged (user, item) pairs.
+    """Uniform with-replacement sampler over the (user, item) pairs a ``Dataset`` never logged.
 
-    Each draw is a rank among the free cells, mapped exactly to its key.
+    It reads the checked ``Dataset``'s grid and id columns as they are.  Each draw is a
+    rank among the free cells, mapped exactly to its key.
     """
 
-    def __init__(self, n_users: int, n_items: int, observed_pairs: np.ndarray, rng: RngStream):
-        n_users, n_items = _count(n_users, "n_users", 0), _count(n_items, "n_items", 0)
-        self.n_users, self.n_items = n_users, n_items
+    def __init__(self, dataset: Dataset, rng: RngStream):
+        rows = _member(dataset, "dataset", _Dataset).interactions
+        self.n_users, self.n_items = dataset.n_users, dataset.n_items
         self._rng = _member(rng, "rng", RngStream)
-        pairs = _as_pairs(observed_pairs)
-        users, items = pairs[:, 0], pairs[:, 1]
-        _check_on_grid(users, items, n_users, n_items)
-        self._observed_keys = _distinct(users * n_items + items)
-        self._n_free = n_users * n_items - self._observed_keys.size
+        self._observed_keys = _distinct(rows.users * self.n_items + rows.items)
+        self._n_free = self.n_users * self.n_items - self._observed_keys.size
         if self._n_free == 0:
             raise ValueError("every (user, item) pair is observed; no complement to sample")
         self._free_before = self._observed_keys - np.arange(self._observed_keys.size)
 
     @classmethod
     def from_dataset(cls, dataset: Dataset, rng: RngStream) -> "UnobservedSampler":
-        rows = _member(dataset, "dataset", _Dataset).interactions
-        return cls(dataset.n_users, dataset.n_items, np.column_stack([rows.users, rows.items]), rng)
+        return cls(dataset, rng)
 
     def sample(self, n: int) -> np.ndarray:
         """n pairs uniform over the unobserved complement, shape (n, 2)."""
@@ -549,11 +543,12 @@ def generate_synthetic(
     biased_cells = _smallest_cells(n_biased, prob.size, gumbel_keys)
     uniform_cells = _smallest_cells(n_uniform, prob.size, negated_uniform_keys)
 
+    # Per log: the labels' draws, then the low ratings' draws.
     label_rng = root.split("labels").generator
-    groups = []
-    for cells, src in ((biased_cells, Source.BIASED), (uniform_cells, Source.UNIFORM)):
-        us, its = np.divmod(cells, n_items)
-        labels = label_rng.random(cells.size) < prob[us, its]
-        ratings = np.where(labels, 5, label_rng.integers(1, 5, size=cells.size))
-        groups.append((us, its, ratings, src))
-    return world, _Dataset._from_columns(n_users, n_items, groups)
+    ratings = np.concatenate([
+        np.where(label_rng.random(cells.size) < flat_prob[cells], 5,
+                 label_rng.integers(1, 5, size=cells.size))
+        for cells in (biased_cells, uniform_cells)])
+    users, items = np.divmod(np.concatenate([biased_cells, uniform_cells]), n_items)
+    is_uniform = np.repeat([False, True], [n_biased, n_uniform])
+    return world, _Dataset(Rows(users, items, ratings, is_uniform), n_users, n_items)

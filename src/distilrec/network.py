@@ -121,7 +121,7 @@ class Network:
             raise ValueError(f"{len(self.weights)} weights and {len(self.biases)} biases; "
                              f"config expects {n_layers} of each")
         for (name, shape), a in zip(self.config.param_shapes(), self.param_arrays()):
-            if a.shape != shape:
+            if _member(a, name, np.ndarray).shape != shape:
                 raise ValueError(f"{name} has shape {a.shape}; config expects {shape}")
             if a.dtype != np.float64:
                 raise ValueError(f"{name} has dtype {a.dtype}; float64 expected")

@@ -1,8 +1,6 @@
 import collections
-import itertools
 import tracemalloc
 import warnings
-from operator import attrgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +11,7 @@ from distilrec.data import (
     DataFormatError,
     Dataset,
     Interaction,
+    Rows,
     Source,
     SplitSpec,
     UnobservedSampler,
@@ -45,15 +44,15 @@ def zero_weight_gumbel_top_k(stream, n_cells, k):
 
 def observed_keys(ds):
     """The distinct observed cells of ``ds``, as keys user * n_items + item, ascending."""
-    return UnobservedSampler.from_dataset(ds, RngStream(1))._observed_keys
+    return UnobservedSampler(ds, RngStream(1))._observed_keys
 
 
 def columns_entry(rows, n_users, n_items):
-    """The Dataset of ``rows`` as the producers build one: from columns, one group
-    per run of rows of one source.  Labels follow the rating rule."""
-    groups = [(*map(list, zip(*[(r.user, r.item, r.rating) for r in run])), source)
-              for source, run in itertools.groupby(rows, key=attrgetter("source"))]
-    return data._Dataset._from_columns(n_users, n_items, groups)
+    """The Dataset of ``rows`` as the producers build one: ``Rows`` of columns, here
+    lists of the rows' values.  Labels follow the rating rule."""
+    columns = [[getattr(r, name) for r in rows] for name in ("user", "item", "rating")]
+    is_uniform = np.array([r.source is Source.UNIFORM for r in rows], dtype=bool)
+    return Dataset(Rows(*columns, is_uniform), n_users, n_items)
 
 
 def both_entries(rows, n_users, n_items):
@@ -576,6 +575,15 @@ class TestSplitUniform:
         with pytest.raises(ValueError):
             split_uniform(self.fake_uniform(2), SplitSpec(seed=0))
 
+    def test_biased_row_rejected_naming_it(self):
+        # Unchecked, biased rows were split into a "uniform" train, validation and test.
+        rows = self.fake_uniform(10)
+        rows[6] = rows[6]._replace(source=Source.BIASED)
+        for given in (rows, Dataset(rows, 1, 100).interactions):
+            with pytest.raises(ValueError, match=r"^row 6: source biased; split_uniform takes "
+                                                 r"uniform rows only$"):
+                split_uniform(given, SplitSpec(seed=0))
+
     @pytest.mark.parametrize("fraction, n, sizes", [(0.2, 3, r"\(0, 2, 1\)"),
                                                     (0.9, 3, r"\(2, 1, 0\)"),
                                                     (0.2, 4, r"\(0, 2, 2\)")])
@@ -587,8 +595,7 @@ class TestSplitUniform:
             split_uniform(self.fake_uniform(n), spec)
 
 
-@pytest.mark.parametrize("entry", ["rows", "columns", "sampler", "forward_cached",
-                                   "forward_batch"])
+@pytest.mark.parametrize("entry", ["rows", "columns", "forward_cached", "forward_batch"])
 def test_off_grid_id_rejected_alike_at_every_entry(entry):
     # Row 1 holds item 3 on a 2 x 3 grid; every entry names it in the same words.
     users, items, ratings = [0, 0, 1], [0, 3, 1], [5, 2, 4]
@@ -596,10 +603,7 @@ def test_off_grid_id_rejected_alike_at_every_entry(entry):
     build = {
         "rows": lambda: Dataset([interaction(*row, Source.BIASED)
                                  for row in zip(users, items, ratings)], 2, 3),
-        "columns": lambda: data._Dataset._from_columns(2, 3, [(users, items, ratings,
-                                                                Source.BIASED)]),
-        "sampler": lambda: UnobservedSampler(2, 3, np.column_stack([users, items]),
-                                             RngStream(1)),
+        "columns": lambda: Dataset(Rows(users, items, ratings, np.zeros(3, bool)), 2, 3),
         "forward_cached": lambda: forward_cached(net, users, items, ForwardMode.DETERMINISTIC),
         "forward_batch": lambda: forward_batch(net, np.column_stack([users, items])),
     }[entry]
@@ -652,21 +656,28 @@ class TestPartitionBatches:
         assert partition_batches(data, 7, RngStream(9)) == expected
 
 
+def sampler_of(n_users, n_items, pairs, rng):
+    """The sampler of a Dataset that logged each (user, item) of ``pairs`` once, biased."""
+    users, items = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    rows = Rows(users, items, np.ones(users.size, np.int64), np.zeros(users.size, bool))
+    return UnobservedSampler(Dataset(rows, n_users, n_items), rng)
+
+
 class TestUnobservedSampler:
     def test_single_free_cell(self):
-        sampler = UnobservedSampler(1, 2, np.array([[0, 0]]), RngStream(1))
+        sampler = sampler_of(1, 2, [[0, 0]], RngStream(1))
         draws = sampler.sample(32)
         assert np.all(draws == np.array([0, 1]))
 
     def test_fully_observed_rejected(self):
         observed = np.array([(u, i) for u in range(2) for i in range(2)])
         with pytest.raises(ValueError, match="complement"):
-            UnobservedSampler(2, 2, observed, RngStream(1))
+            sampler_of(2, 2, observed, RngStream(1))
 
     def test_never_emits_observed(self):
         gen = np.random.default_rng(5)
         observed = np.unique(gen.integers(0, 10, size=(50, 2)), axis=0)
-        sampler = UnobservedSampler(10, 10, observed, RngStream(2))
+        sampler = sampler_of(10, 10, observed, RngStream(2))
         draws = sampler.sample(1_000_000)
         keys = draws[:, 0] * 10 + draws[:, 1]
         observed_keys = set(observed[:, 0] * 10 + observed[:, 1])
@@ -678,7 +689,7 @@ class TestUnobservedSampler:
         gen = np.random.default_rng(11)
         cells = gen.permutation(100)[:50]
         observed = np.column_stack([cells // 10, cells % 10])
-        sampler = UnobservedSampler(10, 10, observed, RngStream(3))
+        sampler = sampler_of(10, 10, observed, RngStream(3))
         n = 100_000
         draws = sampler.sample(n)
         keys = draws[:, 0] * 10 + draws[:, 1]
@@ -689,35 +700,11 @@ class TestUnobservedSampler:
         assert np.all(np.abs(counts[free] - expected) < 3 * se)
 
     def test_nothing_observed_samples_whole_grid(self):
-        sampler = UnobservedSampler(3, 4, np.empty((0, 2), np.int64), RngStream(0))
+        sampler = sampler_of(3, 4, [], RngStream(0))
+        assert sampler._observed_keys.size == 0
         draws = sampler.sample(5)
         assert draws.shape == (5, 2)
         assert np.all((draws >= 0) & (draws < [3, 4]))
-
-    def test_pairs_not_shaped_n_by_2_rejected(self):
-        # Flattened, [0, 1, 1, 2] would be read as the pairs (0, 1) and (1, 2).
-        for bad in (np.array([0, 1, 1, 2]), np.zeros((2, 3), np.int64), np.zeros((1, 2, 2))):
-            with pytest.raises(ValueError, match=r"pairs must have shape \(n, 2\)"):
-                UnobservedSampler(3, 4, bad, RngStream(1))
-        assert UnobservedSampler(3, 4, [], RngStream(1))._observed_keys.size == 0
-
-    def test_pairs_not_integers_rejected_naming_row(self):
-        # Unchecked, (0.5, 1.0) was truncated to (0, 1) and masked key 1.
-        with pytest.raises(ValueError, match=r"row 0: pair id 0.5 is not an integer"):
-            UnobservedSampler(2, 2, [[0.5, 1.0]], RngStream(1))
-        with pytest.raises(ValueError, match=r"row 1: pair id 1.25 is not an integer"):
-            UnobservedSampler(2, 2, np.array([[0, 1], [1, 1.25]]), RngStream(1))
-
-    def test_pairs_outside_grid_rejected_naming_row(self):
-        # Unchecked, (0, 3) in a 2 x 3 grid would take the key of cell (1, 0),
-        # and that cell would never be sampled.
-        with pytest.raises(ValueError, match=r"row 1: id out of range: user=0, item=3 in a 2 x 3 grid"):
-            UnobservedSampler(2, 3, np.array([[0, 0], [0, 3]]), RngStream(1))
-        with pytest.raises(ValueError, match=r"row 0: id out of range: user=-1, item=2"):
-            UnobservedSampler(2, 3, np.array([[-1, 2], [1, 1]]), RngStream(1))
-        with pytest.raises(ValueError, match=r"row 0: id out of range: user=2, item=0"):
-            UnobservedSampler(2, 3, np.array([[2, 0]]), RngStream(1))
-
 
     @pytest.mark.parametrize("observed_keys", [[0, 7, 8, 9, 19], []])
     def test_ranks_map_to_free_cells_in_key_order(self, observed_keys):
@@ -726,13 +713,13 @@ class TestUnobservedSampler:
         arange_ranks.generator = SimpleNamespace(
             integers=lambda low, high, size: np.arange(low, high))
         keys = np.array(observed_keys, dtype=np.int64)
-        sampler = UnobservedSampler(4, 5, np.column_stack(np.divmod(keys, 5)), arange_ranks)
+        sampler = sampler_of(4, 5, np.column_stack(np.divmod(keys, 5)), arange_ranks)
         free = np.setdiff1d(np.arange(20), keys)
         np.testing.assert_array_equal(sampler.sample(free.size), np.column_stack(np.divmod(free, 5)))
 
     def test_every_free_cell_drawn_in_small_grid(self):
         # The 2 x 3 grid with (0, 0) observed: all five free cells are reached.
-        sampler = UnobservedSampler(2, 3, np.array([[0, 0]]), RngStream(4))
+        sampler = sampler_of(2, 3, [[0, 0]], RngStream(4))
         draws = sampler.sample(20_000)
         assert set(map(tuple, draws.tolist())) == {(0, 1), (0, 2), (1, 0), (1, 1), (1, 2)}
 
@@ -1011,7 +998,8 @@ class TestRows:
                 assert part == [r for r in want if r.source is source]
 
     def test_split_uniform(self):
-        want, rows = self.given(60)
+        want = [r._replace(source=Source.UNIFORM) for r in self.listed(60)]
+        rows = self.dataset(want, 60).interactions
         order = RngStream(3).split("uniform-split").generator.permutation(60)
         shuffled = [want[k] for k in order]
         expected = (shuffled[:12], shuffled[12:36], shuffled[36:])
@@ -1074,8 +1062,8 @@ class TestRows:
         listed = [interaction(u, i, r, Source.BIASED)
                   for u, i, r in zip(users.tolist(), items.tolist(), ratings.tolist())]
         for build in (lambda: Dataset(listed, n_users, n_items),
-                      lambda: data._Dataset._from_columns(
-                          n_users, n_items, [(users, items, ratings, Source.BIASED)])):
+                      lambda: Dataset(Rows(users.copy(), items.copy(), ratings.copy(),
+                                           np.zeros(n, bool)), n_users, n_items)):
             ds, held = traced(build)
             assert ds.interactions == listed
             assert held <= 32 * n

@@ -1,9 +1,10 @@
-"""The count, seed, real-number, choice, stream and column rules, at every entry that takes
-such a value.
+"""The count, seed, real-number, choice, stream, column and row rules, at every entry that
+takes such a value.
 
 Each rule is written once, in ``distilrec._rules``: ``_count``, ``_check_seed``, ``_real``,
 ``_member`` (for enum choices, random streams and every other typed argument) and
-``_check_columns``.  Each is checked here, one table per rule, and not again per module.
+``_check_columns``; the row rule is ``Rows``'s own.  Each is checked here, one table per
+rule, and not again per module.
 Every entry is fed the same bad values and must raise a ``ValueError`` that names its
 argument; none may truncate or coerce a value or take it without a word.
 """
@@ -19,6 +20,7 @@ import pytest
 
 from distilrec.data import (
     Dataset,
+    Rows,
     Source,
     SplitSpec,
     UnobservedSampler,
@@ -30,6 +32,7 @@ from distilrec.losses import ObservedBatch, RegLossKind, UnobservedBatch, loss_a
 from distilrec.metrics import auc, bce_eval, evaluate
 from distilrec.network import (
     ForwardMode,
+    Network,
     NetworkConfig,
     backprop,
     forward_batch,
@@ -65,12 +68,8 @@ COUNT_ENTRIES = {
        for name in SIZES},
     "Dataset.n_users": (lambda v: Dataset(ROWS[:1], v, 64), "n_users", 0),
     "Dataset.n_items": (lambda v: Dataset(ROWS[:1], 64, v), "n_items", 0),
-    "UnobservedSampler.n_users": (lambda v: UnobservedSampler(v, 64, [[0, 0]], RngStream(1)),
-                                  "n_users", 0),
-    "UnobservedSampler.n_items": (lambda v: UnobservedSampler(64, v, [[0, 0]], RngStream(1)),
-                                  "n_items", 0),
-    "UnobservedSampler.sample": (lambda v: UnobservedSampler(2, 3, [], RngStream(1)).sample(v),
-                                 "n", 0),
+    "UnobservedSampler.sample": (lambda v: UnobservedSampler(Dataset([], 2, 3),
+                                                             RngStream(1)).sample(v), "n", 0),
     # Unchecked, step=-1 made the first Adam update divide by 1 - 0.9**0 = 0, and
     # step=1.5 was taken and advanced to 2.5.
     "OptimizerState.step": (lambda v: OptimizerState(0.1, step=v), "step", 0),
@@ -83,8 +82,8 @@ COUNT_ENTRIES = {
 @pytest.mark.parametrize("entry", COUNT_ENTRIES)
 @pytest.mark.parametrize("value", [2.5, True, "5", np.nan, np.inf, "below"])
 def test_count_that_is_not_a_whole_number_at_least_its_floor_rejected(entry, value):
-    # Unchecked, m=2.5 gave 2 batches and m=True 1, Dataset and UnobservedSampler took
-    # a 2.5-row grid, and generate_synthetic(5.5, ...) failed in numpy naming no argument.
+    # Unchecked, m=2.5 gave 2 batches and m=True 1, Dataset took a 2.5-row grid, and
+    # generate_synthetic(5.5, ...) failed in numpy naming no argument.
     call, name, low = COUNT_ENTRIES[entry]
     if value == "below":
         value, message = low - 1, f"{name} must be >= {low}, got {low - 1!r}"
@@ -298,8 +297,16 @@ CHOICE_ENTRIES = {
     "OptimizerState.moments[1]": (
         lambda v: update(opt=OptimizerState(0.1, moments=(NET.zeros_like(), v))),
         "moments[1]", "Network", [None], NET.zeros_like()),
+    "UnobservedSampler.dataset": (lambda v: UnobservedSampler(v, RngStream(1)), "dataset",
+                                  "Dataset", [ROWS], synthetic()[1]),
     "UnobservedSampler.from_dataset": (lambda v: UnobservedSampler.from_dataset(v, RngStream(1)),
                                        "dataset", "Dataset", [ROWS], synthetic()[1]),
+    # Unchecked, a list raised "AttributeError: 'list' object has no attribute 'shape'".
+    "Network.user_emb": (lambda v: Network(NET.config, v, NET.item_emb, NET.weights, NET.biases),
+                         "user_emb", "ndarray", [NET.user_emb.tolist()], NET.user_emb),
+    "Network.weights[1]": (lambda v: Network(NET.config, NET.user_emb, NET.item_emb,
+                                             [NET.weights[0], v, NET.weights[2]], NET.biases),
+                           "weights[1]", "ndarray", [NET.weights[1].tolist()], NET.weights[1]),
     # Unchecked, replace="no" drew with replacement and replace=None without it. numpy 2
     # names its np.bool_ "bool", and the message names it once.
     "RngStream.choice.replace": (lambda v: RngStream(1).choice(3, 2, replace=v), "replace",
@@ -373,10 +380,41 @@ def test_backprop_of_too_few_dlogits_rejected():
         backprop(NET, cache, [1.0, 2.0])
 
 
+# Two good rows; each fault replaces one column.
+GOOD_COLUMNS = dict(users=[0, 1], items=[1, 0], ratings=[5, 2], is_uniform=np.array([True, False]))
+# fault: (the columns it replaces, the message)
+ROW_FAULTS = {
+    "non-whole id": (dict(users=[0, 0.5]), "row 1: user 0.5 is not an integer within int64"),
+    "rating 0": (dict(ratings=[5, 0]), "row 1: rating 0 outside 1-5"),
+    "rating 6": (dict(ratings=[6, 2]), "row 0: rating 6 outside 1-5"),
+    "int is_uniform": (dict(is_uniform=np.array([1, 0])),
+                       "Rows: is_uniform has dtype int64, not bool"),
+    "unequal lengths": (dict(items=[1, 0, 1]), "Rows: 3 items for 2 users"),
+    "2-D column": (dict(ratings=[[5], [2]]), "Rows: ratings has shape (2, 1), not 1-D"),
+}
+# entry: call with the columns, each making ``Rows`` of them.
+ROW_ENTRIES = {
+    "Rows": lambda columns: Rows(**columns),
+    "Dataset": lambda columns: Dataset(Rows(**columns), 2, 2),
+    "Rows + Rows": lambda columns: Rows(**GOOD_COLUMNS) + Rows(**columns),
+}
+
+
+@pytest.mark.parametrize("entry", ROW_ENTRIES)
+@pytest.mark.parametrize("fault", ROW_FAULTS)
+def test_row_rule_holds_wherever_columns_become_rows(entry, fault):
+    # Unchecked, Dataset and + took Rows as given: a user of 0.5, a rating of 0 or 6 and an
+    # int is_uniform were held, and columns of unequal length failed in numpy's broadcast.
+    replaced, message = ROW_FAULTS[fault]
+    ROW_ENTRIES[entry](GOOD_COLUMNS)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        ROW_ENTRIES[entry]({**GOOD_COLUMNS, **replaced})
+
+
 # entry: call with the stream; each draws from it, or keeps it to draw from later.
 STREAM_ENTRIES = {
     "partition_batches": lambda r: partition_batches(ROWS, 2, r),
-    "UnobservedSampler": lambda r: UnobservedSampler(3, 4, [[0, 0]], r).sample(2),
+    "UnobservedSampler": lambda r: UnobservedSampler(Dataset(ROWS[:1], 3, 64), r).sample(2),
     "UnobservedSampler.from_dataset": lambda r: UnobservedSampler.from_dataset(
         synthetic()[1], r).sample(2),
     "init_network": lambda r: init_network(NetworkConfig(**CONFIG), r),

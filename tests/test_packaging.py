@@ -8,15 +8,20 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
-
-import pytest
 
 import distilrec
 
 REPO = Path(__file__).resolve().parents[1]
 PYPROJECT = REPO / "pyproject.toml"
 SRC = REPO / "src"
+WORKFLOW = REPO / ".github" / "workflows" / "tier1.yml"
+
+
+def project():
+    with open(PYPROJECT, "rb") as fh:
+        return tomllib.load(fh)["project"]
 
 
 def test_every_exported_name_exists():
@@ -40,7 +45,7 @@ def test_names_without_caller_stay_deleted():
             "_reg_grad_wrt_student", "_whole_file_fields", "_parse_triples", "_parse_matrix",
             "FIELD_DIGITS", "observed_pairs", "_shapes_match", "_check_ids", "_whole",
             "param_count", "MAE", "JEFFREYS", "_rows", "_shared_ids", "_collector_paused",
-            "_column"}
+            "_column", "_checked_columns", "_from_columns"}
     modules = [importlib.import_module(f"distilrec.{info.name}")
                for info in pkgutil.iter_modules(distilrec.__path__)]
     classes = [obj for m in modules for obj in vars(m).values()
@@ -66,9 +71,7 @@ def test_package_root_exports_only_version():
 
 
 def test_every_script_target_resolves():
-    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
-    with open(PYPROJECT, "rb") as fh:
-        scripts = tomllib.load(fh)["project"].get("scripts", {})
+    scripts = project().get("scripts", {})
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         obj = importlib.import_module(module)
@@ -89,11 +92,15 @@ def test_imports_without_scipy():
     subprocess.run([sys.executable, "-c", script], cwd=SRC, check=True, timeout=60)
 
 
+def test_workflow_python_meets_the_declared_floor():
+    # CI tests no Python below the declared floor; its pinned numpy 2.4.6 needs 3.11.
+    floor = re.fullmatch(r">=(\d+)\.(\d+)", project()["requires-python"]).groups()
+    tested = re.findall(r'python-version: "(\d+)\.(\d+)"', WORKFLOW.read_text())
+    assert tested and all(tuple(map(int, v)) >= tuple(map(int, floor)) for v in tested)
+
+
 def test_third_party_imports_equal_declared_dependencies():
-    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
-    with open(PYPROJECT, "rb") as fh:
-        declared = {re.match(r"[\w.-]+", dep).group()
-                    for dep in tomllib.load(fh)["project"]["dependencies"]}
+    declared = {re.match(r"[\w.-]+", dep).group() for dep in project()["dependencies"]}
     imported = set()
     for path in (SRC / "distilrec").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
