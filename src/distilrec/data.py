@@ -24,6 +24,7 @@ preference matrix; these serve as oracles for debiasing experiments.
 from __future__ import annotations
 
 import re
+import threading
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -452,8 +453,8 @@ LOGIT_SCALE = 3.0
 GRID_CHUNK = 1 << 16  # cells whose selection keys are drawn and held at once
 
 
-def _smallest_cells(n: int, n_cells: int, keys_of) -> np.ndarray:
-    """The ``n`` cells of smallest key, in ascending cell order.
+def _smallest_cells(n: int, n_cells: int, keys_of) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n`` cells of smallest key and their keys, in no set order.
 
     ``keys_of(start, stop)`` returns the keys of cells ``start..stop-1``;
     it is called on consecutive chunks of ``GRID_CHUNK`` cells, so a stream
@@ -470,10 +471,98 @@ def _smallest_cells(n: int, n_cells: int, keys_of) -> np.ndarray:
         parts.append((hit + start, chunk[hit]))
         held += hit.size
         if held >= 2 * n or stop == n_cells:
-            cells, keys = (np.concatenate(column) for column in zip(*parts))
+            # One piece is cut as it is: a copy would add to the peak of both ranges at once.
+            cells, keys = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
             keep = np.argpartition(keys, n - 1)[:n]
             parts, held, bound = [(cells[keep], keys[keep])], n, keys[keep].max()
-    return np.sort(parts[0][0])
+    return parts[0]
+
+
+def _positioned(stream: RngStream, start: int) -> np.random.Generator:
+    """``stream``'s generator placed ``start`` doubles in, as if that many had been drawn.
+
+    A Philox counter step gives four 64-bit outputs, one a double, so the counter
+    is advanced ``start // 4`` steps and ``start % 4`` doubles are drawn and dropped.
+    """
+    generator = stream.generator
+    generator.bit_generator.advance(start // 4)
+    generator.random(start % 4)
+    return generator
+
+
+def _range_candidates(prob: np.ndarray, rows: slice, root: RngStream, bias: float,
+                      exposure_skew: float, n_biased: int,
+                      n_uniform: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The sigmoid of ``prob[rows]``, in place, then each log's candidate (cells, keys)
+    from the cells of those rows, drawn from its stream positioned at their first cell.
+
+    It reads and writes only those rows, and its streams are its own, so ranges of
+    disjoint rows may run on different threads.
+    """
+    block = prob[rows]
+    # sigmoid(LOGIT_SCALE * (u_f @ i_f.T) + bias), in place.
+    block *= LOGIT_SCALE
+    block += bias
+    np.negative(block, out=block)
+    np.exp(block, out=block)
+    block += 1.0
+    np.divide(1.0, block, out=block)
+    flat_prob, start = block.reshape(-1), rows.start * prob.shape[1]
+    draws, skewed = np.empty((2, min(GRID_CHUNK, flat_prob.size)))
+
+    # Gumbel top-k, exact weighted sampling without replacement: the n
+    # cells of largest skew * prob + Gumbel noise are those of smallest
+    # log(-log u) - skew * prob.
+    biased_rng = _positioned(root.split("biased-cells"), start)
+
+    def gumbel_keys(lo, hi):
+        keys = biased_rng.random(out=draws[:hi - lo])
+        np.log(keys, out=keys)
+        np.negative(keys, out=keys)
+        np.log(keys, out=keys)
+        keys -= np.multiply(exposure_skew, flat_prob[lo:hi], out=skewed[:hi - lo])
+        return keys
+
+    # With equal weights the Gumbel top-k reduces to the n largest uniform keys.
+    uniform_rng = _positioned(root.split("uniform-cells"), start)
+
+    def negated_uniform_keys(lo, hi):
+        keys = uniform_rng.random(out=draws[:hi - lo])
+        return np.negative(keys, out=keys)
+
+    return [(cells + start, keys) for cells, keys in (
+        _smallest_cells(min(n_biased, flat_prob.size), flat_prob.size, gumbel_keys),
+        _smallest_cells(min(n_uniform, flat_prob.size), flat_prob.size, negated_uniform_keys))]
+
+
+def _on_two_threads(work, first, second) -> tuple:
+    """``(work(first), work(second))``, ``work(second)`` run meanwhile by one more thread.
+
+    The thread is always joined, and an exception raised in it is raised here.
+    """
+    outcome = {}
+
+    def run_second():
+        try:
+            outcome["value"] = work(second)
+        except BaseException as exc:  # re-raised on the calling thread below
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=run_second, name="generate_synthetic-range-1")
+    worker.start()
+    try:
+        value = work(first)
+    finally:
+        worker.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return value, outcome["value"]
+
+
+def _merged_cells(n: int, candidates) -> np.ndarray:
+    """The ``n`` cells of smallest key among all ranges' candidates, in ascending order."""
+    cells, keys = (np.concatenate(column) for column in zip(*candidates))
+    return np.sort(cells[np.argpartition(keys, n - 1)[:n]])
 
 
 def generate_synthetic(
@@ -499,6 +588,18 @@ def generate_synthetic(
     drawn ``GRID_CHUNK`` cells at a time, so ``prob`` is the only array
     over the whole grid.  Each log's rows come in ascending cell order
     (user, then item), and its labels are drawn in that order.
+
+    A grid of at least ``2 * GRID_CHUNK`` cells and two users is cut at the
+    row ``n_users // 2`` into two ranges of cells, and one more thread works
+    the second range while the calling thread works the first; a smaller
+    grid is one range, on the calling thread alone.  A range applies the
+    sigmoid to its rows of ``u_f @ i_f.T`` and selects each log's n
+    smallest keys among its own cells; the ranges' candidates are then
+    merged into each log's n smallest.  Each range draws its keys from its
+    own copy of the ``"biased-cells"`` and ``"uniform-cells"`` Philox
+    streams, positioned at its first cell (``_positioned``), so every cell
+    gets the same draw as from one full-grid draw, and the world is bit for
+    bit the same on one range or two.
     """
     n_users, n_items, latent_dim, n_biased, n_uniform = map(
         _count, (n_users, n_items, latent_dim, n_biased, n_uniform),
@@ -510,38 +611,20 @@ def generate_synthetic(
     fr = root.split("factors").generator
     u_f = fr.normal(size=(n_users, latent_dim)) / np.sqrt(latent_dim)
     i_f = fr.normal(size=(n_items, latent_dim))
-    # sigmoid(LOGIT_SCALE * (u_f @ i_f.T) + bias), in place.
     prob = u_f @ i_f.T
-    prob *= LOGIT_SCALE
-    prob += bias
-    np.negative(prob, out=prob)
-    np.exp(prob, out=prob)
-    prob += 1.0
-    np.divide(1.0, prob, out=prob)
+
+    def candidates(rows):
+        return _range_candidates(prob, rows, root, bias, exposure_skew, n_biased, n_uniform)
+
+    if prob.size >= 2 * GRID_CHUNK and n_users > 1:
+        cut = n_users // 2
+        ranges = _on_two_threads(candidates, slice(0, cut), slice(cut, n_users))
+    else:
+        ranges = [candidates(slice(0, n_users))]
+    biased, uniform = zip(*ranges)  # each log's candidates, one (cells, keys) a range
+    biased_cells, uniform_cells = _merged_cells(n_biased, biased), _merged_cells(n_uniform, uniform)
     world = SyntheticWorld(prob=prob)
     flat_prob = prob.reshape(-1)
-
-    # Gumbel top-k, exact weighted sampling without replacement: the n
-    # cells of largest skew * prob + Gumbel noise are those of smallest
-    # log(-log u) - skew * prob.
-    biased_rng = root.split("biased-cells")
-
-    def gumbel_keys(start, stop):
-        keys = biased_rng.random(stop - start)
-        np.log(keys, out=keys)
-        np.negative(keys, out=keys)
-        np.log(keys, out=keys)
-        keys -= exposure_skew * flat_prob[start:stop]
-        return keys
-
-    # With equal weights the Gumbel top-k reduces to the n largest uniform keys.
-    uniform_rng = root.split("uniform-cells")
-
-    def negated_uniform_keys(start, stop):
-        return np.negative(uniform_rng.random(stop - start))
-
-    biased_cells = _smallest_cells(n_biased, prob.size, gumbel_keys)
-    uniform_cells = _smallest_cells(n_uniform, prob.size, negated_uniform_keys)
 
     # Per log: the labels' draws, then the low ratings' draws.
     label_rng = root.split("labels").generator

@@ -116,7 +116,9 @@ class Network:
     biases: list[np.ndarray]
 
     def __post_init__(self):
-        n_layers = len(self.config.layer_widths())
+        n_layers = len(_member(self.config, "config", NetworkConfig).layer_widths())
+        _member(self.weights, "weights", list, tuple)
+        _member(self.biases, "biases", list, tuple)
         if len(self.weights) != n_layers or len(self.biases) != n_layers:
             raise ValueError(f"{len(self.weights)} weights and {len(self.biases)} biases; "
                              f"config expects {n_layers} of each")

@@ -1,4 +1,5 @@
 import collections
+import threading
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -814,11 +815,102 @@ class TestChunkedSelection:
             assert got == cells.tolist()
 
     def test_chunk_size_changes_no_row(self, monkeypatch):
+        """Chunks of 1 and 7 cells make the 99-cell grid two ranges of rows, on two threads,
+        and 64 leaves it one, so this also compares the two-range path with the one-range."""
         _, whole = generate_synthetic(self.N_USERS, self.N_ITEMS, 3, 4.0, 30, 20, seed=5)
         for chunk in (1, 7, 64):
             monkeypatch.setattr(data, "GRID_CHUNK", chunk)
             _, chunked = generate_synthetic(self.N_USERS, self.N_ITEMS, 3, 4.0, 30, 20, seed=5)
             assert chunked.interactions == whole.interactions
+
+
+class TestRangeSplit:
+    """A grid of at least ``2 * GRID_CHUNK`` cells and two users is worked as two ranges of
+    rows, the second on one more thread, and gives the one-range world bit for bit."""
+
+    # 66 cells; two ranges start at cells 0 and 33, and 33 is not a multiple of 4.
+    N_USERS, N_ITEMS = 6, 11
+
+    def world(self, monkeypatch, chunk, n_biased=20, n_uniform=12):
+        monkeypatch.setattr(data, "GRID_CHUNK", chunk)
+        return generate_synthetic(self.N_USERS, self.N_ITEMS, 3, 4.0, n_biased, n_uniform,
+                                  seed=3)
+
+    @staticmethod
+    def ranges_worked(monkeypatch, *shape):
+        """The row ranges a call on an ``n_users`` x ``n_items`` grid works."""
+        worked, original = [], data._range_candidates
+
+        def spy(prob, rows, *args):
+            worked.append((rows.start, rows.stop))
+            return original(prob, rows, *args)
+
+        monkeypatch.setattr(data, "_range_candidates", spy)
+        generate_synthetic(*shape, 3, 4.0, 10, 10, seed=1)
+        return sorted(worked)
+
+    @pytest.mark.parametrize("n_biased, n_uniform", [(20, 12), (50, 40), (66, 66)],
+                             ids=["within-a-range", "beyond-a-range", "whole-grid"])
+    def test_two_ranges_equal_one(self, monkeypatch, n_biased, n_uniform):
+        one_world, one_log = self.world(monkeypatch, 64, n_biased, n_uniform)
+        for chunk in (5, 33):
+            two_world, two_log = self.world(monkeypatch, chunk, n_biased, n_uniform)
+            np.testing.assert_array_equal(two_world.prob, one_world.prob)
+            assert two_log.interactions == one_log.interactions
+
+    @pytest.mark.parametrize("shape, ranges", [
+        ((6, 11), [(0, 3), (3, 6)]),  # 66 cells, 2 * GRID_CHUNK
+        ((7, 11), [(0, 3), (3, 7)]),
+        ((5, 13), [(0, 5)]),          # 65 cells, 1 short of 2 * GRID_CHUNK
+        ((1, 80), [(0, 1)]),          # one user: no row to cut at
+    ], ids=["two", "two-odd-users", "small-grid", "one-user"])
+    def test_ranges_cut_at_the_middle_row(self, monkeypatch, shape, ranges):
+        monkeypatch.setattr(data, "GRID_CHUNK", 33)
+        assert self.ranges_worked(monkeypatch, *shape) == ranges
+
+    def test_coat_shape_is_one_range(self, monkeypatch):
+        # 87,000 cells, below 2 * GRID_CHUNK at its set value.
+        assert self.ranges_worked(monkeypatch, 290, 300) == [(0, 290)]
+
+    @pytest.mark.parametrize("start", [*range(10), 399, 401, 4095, 4097],
+                             ids=lambda start: f"at-{start}")
+    def test_positioned_stream_continues_one_full_draw(self, start):
+        full = RngStream(8).split("biased-cells").generator.random(start + 20)
+        moved = data._positioned(RngStream(8).split("biased-cells"), start)
+        np.testing.assert_array_equal(moved.random(20), full[start:])
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        before = threading.active_count()
+        self.world(monkeypatch, 5)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", [0, 3], ids=["calling-thread", "worker"])
+    def test_failure_in_either_range_reaches_the_caller(self, monkeypatch, failing):
+        original = data._range_candidates
+
+        def fail_one(prob, rows, *args):
+            if rows.start == failing:
+                raise RuntimeError(f"range at row {rows.start}")
+            return original(prob, rows, *args)
+
+        monkeypatch.setattr(data, "_range_candidates", fail_one)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"^range at row {failing}$"):
+            self.world(monkeypatch, 5)
+        assert threading.active_count() == before
+
+    def test_draws_never_reach_rng_stream_random(self, monkeypatch):
+        # perfbench's traced mode wraps RngStream.random, and its span stack is not
+        # thread-safe, so no range may draw through it.
+        want_world, want_log = self.world(monkeypatch, 5)
+
+        def refuse(self, size=None):
+            raise AssertionError("generate_synthetic drew through RngStream.random")
+
+        monkeypatch.setattr(RngStream, "random", refuse)
+        world, log = self.world(monkeypatch, 5)
+        np.testing.assert_array_equal(world.prob, want_world.prob)
+        assert log.interactions == want_log.interactions
 
 
 class TestPack:

@@ -301,6 +301,15 @@ CHOICE_ENTRIES = {
                                   "Dataset", [ROWS], synthetic()[1]),
     "UnobservedSampler.from_dataset": (lambda v: UnobservedSampler.from_dataset(v, RngStream(1)),
                                        "dataset", "Dataset", [ROWS], synthetic()[1]),
+    # Unchecked, a config of None raised "AttributeError: 'NoneType' object has no attribute
+    # 'layer_widths'", and weights or biases of None "TypeError: object of type 'NoneType'
+    # has no len()".
+    "Network.config": (lambda v: Network(v, NET.user_emb, NET.item_emb, NET.weights, NET.biases),
+                       "config", "NetworkConfig", [None, CONFIG], NET.config),
+    "Network.weights": (lambda v: Network(NET.config, NET.user_emb, NET.item_emb, v, NET.biases),
+                        "weights", "list or tuple", [None, NET.weights[0]], tuple(NET.weights)),
+    "Network.biases": (lambda v: Network(NET.config, NET.user_emb, NET.item_emb, NET.weights, v),
+                       "biases", "list or tuple", [None, NET.biases[0]], tuple(NET.biases)),
     # Unchecked, a list raised "AttributeError: 'list' object has no attribute 'shape'".
     "Network.user_emb": (lambda v: Network(NET.config, v, NET.item_emb, NET.weights, NET.biases),
                          "user_emb", "ndarray", [NET.user_emb.tolist()], NET.user_emb),
