@@ -9,8 +9,9 @@ int64 ``users``, ``items`` and ``ratings`` and a bool ``is_uniform``, and
 makes an ``Interaction`` only when a caller reads a row.  ``Rows`` checks its
 columns on construction, naming the first bad row, so every log is checked
 once, where its columns are made: by the generator, a loader, a slice, a
-sum or a caller.  A list of rows is read into columns once, by ``_as_rows``,
-which adds the list's own checks of label and source.  ``Dataset`` then
+sum or a caller.  A list or tuple of rows is read into columns once, by
+``_as_rows``, which takes nothing else as a log and adds the list's own checks:
+each row an ``Interaction``, its label and its source.  ``Dataset`` then
 checks only the log: its grid and the first row off it or duplicated.
 
 The native loaders parse each file with one ``np.loadtxt``.  Only a file
@@ -28,6 +29,7 @@ import threading
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import repeat
 from operator import eq
 from pathlib import Path
@@ -145,7 +147,8 @@ class Rows:
             yield from self._block(start, start + ROW_BLOCK)
 
     def __add__(self, other) -> "Rows":
-        return Rows(*map(np.concatenate, zip(self._columns(), _as_rows(other)._columns())))
+        other = _as_rows(other, "other")
+        return Rows(*map(np.concatenate, zip(self._columns(), other._columns())))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, list):
@@ -154,16 +157,20 @@ class Rows:
                                                    other._columns()))
 
 
-def _as_rows(rows: Rows | Sequence[Interaction]) -> Rows:
-    """The one conversion: ``rows`` as ``Rows``, a list read once and checked.
+def _as_rows(rows: Rows | Sequence[Interaction], name: str) -> Rows:
+    """The one conversion: ``rows``, the argument ``name``, as ``Rows``; a list or tuple
+    is read once and checked.
 
-    A list's first fault wins in the order: a value not a whole int64 (user, item,
-    rating, then label), a rating outside 1-5, a label against its rating, a source.
+    Anything else fails, naming ``name``.  A list's first fault wins in the order: a row
+    not an ``Interaction``, a value not a whole int64 (user, item, rating, then label), a
+    rating outside 1-5, a label against its rating, a source.
     """
-    if isinstance(rows, Rows):
+    if isinstance(_member(rows, name, Rows, list, tuple), Rows):
         return rows
+    if (k := _first([not isinstance(row, Interaction) for row in rows])) is not None:
+        raise ValueError(f"row {k}: {rows[k]!r} is not an Interaction")
     fields = list(zip(*rows)) or [()] * len(Interaction._fields)
-    users, items, ratings, labels = (_as_int64(column, name) for column, name in zip(
+    users, items, ratings, labels = (_as_int64(column, field) for column, field in zip(
         fields, ("user", "item", "rating", "label")))
     sources = np.fromiter(fields[4], dtype=object, count=len(rows))
     checked = Rows(users, items, ratings, sources == Source.UNIFORM)
@@ -186,7 +193,7 @@ class Dataset:
 
     def __post_init__(self):
         n_users, n_items = _count(self.n_users, "n_users", 0), _count(self.n_items, "n_items", 0)
-        rows = _as_rows(self.interactions)
+        rows = _as_rows(self.interactions, "interactions")
         _check_on_grid(rows.users, rows.items, n_users, n_items)
         keys = (rows.users * n_items + rows.items) * 2 + rows.is_uniform
         _, first, group = np.unique(keys, return_index=True, return_inverse=True)
@@ -208,7 +215,7 @@ _Dataset = Dataset
 
 def pack(interactions: Rows | Sequence[Interaction]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Copies of the (users, items, labels) columns for vectorized scoring/training."""
-    rows = _as_rows(interactions)
+    rows = _as_rows(interactions, "interactions")
     return rows.users.copy(), rows.items.copy(), (rows.ratings == 5).astype(np.float64)
 
 
@@ -377,7 +384,7 @@ def split_uniform(
     as possible (validation gets the odd element).  The three parts are
     disjoint and exhaustive, and each must be nonempty.
     """
-    rows, spec = _as_rows(uniform_data), _member(spec, "spec", SplitSpec)
+    rows, spec = _as_rows(uniform_data, "uniform_data"), _member(spec, "spec", SplitSpec)
     if (k := _first(~rows.is_uniform)) is not None:
         raise ValueError(f"row {k}: source biased; split_uniform takes uniform rows only")
     n = len(rows)
@@ -395,7 +402,7 @@ def partition_batches(
     data: Rows | Sequence[Interaction], m: int, rng: RngStream
 ) -> list[Rows]:
     """Seeded shuffle into m ``Rows`` batches; the first n%m batches get one extra."""
-    rows = _as_rows(data)
+    rows = _as_rows(data, "data")
     n, m, rng = len(rows), _count(m, "m"), _member(rng, "rng", RngStream)
     if m > n:
         raise ValueError(f"cannot split {n} records into {m} batches")
@@ -453,8 +460,8 @@ LOGIT_SCALE = 3.0
 GRID_CHUNK = 1 << 16  # cells whose selection keys are drawn and held at once
 
 
-def _smallest_cells(n: int, n_cells: int, keys_of) -> tuple[np.ndarray, np.ndarray]:
-    """The ``n`` cells of smallest key and their keys, in no set order.
+def _smallest_cells(n: int, n_cells: int, keys_of) -> np.ndarray:
+    """The ``n`` cells of smallest key, in ascending cell order.
 
     ``keys_of(start, stop)`` returns the keys of cells ``start..stop-1``;
     it is called on consecutive chunks of ``GRID_CHUNK`` cells, so a stream
@@ -471,72 +478,16 @@ def _smallest_cells(n: int, n_cells: int, keys_of) -> tuple[np.ndarray, np.ndarr
         parts.append((hit + start, chunk[hit]))
         held += hit.size
         if held >= 2 * n or stop == n_cells:
-            # One piece is cut as it is: a copy would add to the peak of both ranges at once.
+            # One piece is cut as it is: a copy would add to the peak of both logs at once.
             cells, keys = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
             keep = np.argpartition(keys, n - 1)[:n]
-            parts, held, bound = [(cells[keep], keys[keep])], n, keys[keep].max()
-    return parts[0]
+            keys = keys[keep]
+            parts, held, bound = [(cells[keep], keys)], n, keys.max()
+    return np.sort(parts[0][0])
 
 
-def _positioned(stream: RngStream, start: int) -> np.random.Generator:
-    """``stream``'s generator placed ``start`` doubles in, as if that many had been drawn.
-
-    A Philox counter step gives four 64-bit outputs, one a double, so the counter
-    is advanced ``start // 4`` steps and ``start % 4`` doubles are drawn and dropped.
-    """
-    generator = stream.generator
-    generator.bit_generator.advance(start // 4)
-    generator.random(start % 4)
-    return generator
-
-
-def _range_candidates(prob: np.ndarray, rows: slice, root: RngStream, bias: float,
-                      exposure_skew: float, n_biased: int,
-                      n_uniform: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The sigmoid of ``prob[rows]``, in place, then each log's candidate (cells, keys)
-    from the cells of those rows, drawn from its stream positioned at their first cell.
-
-    It reads and writes only those rows, and its streams are its own, so ranges of
-    disjoint rows may run on different threads.
-    """
-    block = prob[rows]
-    # sigmoid(LOGIT_SCALE * (u_f @ i_f.T) + bias), in place.
-    block *= LOGIT_SCALE
-    block += bias
-    np.negative(block, out=block)
-    np.exp(block, out=block)
-    block += 1.0
-    np.divide(1.0, block, out=block)
-    flat_prob, start = block.reshape(-1), rows.start * prob.shape[1]
-    draws, skewed = np.empty((2, min(GRID_CHUNK, flat_prob.size)))
-
-    # Gumbel top-k, exact weighted sampling without replacement: the n
-    # cells of largest skew * prob + Gumbel noise are those of smallest
-    # log(-log u) - skew * prob.
-    biased_rng = _positioned(root.split("biased-cells"), start)
-
-    def gumbel_keys(lo, hi):
-        keys = biased_rng.random(out=draws[:hi - lo])
-        np.log(keys, out=keys)
-        np.negative(keys, out=keys)
-        np.log(keys, out=keys)
-        keys -= np.multiply(exposure_skew, flat_prob[lo:hi], out=skewed[:hi - lo])
-        return keys
-
-    # With equal weights the Gumbel top-k reduces to the n largest uniform keys.
-    uniform_rng = _positioned(root.split("uniform-cells"), start)
-
-    def negated_uniform_keys(lo, hi):
-        keys = uniform_rng.random(out=draws[:hi - lo])
-        return np.negative(keys, out=keys)
-
-    return [(cells + start, keys) for cells, keys in (
-        _smallest_cells(min(n_biased, flat_prob.size), flat_prob.size, gumbel_keys),
-        _smallest_cells(min(n_uniform, flat_prob.size), flat_prob.size, negated_uniform_keys))]
-
-
-def _on_two_threads(work, first, second) -> tuple:
-    """``(work(first), work(second))``, ``work(second)`` run meanwhile by one more thread.
+def _on_two_threads(first, second) -> tuple:
+    """``(first(), second())``, ``second()`` run meanwhile by one more thread.
 
     The thread is always joined, and an exception raised in it is raised here.
     """
@@ -544,25 +495,19 @@ def _on_two_threads(work, first, second) -> tuple:
 
     def run_second():
         try:
-            outcome["value"] = work(second)
+            outcome["value"] = second()
         except BaseException as exc:  # re-raised on the calling thread below
             outcome["error"] = exc
 
-    worker = threading.Thread(target=run_second, name="generate_synthetic-range-1")
+    worker = threading.Thread(target=run_second, name="generate_synthetic-uniform-log")
     worker.start()
     try:
-        value = work(first)
+        value = first()
     finally:
         worker.join()
     if "error" in outcome:
         raise outcome["error"]
     return value, outcome["value"]
-
-
-def _merged_cells(n: int, candidates) -> np.ndarray:
-    """The ``n`` cells of smallest key among all ranges' candidates, in ascending order."""
-    cells, keys = (np.concatenate(column) for column in zip(*candidates))
-    return np.sort(cells[np.argpartition(keys, n - 1)[:n]])
 
 
 def generate_synthetic(
@@ -589,17 +534,15 @@ def generate_synthetic(
     over the whole grid.  Each log's rows come in ascending cell order
     (user, then item), and its labels are drawn in that order.
 
-    A grid of at least ``2 * GRID_CHUNK`` cells and two users is cut at the
-    row ``n_users // 2`` into two ranges of cells, and one more thread works
-    the second range while the calling thread works the first; a smaller
-    grid is one range, on the calling thread alone.  A range applies the
-    sigmoid to its rows of ``u_f @ i_f.T`` and selects each log's n
-    smallest keys among its own cells; the ranges' candidates are then
-    merged into each log's n smallest.  Each range draws its keys from its
-    own copy of the ``"biased-cells"`` and ``"uniform-cells"`` Philox
-    streams, positioned at its first cell (``_positioned``), so every cell
-    gets the same draw as from one full-grid draw, and the world is bit for
-    bit the same on one range or two.
+    The biased log's key function applies the sigmoid to each chunk of
+    ``u_f @ i_f.T`` in place just before it draws that chunk's keys, so
+    ``prob`` is complete once that log is selected.  The uniform log's keys
+    never read ``prob``, so on a grid of at least ``2 * GRID_CHUNK`` cells
+    one more thread selects the uniform log while the calling thread
+    selects the biased one; a smaller grid is worked on the calling thread
+    alone.  Each log draws from its own Philox stream (``"biased-cells"``,
+    ``"uniform-cells"``) read from its start, so the world is bit for bit
+    the same on one thread or two.
     """
     n_users, n_items, latent_dim, n_biased, n_uniform = map(
         _count, (n_users, n_items, latent_dim, n_biased, n_uniform),
@@ -612,19 +555,45 @@ def generate_synthetic(
     u_f = fr.normal(size=(n_users, latent_dim)) / np.sqrt(latent_dim)
     i_f = fr.normal(size=(n_items, latent_dim))
     prob = u_f @ i_f.T
-
-    def candidates(rows):
-        return _range_candidates(prob, rows, root, bias, exposure_skew, n_biased, n_uniform)
-
-    if prob.size >= 2 * GRID_CHUNK and n_users > 1:
-        cut = n_users // 2
-        ranges = _on_two_threads(candidates, slice(0, cut), slice(cut, n_users))
-    else:
-        ranges = [candidates(slice(0, n_users))]
-    biased, uniform = zip(*ranges)  # each log's candidates, one (cells, keys) a range
-    biased_cells, uniform_cells = _merged_cells(n_biased, biased), _merged_cells(n_uniform, uniform)
-    world = SyntheticWorld(prob=prob)
     flat_prob = prob.reshape(-1)
+    # Made here, so the second thread allocates only its candidates.
+    draws, skewed, uniform_draws = np.empty((3, min(GRID_CHUNK, prob.size)))
+
+    # Gumbel top-k, exact weighted sampling without replacement: the n
+    # cells of largest skew * prob + Gumbel noise are those of smallest
+    # log(-log u) - skew * prob.
+    biased_rng = root.split("biased-cells").generator
+
+    def gumbel_keys(start, stop):
+        block = flat_prob[start:stop]
+        # sigmoid(LOGIT_SCALE * (u_f @ i_f.T) + bias), in place.
+        block *= LOGIT_SCALE
+        block += bias
+        np.negative(block, out=block)
+        np.exp(block, out=block)
+        block += 1.0
+        np.divide(1.0, block, out=block)
+        keys = biased_rng.random(out=draws[:stop - start])
+        np.log(keys, out=keys)
+        np.negative(keys, out=keys)
+        np.log(keys, out=keys)
+        keys -= np.multiply(exposure_skew, block, out=skewed[:stop - start])
+        return keys
+
+    # With equal weights the Gumbel top-k reduces to the n largest uniform keys.
+    uniform_rng = root.split("uniform-cells").generator
+
+    def negated_uniform_keys(start, stop):
+        keys = uniform_rng.random(out=uniform_draws[:stop - start])
+        return np.negative(keys, out=keys)
+
+    biased_log = partial(_smallest_cells, n_biased, prob.size, gumbel_keys)
+    uniform_log = partial(_smallest_cells, n_uniform, prob.size, negated_uniform_keys)
+    if prob.size >= 2 * GRID_CHUNK:
+        biased_cells, uniform_cells = _on_two_threads(biased_log, uniform_log)
+    else:
+        biased_cells, uniform_cells = biased_log(), uniform_log()
+    world = SyntheticWorld(prob=prob)
 
     # Per log: the labels' draws, then the low ratings' draws.
     label_rng = root.split("labels").generator

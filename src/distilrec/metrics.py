@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rules import _check_columns, _check_labels, _check_unit_interval, _first
+from ._rules import _check_columns, _check_labels, _check_unit_interval, _first, _member
 from .data import Interaction, Rows, pack
 from .losses import _bce_terms
 from .network import ForwardMode, Network, forward_batch
@@ -74,7 +74,7 @@ def evaluate(net: Network, testset: Rows | Sequence[Interaction]) -> MetricsResu
     Dropout never participates in measurement; stochastic scoring is a
     data-collection device, not an evaluation one.
     """
-    if len(testset) == 0:
+    if len(_member(testset, "testset", Rows, list, tuple)) == 0:
         raise ValueError("empty test set")
     users, items, labels = pack(testset)
     scores = forward_batch(net, np.column_stack([users, items]), ForwardMode.DETERMINISTIC)

@@ -39,8 +39,9 @@ class RngStream:
         return RngStream(self.seed, self._spawn_key + (_label_key(label),))
 
     # perfbench's tracer patches ``random`` to time mask draws, and ``choice`` serves its
-    # per-round user draw; every other draw goes through ``generator``, those on
-    # ``generate_synthetic``'s second thread included, so none reaches the tracer off its thread.
+    # per-round user draw; every other draw goes through ``generator``, the uniform log's cell
+    # draws on ``generate_synthetic``'s second thread included, so none reaches the tracer off
+    # its thread.
 
     def random(self, size=None):
         return self.generator.random(size=size)

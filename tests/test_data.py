@@ -815,8 +815,8 @@ class TestChunkedSelection:
             assert got == cells.tolist()
 
     def test_chunk_size_changes_no_row(self, monkeypatch):
-        """Chunks of 1 and 7 cells make the 99-cell grid two ranges of rows, on two threads,
-        and 64 leaves it one, so this also compares the two-range path with the one-range."""
+        """Chunks of 1 and 7 cells put the 99-cell grid's uniform log on a second thread, and
+        64 leaves both logs on the calling thread, so this also compares two threads with one."""
         _, whole = generate_synthetic(self.N_USERS, self.N_ITEMS, 3, 4.0, 30, 20, seed=5)
         for chunk in (1, 7, 64):
             monkeypatch.setattr(data, "GRID_CHUNK", chunk)
@@ -824,12 +824,12 @@ class TestChunkedSelection:
             assert chunked.interactions == whole.interactions
 
 
-class TestRangeSplit:
-    """A grid of at least ``2 * GRID_CHUNK`` cells and two users is worked as two ranges of
-    rows, the second on one more thread, and gives the one-range world bit for bit."""
+class TestOneLogPerThread:
+    """A grid of at least ``2 * GRID_CHUNK`` cells has its uniform log selected by one more
+    thread while the calling thread selects the biased log, and gives the one-thread world
+    bit for bit."""
 
-    # 66 cells; two ranges start at cells 0 and 33, and 33 is not a multiple of 4.
-    N_USERS, N_ITEMS = 6, 11
+    N_USERS, N_ITEMS = 6, 11   # 66 cells
 
     def world(self, monkeypatch, chunk, n_biased=20, n_uniform=12):
         monkeypatch.setattr(data, "GRID_CHUNK", chunk)
@@ -837,71 +837,75 @@ class TestRangeSplit:
                                   seed=3)
 
     @staticmethod
-    def ranges_worked(monkeypatch, *shape):
-        """The row ranges a call on an ``n_users`` x ``n_items`` grid works."""
-        worked, original = [], data._range_candidates
+    def threads_started(monkeypatch, *shape):
+        """How many threads a call on an ``n_users`` x ``n_items`` grid starts."""
+        started, original = [], data._on_two_threads
 
-        def spy(prob, rows, *args):
-            worked.append((rows.start, rows.stop))
-            return original(prob, rows, *args)
+        def spy(first, second):
+            started.append(second)
+            return original(first, second)
 
-        monkeypatch.setattr(data, "_range_candidates", spy)
+        monkeypatch.setattr(data, "_on_two_threads", spy)
         generate_synthetic(*shape, 3, 4.0, 10, 10, seed=1)
-        return sorted(worked)
+        return len(started)
 
     @pytest.mark.parametrize("n_biased, n_uniform", [(20, 12), (50, 40), (66, 66)],
-                             ids=["within-a-range", "beyond-a-range", "whole-grid"])
-    def test_two_ranges_equal_one(self, monkeypatch, n_biased, n_uniform):
+                             ids=["part-of-the-grid", "most-of-the-grid", "whole-grid"])
+    def test_two_threads_equal_one(self, monkeypatch, n_biased, n_uniform):
         one_world, one_log = self.world(monkeypatch, 64, n_biased, n_uniform)
         for chunk in (5, 33):
             two_world, two_log = self.world(monkeypatch, chunk, n_biased, n_uniform)
             np.testing.assert_array_equal(two_world.prob, one_world.prob)
             assert two_log.interactions == one_log.interactions
 
-    @pytest.mark.parametrize("shape, ranges", [
-        ((6, 11), [(0, 3), (3, 6)]),  # 66 cells, 2 * GRID_CHUNK
-        ((7, 11), [(0, 3), (3, 7)]),
-        ((5, 13), [(0, 5)]),          # 65 cells, 1 short of 2 * GRID_CHUNK
-        ((1, 80), [(0, 1)]),          # one user: no row to cut at
-    ], ids=["two", "two-odd-users", "small-grid", "one-user"])
-    def test_ranges_cut_at_the_middle_row(self, monkeypatch, shape, ranges):
+    @pytest.mark.parametrize("shape, threads", [
+        ((6, 11), 1),   # 66 cells, 2 * GRID_CHUNK
+        ((5, 13), 0),   # 65 cells, 1 short of 2 * GRID_CHUNK
+        ((1, 80), 1),   # one user: no row is cut, so one is enough
+    ], ids=["two-chunks", "small-grid", "one-user"])
+    def test_second_thread_from_two_chunks(self, monkeypatch, shape, threads):
         monkeypatch.setattr(data, "GRID_CHUNK", 33)
-        assert self.ranges_worked(monkeypatch, *shape) == ranges
+        assert self.threads_started(monkeypatch, *shape) == threads
 
-    def test_coat_shape_is_one_range(self, monkeypatch):
+    def test_coat_shape_starts_no_thread(self, monkeypatch):
         # 87,000 cells, below 2 * GRID_CHUNK at its set value.
-        assert self.ranges_worked(monkeypatch, 290, 300) == [(0, 290)]
+        assert self.threads_started(monkeypatch, 290, 300) == 0
 
-    @pytest.mark.parametrize("start", [*range(10), 399, 401, 4095, 4097],
-                             ids=lambda start: f"at-{start}")
-    def test_positioned_stream_continues_one_full_draw(self, start):
-        full = RngStream(8).split("biased-cells").generator.random(start + 20)
-        moved = data._positioned(RngStream(8).split("biased-cells"), start)
-        np.testing.assert_array_equal(moved.random(20), full[start:])
+    def test_each_log_on_its_own_thread(self, monkeypatch):
+        caller, original, on_caller = threading.current_thread(), data._smallest_cells, {}
+
+        def spy(n, n_cells, keys_of):
+            on_caller[n] = threading.current_thread() is caller
+            return original(n, n_cells, keys_of)
+
+        monkeypatch.setattr(data, "_smallest_cells", spy)
+        self.world(monkeypatch, 5, n_biased=20, n_uniform=12)
+        assert on_caller == {20: True, 12: False}
 
     def test_no_thread_outlives_a_call(self, monkeypatch):
         before = threading.active_count()
         self.world(monkeypatch, 5)
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("failing", [0, 3], ids=["calling-thread", "worker"])
-    def test_failure_in_either_range_reaches_the_caller(self, monkeypatch, failing):
-        original = data._range_candidates
+    @pytest.mark.parametrize("failing", [20, 12], ids=["biased-on-calling-thread",
+                                                       "uniform-on-worker"])
+    def test_failure_in_either_log_reaches_the_caller(self, monkeypatch, failing):
+        original = data._smallest_cells
 
-        def fail_one(prob, rows, *args):
-            if rows.start == failing:
-                raise RuntimeError(f"range at row {rows.start}")
-            return original(prob, rows, *args)
+        def fail_one(n, n_cells, keys_of):
+            if n == failing:
+                raise RuntimeError(f"log of {n} rows")
+            return original(n, n_cells, keys_of)
 
-        monkeypatch.setattr(data, "_range_candidates", fail_one)
+        monkeypatch.setattr(data, "_smallest_cells", fail_one)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"^range at row {failing}$"):
-            self.world(monkeypatch, 5)
+        with pytest.raises(RuntimeError, match=f"^log of {failing} rows$"):
+            self.world(monkeypatch, 5, n_biased=20, n_uniform=12)
         assert threading.active_count() == before
 
     def test_draws_never_reach_rng_stream_random(self, monkeypatch):
         # perfbench's traced mode wraps RngStream.random, and its span stack is not
-        # thread-safe, so no range may draw through it.
+        # thread-safe, so neither log may draw through it.
         want_world, want_log = self.world(monkeypatch, 5)
 
         def refuse(self, size=None):
@@ -993,8 +997,14 @@ class TestRowsMatchPerRowReference:
                 rows.append(interaction(int(u), int(i), 5 if y else int(r), src))
         return prob, rows
 
-    @pytest.mark.parametrize("seed", [1, 2, 3, 1000])
-    def test_generate_synthetic(self, seed):
+    @pytest.mark.parametrize("seed, chunk", [
+        *(pytest.param(seed, None, id=f"{seed}") for seed in (1, 2, 3, 1000)),
+        *(pytest.param(seed, 7, id=f"{seed}-chunk-7") for seed in (1, 2, 3, 1000))])
+    def test_generate_synthetic(self, monkeypatch, seed, chunk):
+        """At chunks of 7 cells the 750-cell grid's logs are selected on two threads and end
+        in a partial chunk, so the sigmoid applied chunk by chunk is checked too."""
+        if chunk is not None:
+            monkeypatch.setattr(data, "GRID_CHUNK", chunk)
         sizes = (30, 25, 4, 3.0, 120, 90)
         world, ds = generate_synthetic(*sizes, seed=seed, bias=-1.5)
         prob, rows = self.reference_synthetic(*sizes, seed, -1.5)

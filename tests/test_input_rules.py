@@ -1,10 +1,10 @@
-"""The count, seed, real-number, choice, stream, column and row rules, at every entry that
-takes such a value.
+"""The count, seed, real-number, choice, stream, column, row and log rules, at every entry
+that takes such a value.
 
 Each rule is written once, in ``distilrec._rules``: ``_count``, ``_check_seed``, ``_real``,
 ``_member`` (for enum choices, random streams and every other typed argument) and
-``_check_columns``; the row rule is ``Rows``'s own.  Each is checked here, one table per
-rule, and not again per module.
+``_check_columns``; the row rule is ``Rows``'s own, and the log rule ``_as_rows``'s.  Each
+is checked here, one table per rule, and not again per module.
 Every entry is fed the same bad values and must raise a ``ValueError`` that names its
 argument; none may truncate or coerce a value or take it without a word.
 """
@@ -25,6 +25,7 @@ from distilrec.data import (
     SplitSpec,
     UnobservedSampler,
     generate_synthetic,
+    pack,
     partition_batches,
     split_uniform,
 )
@@ -338,6 +339,40 @@ def test_choice_that_is_not_a_member_rejected(entry):
 def test_by_source_of_none_rejected():
     with pytest.raises(ValueError, match="^source must be a Source, got None$"):
         synthetic()[1].by_source(None)
+
+
+# Three uniform rows on a 3 x 3 grid, with both labels, that every log entry takes.
+LOG = [interaction(0, 0, 5, Source.UNIFORM), interaction(0, 1, 1, Source.UNIFORM),
+       interaction(1, 2, 5, Source.UNIFORM)]
+# entry: (call with the log, the argument's name)
+LOG_ENTRIES = {
+    "Dataset": (lambda v: Dataset(v, 3, 3), "interactions"),
+    "pack": (pack, "interactions"),
+    "split_uniform": (lambda v: split_uniform(v, SplitSpec(0.34)), "uniform_data"),
+    "partition_batches": (lambda v: partition_batches(v, 1, RngStream(1)), "data"),
+    "Rows + log": (lambda v: Dataset(LOG, 3, 3).interactions + v, "other"),
+    "evaluate": (lambda v: evaluate(NET, v), "testset"),
+}
+# value: (the value, the message, ``{name}`` standing for the argument's name)
+NOT_LOGS = {
+    "None": (None, "{name} must be a Rows or list or tuple, got None"),
+    "row of four values": ([LOG[0], (0, 0, 5, 1)], "row 1: (0, 0, 5, 1) is not an Interaction"),
+    "int row": ([LOG[0], 5], "row 1: 5 is not an Interaction"),
+}
+
+
+@pytest.mark.parametrize("entry", LOG_ENTRIES)
+@pytest.mark.parametrize("value", NOT_LOGS)
+def test_log_that_is_not_rows_or_a_sequence_of_interactions_rejected(entry, value):
+    # Unchecked, None failed in zip() with "TypeError: zip() argument after * must be an
+    # iterable, not NoneType" (evaluate in len()), a row of four values with "IndexError:
+    # list index out of range" and an int row with "TypeError: 'int' object is not iterable".
+    call, name = LOG_ENTRIES[entry]
+    bad, message = NOT_LOGS[value]
+    with pytest.raises(ValueError, match="^" + re.escape(message.format(name=name)) + "$"):
+        call(bad)
+    call(LOG)
+    call(tuple(LOG))
 
 
 # entry: (call with its parallel columns, their names); the first is the length's reference.

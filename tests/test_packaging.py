@@ -45,7 +45,8 @@ def test_names_without_caller_stay_deleted():
             "_reg_grad_wrt_student", "_whole_file_fields", "_parse_triples", "_parse_matrix",
             "FIELD_DIGITS", "observed_pairs", "_shapes_match", "_check_ids", "_whole",
             "param_count", "MAE", "JEFFREYS", "_rows", "_shared_ids", "_collector_paused",
-            "_column", "_checked_columns", "_from_columns"}
+            "_column", "_checked_columns", "_from_columns", "_positioned", "_range_candidates",
+            "_merged_cells"}
     modules = [importlib.import_module(f"distilrec.{info.name}")
                for info in pkgutil.iter_modules(distilrec.__path__)]
     classes = [obj for m in modules for obj in vars(m).values()
