@@ -25,11 +25,10 @@ preference matrix; these serve as oracles for debiasing experiments.
 from __future__ import annotations
 
 import re
-import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from itertools import repeat
 from operator import eq
 from pathlib import Path
@@ -181,11 +180,12 @@ def _as_rows(rows: Rows | Sequence[Interaction], name: str) -> Rows:
     return checked
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """Logged rows on an ``n_users`` x ``n_items`` grid; ``interactions`` is given as
-    ``Rows`` or a list of ``Interaction``s and held as ``Rows``, whose rows are checked.
-    The log itself is checked here: every row on the grid, none a duplicate."""
+    """Logged rows on an ``n_users`` x ``n_items`` grid of at most 2**62 cells, so every
+    row's key fits int64; ``interactions`` is given as ``Rows`` or a list of ``Interaction``s
+    and held as ``Rows``, whose rows are checked.  The log itself is checked here: every
+    row on the grid, none a duplicate.  The fields are frozen once checked."""
 
     interactions: Rows
     n_users: int
@@ -193,6 +193,8 @@ class Dataset:
 
     def __post_init__(self):
         n_users, n_items = _count(self.n_users, "n_users", 0), _count(self.n_items, "n_items", 0)
+        if n_users * n_items > 2**62:
+            raise ValueError(f"grid n_users={n_users} x n_items={n_items} exceeds 2**62 cells")
         rows = _as_rows(self.interactions, "interactions")
         _check_on_grid(rows.users, rows.items, n_users, n_items)
         keys = (rows.users * n_items + rows.items) * 2 + rows.is_uniform
@@ -200,7 +202,8 @@ class Dataset:
         if (k := _first(first[group] != np.arange(keys.size))) is not None:
             raise ValueError(f"row {k}: duplicate of row {first[group[k]]}: user={rows.users[k]}, "
                              f"item={rows.items[k]}, source={rows[k].source.value}")
-        self.interactions, self.n_users, self.n_items = rows, n_users, n_items
+        for name, value in (("interactions", rows), ("n_users", n_users), ("n_items", n_items)):
+            object.__setattr__(self, name, value)
 
     def by_source(self, source: Source) -> Rows:
         """The ``Rows`` that ``source`` logged, in log order."""
@@ -486,30 +489,6 @@ def _smallest_cells(n: int, n_cells: int, keys_of) -> np.ndarray:
     return np.sort(parts[0][0])
 
 
-def _on_two_threads(first, second) -> tuple:
-    """``(first(), second())``, ``second()`` run meanwhile by one more thread.
-
-    The thread is always joined, and an exception raised in it is raised here.
-    """
-    outcome = {}
-
-    def run_second():
-        try:
-            outcome["value"] = second()
-        except BaseException as exc:  # re-raised on the calling thread below
-            outcome["error"] = exc
-
-    worker = threading.Thread(target=run_second, name="generate_synthetic-uniform-log")
-    worker.start()
-    try:
-        value = first()
-    finally:
-        worker.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    return value, outcome["value"]
-
-
 def generate_synthetic(
     n_users: int,
     n_items: int,
@@ -538,11 +517,10 @@ def generate_synthetic(
     ``u_f @ i_f.T`` in place just before it draws that chunk's keys, so
     ``prob`` is complete once that log is selected.  The uniform log's keys
     never read ``prob``, so on a grid of at least ``2 * GRID_CHUNK`` cells
-    one more thread selects the uniform log while the calling thread
-    selects the biased one; a smaller grid is worked on the calling thread
-    alone.  Each log draws from its own Philox stream (``"biased-cells"``,
-    ``"uniform-cells"``) read from its start, so the world is bit for bit
-    the same on one thread or two.
+    a ``ThreadPoolExecutor``'s one worker selects that log meanwhile; it is
+    joined on every exit, and its exception reaches the caller.  Each log
+    reads its own Philox stream (``"biased-cells"``, ``"uniform-cells"``)
+    from its start, so the world is bit for bit the same on one thread or two.
     """
     n_users, n_items, latent_dim, n_biased, n_uniform = map(
         _count, (n_users, n_items, latent_dim, n_biased, n_uniform),
@@ -587,12 +565,14 @@ def generate_synthetic(
         keys = uniform_rng.random(out=uniform_draws[:stop - start])
         return np.negative(keys, out=keys)
 
-    biased_log = partial(_smallest_cells, n_biased, prob.size, gumbel_keys)
-    uniform_log = partial(_smallest_cells, n_uniform, prob.size, negated_uniform_keys)
     if prob.size >= 2 * GRID_CHUNK:
-        biased_cells, uniform_cells = _on_two_threads(biased_log, uniform_log)
+        with ThreadPoolExecutor(1, thread_name_prefix="generate_synthetic-uniform-log") as worker:
+            uniform = worker.submit(_smallest_cells, n_uniform, prob.size, negated_uniform_keys)
+            biased_cells = _smallest_cells(n_biased, prob.size, gumbel_keys)
+        uniform_cells = uniform.result()
     else:
-        biased_cells, uniform_cells = biased_log(), uniform_log()
+        biased_cells = _smallest_cells(n_biased, prob.size, gumbel_keys)
+        uniform_cells = _smallest_cells(n_uniform, prob.size, negated_uniform_keys)
     world = SyntheticWorld(prob=prob)
 
     # Per log: the labels' draws, then the low ratings' draws.

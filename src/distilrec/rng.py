@@ -36,7 +36,7 @@ class RngStream:
 
     def split(self, label: str) -> "RngStream":
         """Derive an independent child stream identified by ``label``."""
-        return RngStream(self.seed, self._spawn_key + (_label_key(label),))
+        return RngStream(self.seed, self._spawn_key + (_label_key(_member(label, "label", str)),))
 
     # perfbench's tracer patches ``random`` to time mask draws, and ``choice`` serves its
     # per-round user draw; every other draw goes through ``generator``, the uniform log's cell

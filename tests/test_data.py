@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import threading
 import tracemalloc
 import warnings
@@ -163,6 +164,25 @@ class TestDatasetInvariants:
                   interaction(1, 0, 4, Source.UNIFORM), interaction(0, 1, 3, Source.BIASED)]
         with pytest.raises(ValueError, match=r"row 3: duplicate of row 1"):
             both_entries(inters, n_users=2, n_items=2)
+
+    def test_grid_beyond_2_62_cells_rejected_naming_it(self):
+        # Unchecked, the keys of (0, 0) and (2**23, 0) wrapped to one int64 on this grid, and
+        # row 1 was called a duplicate of row 0.
+        inters = [interaction(0, 0, 5, Source.BIASED), interaction(2**23, 0, 5, Source.BIASED)]
+        with pytest.raises(ValueError, match=r"^grid n_users=16777216 x n_items=1099511627776 "
+                                             r"exceeds 2\*\*62 cells$"):
+            both_entries(inters, n_users=2**24, n_items=2**40)
+        assert len(both_entries(inters, n_users=2**24, n_items=2**38).interactions) == 2
+
+    def test_fields_cannot_be_reassigned(self):
+        # Unchecked, n_items = 1 on this 2 x 2 grid made the sampler see no free cell.
+        ds = Dataset([interaction(0, 0, 5, Source.UNIFORM), interaction(1, 1, 3, Source.BIASED)],
+                     n_users=2, n_items=2)
+        for field in dataclasses.fields(Dataset):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ds, field.name, 1)
+        pairs = UnobservedSampler(ds, RngStream(1)).sample(50).tolist()
+        assert set(map(tuple, pairs)) == {(0, 1), (1, 0)}
 
     def test_observed_pairs_in_key_order(self):
         inters = [interaction(1, 0, 5, Source.BIASED), interaction(0, 2, 2, Source.BIASED),
@@ -838,16 +858,17 @@ class TestOneLogPerThread:
 
     @staticmethod
     def threads_started(monkeypatch, *shape):
-        """How many threads a call on an ``n_users`` x ``n_items`` grid starts."""
-        started, original = [], data._on_two_threads
+        """How many logs a call on an ``n_users`` x ``n_items`` grid selects off the
+        calling thread."""
+        caller, original, off_caller = threading.current_thread(), data._smallest_cells, []
 
-        def spy(first, second):
-            started.append(second)
-            return original(first, second)
+        def spy(n, n_cells, keys_of):
+            off_caller.append(threading.current_thread() is not caller)
+            return original(n, n_cells, keys_of)
 
-        monkeypatch.setattr(data, "_on_two_threads", spy)
+        monkeypatch.setattr(data, "_smallest_cells", spy)
         generate_synthetic(*shape, 3, 4.0, 10, 10, seed=1)
-        return len(started)
+        return sum(off_caller)
 
     @pytest.mark.parametrize("n_biased, n_uniform", [(20, 12), (50, 40), (66, 66)],
                              ids=["part-of-the-grid", "most-of-the-grid", "whole-grid"])

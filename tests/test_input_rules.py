@@ -321,6 +321,9 @@ CHOICE_ENTRIES = {
     # names its np.bool_ "bool", and the message names it once.
     "RngStream.choice.replace": (lambda v: RngStream(1).choice(3, 2, replace=v), "replace",
                                  "bool", ["no", None], np.False_),
+    # Unchecked, each of these raised "AttributeError: ... object has no attribute 'encode'".
+    "RngStream.split.label": (lambda v: RngStream(1).split(v), "label", "str",
+                              [5, None, b"labels"], "labels"),
 }
 
 

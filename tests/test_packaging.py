@@ -46,7 +46,7 @@ def test_names_without_caller_stay_deleted():
             "FIELD_DIGITS", "observed_pairs", "_shapes_match", "_check_ids", "_whole",
             "param_count", "MAE", "JEFFREYS", "_rows", "_shared_ids", "_collector_paused",
             "_column", "_checked_columns", "_from_columns", "_positioned", "_range_candidates",
-            "_merged_cells"}
+            "_merged_cells", "_on_two_threads"}
     modules = [importlib.import_module(f"distilrec.{info.name}")
                for info in pkgutil.iter_modules(distilrec.__path__)]
     classes = [obj for m in modules for obj in vars(m).values()
