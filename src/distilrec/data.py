@@ -105,10 +105,13 @@ class Rows:
     or index array gives ``Rows``; ``+`` appends ``Rows`` or a list of ``Interaction``s.
     The columns are checked on construction: whole int64 ids and ratings, ratings in
     1-5, each naming its first bad row, a bool ``is_uniform``, and all four 1-D and of
-    one length.  They are then made read-only, so no view changes a checked ``Dataset``.
+    one length.  The arrays are then made read-only, so no view changes a checked
+    ``Dataset``, and the four attributes are read-only too, so no column is replaced.
     """
 
-    __slots__ = ("users", "items", "ratings", "is_uniform")
+    __slots__ = ("_columns",)
+    users, items, ratings, is_uniform = (property(lambda self, k=k: self._columns[k])
+                                         for k in range(4))
 
     def __init__(self, users, items, ratings, is_uniform):
         users, items, ratings = (_as_int64(column, name) for column, name in zip(
@@ -118,19 +121,16 @@ class Rows:
             raise ValueError(f"row {k}: rating {ratings[k]} outside 1-5")
         if (is_uniform := np.asarray(is_uniform)).dtype != bool:
             raise ValueError(f"Rows: is_uniform has dtype {is_uniform.dtype}, not bool")
-        self.users, self.items, self.ratings, self.is_uniform = users, items, ratings, is_uniform
-        for column in self._columns():
+        self._columns = users, items, ratings, is_uniform
+        for column in self._columns:
             column.flags.writeable = False
-
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return self.users, self.items, self.ratings, self.is_uniform
 
     def __len__(self) -> int:
         return self.users.size
 
     def _block(self, start: int, stop: int) -> list[Interaction]:
         """Rows ``start..stop-1``, each made by ``tuple.__new__``, not ``Interaction.__new__``."""
-        users, items, ratings, is_uniform = (column[start:stop] for column in self._columns())
+        users, items, ratings, is_uniform = (column[start:stop] for column in self._columns)
         labels = (ratings == 5).astype(np.int64)
         return list(map(tuple.__new__, repeat(Interaction), zip(
             users.tolist(), items.tolist(), ratings.tolist(), labels.tolist(),
@@ -139,7 +139,7 @@ class Rows:
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
             return self[[key]]._block(0, 1)[0]
-        return Rows(*(column[key] for column in self._columns()))
+        return Rows(*(column[key] for column in self._columns))
 
     def __iter__(self):
         for start in range(0, len(self), ROW_BLOCK):
@@ -147,13 +147,12 @@ class Rows:
 
     def __add__(self, other) -> "Rows":
         other = _as_rows(other, "other")
-        return Rows(*map(np.concatenate, zip(self._columns(), other._columns())))
+        return Rows(*map(np.concatenate, zip(self._columns, other._columns)))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, list):
             return len(self) == len(other) and all(map(eq, self, other))
-        return isinstance(other, Rows) and all(map(np.array_equal, self._columns(),
-                                                   other._columns()))
+        return isinstance(other, Rows) and all(map(np.array_equal, self._columns, other._columns))
 
 
 def _as_rows(rows: Rows | Sequence[Interaction], name: str) -> Rows:
@@ -421,13 +420,16 @@ def partition_batches(
 class UnobservedSampler:
     """Uniform with-replacement sampler over the (user, item) pairs a ``Dataset`` never logged.
 
-    It reads the checked ``Dataset``'s grid and id columns as they are.  Each draw is a
-    rank among the free cells, mapped exactly to its key.
+    It reads the checked ``Dataset``'s grid and id columns as they are; ``n_users`` and
+    ``n_items`` are read-only.  Each draw is a rank among the free cells, mapped exactly to
+    its key.
     """
+
+    n_users, n_items = property(lambda self: self._n_users), property(lambda self: self._n_items)
 
     def __init__(self, dataset: Dataset, rng: RngStream):
         rows = _member(dataset, "dataset", _Dataset).interactions
-        self.n_users, self.n_items = dataset.n_users, dataset.n_items
+        self._n_users, self._n_items = dataset.n_users, dataset.n_items
         self._rng = _member(rng, "rng", RngStream)
         self._observed_keys = _distinct(rows.users * self.n_items + rows.items)
         self._n_free = self.n_users * self.n_items - self._observed_keys.size
@@ -452,7 +454,7 @@ class UnobservedSampler:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticWorld:
     """Ground truth of a generated world: the matrix both logs were drawn from."""
 

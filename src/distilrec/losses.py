@@ -20,6 +20,14 @@ held constant.  Any other pairing is a ``ValueError``.  One forward pass
 scores both batches, so dropout masks are shared by value and gradient,
 and one backward pass yields the whole gradient.
 
+Read as a missing-data method, the distillation term imputes the labels of
+the unobserved cells.  With one constant target it fills them with a fixed
+value (Steck, KDD 2010); with the teacher's targets it is a learned
+imputation model (Wang et al., "Doubly Robust Joint Learning for
+Recommendation on Data Missing Not at Random", ICML 2019).  This reading
+is an interpretation: the term is fitted as a discrepancy between two
+predictions, and nothing here estimates or corrects an imputation error.
+
 One clamp rule serves both terms: probabilities are clamped into
 [CLAMP_EPS, 1 - CLAMP_EPS] before any logarithm, and the clamp drops no
 gradient.  BCE's logit gradient ``p - y`` pulls an observed row back from
@@ -125,7 +133,7 @@ class LossBreakdown:
         return LossBreakdown(data_term, distill_term, reg_term, total)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObservedBatch:
     users: np.ndarray
     items: np.ndarray
@@ -136,7 +144,7 @@ class ObservedBatch:
         _check_labels(np.asarray(self.labels))
 
 
-@dataclass
+@dataclass(frozen=True)
 class UnobservedBatch:
     users: np.ndarray
     items: np.ndarray

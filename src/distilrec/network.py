@@ -42,8 +42,8 @@ from enum import Enum
 
 import numpy as np
 
-from ._rules import (_as_int64, _as_pairs, _check_columns, _check_on_grid, _check_seed, _count,
-                     _member, _real)
+from ._rules import (_as_int64, _as_pairs, _check_columns, _check_on_grid, _count, _member,
+                     _real)
 from .rng import RngStream
 
 __all__ = [
@@ -56,7 +56,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 SCORE_BLOCK = 4096  # rows per forward_batch block; bounds its temporaries to a few MiB
 
 
@@ -101,9 +101,9 @@ class NetworkConfig:
         return shapes
 
 
-@dataclass
+@dataclass(frozen=True)
 class Network:
-    """Parameter container; mutated in place by the optimizer.
+    """Parameter container, frozen once checked; the optimizer mutates its arrays in place.
 
     A gradient is a Network too, of the same config, so every array is
     shaped by the config and checked against it on construction.
@@ -171,7 +171,7 @@ def init_network(config: NetworkConfig, rng: RngStream) -> Network:
     return Network.from_arrays(config, arrays)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForwardCache:
     """What ``backprop`` reads: ids, activations and outputs; the first layer's input
     is gathered again from the tables."""
@@ -331,15 +331,12 @@ def forward_batch(
     return probs
 
 
-def save_checkpoint(net: Network, path, seed: int | None = None) -> None:
-    """Serialize (config, parameters, seed); round-trips bit-exactly.
+def save_checkpoint(net: Network, path) -> None:
+    """Serialize the network, its config and parameters; round-trips bit-exactly.
 
-    ``seed`` is None or an ``RngStream`` seed, at both ends; any other raises ``ValueError``.
     Written to a temporary file, then moved onto ``path``: a failed save changes no file."""
     _member(net, "net", Network)
-    seed = seed if seed is None else _check_seed(seed)
-    header = {"format_version": CHECKPOINT_FORMAT_VERSION, "seed": seed,
-              "config": asdict(net.config)}
+    header = {"format_version": CHECKPOINT_FORMAT_VERSION, "config": asdict(net.config)}
     raw = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
     arrays = {f"param_{k:02d}": a for k, a in enumerate(net.param_arrays())}
     try:
@@ -355,8 +352,8 @@ def save_checkpoint(net: Network, path, seed: int | None = None) -> None:
         raise
 
 
-def load_checkpoint(path) -> tuple[Network, int | None]:
-    """(network, seed) as saved; every fault of the file is a ValueError starting with ``path``."""
+def load_checkpoint(path) -> Network:
+    """The network as saved; every fault of the file is a ValueError starting with ``path``."""
     try:
         with open(path, "rb") as fh:
             if not zipfile.is_zipfile(fh):
@@ -371,13 +368,11 @@ def load_checkpoint(path) -> tuple[Network, int | None]:
                 raw = bytes(entry("header"))
                 try:
                     header = json.loads(raw.decode())
-                    version, config, seed = (header[key]
-                                             for key in ("format_version", "config", "seed"))
+                    version, config = header["format_version"], header["config"]
                 except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise ValueError(f"corrupt checkpoint header ({exc!r})") from exc
                 if version != CHECKPOINT_FORMAT_VERSION:
                     raise ValueError(f"unsupported checkpoint version {version}")
-                seed = seed if seed is None else _check_seed(seed)
                 cfg = NetworkConfig(**config)
                 net = Network.from_arrays(cfg, [entry(f"param_{k:02d}")
                                                 for k in range(len(cfg.param_shapes()))])
@@ -385,4 +380,4 @@ def load_checkpoint(path) -> tuple[Network, int | None]:
             raise ValueError("non-finite parameter")
     except (TypeError, ValueError) as exc:  # a malformed config raises either
         raise ValueError(f"{path}: {exc}") from exc
-    return net, seed
+    return net

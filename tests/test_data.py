@@ -738,6 +738,15 @@ class TestUnobservedSampler:
         free = np.setdiff1d(np.arange(20), keys)
         np.testing.assert_array_equal(sampler.sample(free.size), np.column_stack(np.divmod(free, 5)))
 
+    @pytest.mark.parametrize("field", ["n_users", "n_items"])
+    def test_grid_cannot_be_reassigned(self, field):
+        # Unchecked, n_items = 3 on this 2 x 2 log made sample draw (0, 2), off the grid.
+        sampler = sampler_of(2, 2, [[0, 0], [1, 1]], RngStream(1))
+        with pytest.raises(AttributeError):
+            setattr(sampler, field, 3)
+        assert (sampler.n_users, sampler.n_items) == (2, 2)
+        assert set(map(tuple, sampler.sample(50).tolist())) == {(0, 1), (1, 0)}
+
     def test_every_free_cell_drawn_in_small_grid(self):
         # The 2 x 3 grid with (0, 0) observed: all five free cells are reached.
         sampler = sampler_of(2, 3, [[0, 0]], RngStream(4))
@@ -746,6 +755,13 @@ class TestUnobservedSampler:
 
 
 class TestGenerateSynthetic:
+    def test_world_cannot_be_reassigned(self):
+        world, _ = generate_synthetic(3, 4, 2, 1.0, 5, 5, seed=0)
+        prob = world.prob
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            world.prob = np.zeros((3, 4))
+        assert world.prob is prob
+
     @pytest.mark.parametrize("log", ["n_biased", "n_uniform"])
     def test_log_larger_than_grid_rejected(self, log):
         sizes = dict(n_biased=5, n_uniform=5)
@@ -1173,6 +1189,16 @@ class TestRows:
         for rows in (ds.interactions, ds.interactions[2:9], ds.by_source(Source.BIASED)):
             with pytest.raises(ValueError, match="read-only"):
                 rows.users[0] = 0
+        assert ds.interactions == want
+
+    @pytest.mark.parametrize("column", ["users", "items", "ratings", "is_uniform"])
+    def test_columns_cannot_be_replaced(self, column):
+        # Unchecked, users = [0, 7] on this checked 2 x 2 log went through, and iteration
+        # then gave user 7.
+        want = [interaction(0, 0, 5, Source.UNIFORM), interaction(1, 1, 3, Source.BIASED)]
+        ds = Dataset(want, n_users=2, n_items=2)
+        with pytest.raises(AttributeError):
+            setattr(ds.interactions, column, np.array([0, 7]))
         assert ds.interactions == want
 
     def test_dataset_holds_at_most_32_bytes_a_row(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -349,6 +350,19 @@ class TestStudentLoss:
 
 
 class TestLossAndGradsErrors:
+    @pytest.mark.parametrize("field", ["users", "items", "labels", "teacher_targets"])
+    def test_batch_fields_cannot_be_reassigned(self, field):
+        # Unchecked, labels = [7.0] on this 3-row batch gave a negative data term with no
+        # error, and teacher_targets = [5.0] was clamped silently.
+        net = zero_net(3, 3)
+        obs = ObservedBatch(np.array([0, 1, 2]), np.array([0, 1, 2]), np.array([1.0, 0.0, 1.0]))
+        unobs = UnobservedBatch(np.array([0, 1]), np.array([1, 2]), np.array([0.25, 0.75]))
+        before = loss_and_grads(net, obs, unobs, gamma_reg=1.0)[0]
+        batch = unobs if field == "teacher_targets" else obs
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(batch, field, np.array([7.0]))
+        assert loss_and_grads(net, obs, unobs, gamma_reg=1.0)[0] == before
+
     def test_nonfinite_parameter_loss_raises_with_term(self):
         net = zero_net()
         net.weights[0][0, 0] = np.inf

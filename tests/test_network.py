@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 from distilrec import network
 from distilrec.network import (
     SCORE_BLOCK,
+    ForwardCache,
     ForwardMode,
     Network,
     NetworkConfig,
@@ -260,7 +262,8 @@ class TestScorerMatchesTrainingForward:
             __getitem__ = __matmul__
 
         net = init_network(small_config(), RngStream(1))
-        net.user_emb = net.item_emb = Unreadable()
+        for table in ("user_emb", "item_emb"):  # planted past the frozen fields
+            object.__setattr__(net, table, Unreadable())
         for pairs in ([(5, 0)], [(0, 6)], [(-1, 0)]):
             with pytest.raises(ValueError, match="out of range"):
                 forward_batch(net, pairs)
@@ -366,30 +369,45 @@ class TestDropout:
         assert abs(samples.mean() - det) < 3.0 * se
 
 
+def records():
+    """A checked Network and the ForwardCache of a 2-row forward through it."""
+    net = init_network(small_config(), RngStream(1))
+    return {"Network": net,
+            "ForwardCache": forward_cached(net, [0, 1], [0, 1], ForwardMode.DETERMINISTIC)}
+
+
+@pytest.mark.parametrize("record, field", [
+    (cls.__name__, f.name) for cls in (Network, ForwardCache) for f in dataclasses.fields(cls)])
+def test_record_fields_cannot_be_reassigned(record, field):
+    # Unchecked, user_emb = zeros((2, 2)) on this 5-user network made
+    # forward_batch(net, [(2, 0)]) fail with a bare IndexError.
+    held = records()[record]
+    before = getattr(held, field)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(held, field, np.zeros((2, 2)))
+    assert getattr(held, field) is before
+    if record == "Network":
+        assert forward_batch(held, [(2, 0)]).shape == (1,)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         net = init_network(small_config(dropout_rate=0.2, hidden_sizes=(4, 3)), RngStream(13))
         path = tmp_path / "net.npz"
-        save_checkpoint(net, path, seed=13)
-        loaded, seed = load_checkpoint(path)
-        assert seed == 13
+        save_checkpoint(net, path)
+        loaded = load_checkpoint(path)
         assert loaded.config == net.config
         for a, b in zip(net.param_arrays(), loaded.param_arrays()):
             np.testing.assert_array_equal(a, b)
             assert a.dtype == b.dtype
 
-    def test_version_check(self, tmp_path):
-        import json
-
-        net = init_network(small_config(), RngStream(1))
+    @pytest.mark.parametrize("version", [1, 999])
+    def test_version_check(self, tmp_path, version):
+        # Version 1 held a seed beside the network; it fails rather than load without it.
         path = tmp_path / "net.npz"
-        save_checkpoint(net, path)
-        data = dict(np.load(path))
-        header = json.loads(bytes(data["header"]).decode())
-        header["format_version"] = 999
-        data["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-        np.savez(path, **data)
-        with pytest.raises(ValueError, match="version"):
+        self.rewrite(path, lambda h, d: h.update(format_version=version, seed=3))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unsupported checkpoint "
+                                             f"version {version}$"):
             load_checkpoint(path)
 
     def test_truncated_file_rejected_naming_path(self, tmp_path):
@@ -449,7 +467,7 @@ class TestCheckpoint:
     @staticmethod
     def rewrite(path, edit):
         """Save a valid checkpoint at ``path``, then apply ``edit(header, arrays)`` to it."""
-        save_checkpoint(init_network(small_config(), RngStream(1)), path, seed=3)
+        save_checkpoint(init_network(small_config(), RngStream(1)), path)
         data = dict(np.load(path))
         header = json.loads(bytes(data["header"]).decode())
         edit(header, data)
@@ -464,13 +482,11 @@ class TestCheckpoint:
         (lambda h, d: d.update(param_00=d["param_00"].astype(np.float32)),
          "user_emb has dtype float32"),
         (lambda h, d: d["param_00"].fill(np.nan), "non-finite parameter"),
-        (lambda h, d: h.update(seed="x"),
-         re.escape("seed must be an integer in [0, 2**64), got 'x'")),
     ], ids=["config-list", "config-unknown-key", "config-negative-dim", "param-shape",
-            "param-float32", "param-nan", "seed-string"])
+            "param-float32", "param-nan"])
     def test_fault_is_value_error_starting_with_path(self, tmp_path, edit, message):
         # Unchecked, a list or unknown key in the config raised a bare TypeError, three
-        # faults raised a ValueError naming no path, and a NaN parameter or string seed loaded.
+        # faults raised a ValueError naming no path, and a NaN parameter loaded.
         path = tmp_path / "net.npz"
         self.rewrite(path, edit)
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ") + ".*" + message):
@@ -480,7 +496,7 @@ class TestCheckpoint:
         # Opened with "wb", the old file was truncated before the write failed.
         path = tmp_path / "net.npz"
         net = init_network(small_config(), RngStream(1))
-        save_checkpoint(net, path, seed=1)
+        save_checkpoint(net, path)
         before = path.read_bytes()
 
         def failing_savez(fh, **arrays):
@@ -489,7 +505,7 @@ class TestCheckpoint:
 
         monkeypatch.setattr(np, "savez", failing_savez)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(net, path, seed=2)
+            save_checkpoint(net, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["net.npz"]
 
@@ -499,20 +515,3 @@ class TestCheckpoint:
         with pytest.raises(FileNotFoundError, match="^" + re.escape(f"{path}: ")):
             save_checkpoint(init_network(small_config(), RngStream(1)), path)
         assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("seed", ["x", 1.5, True])
-    def test_seed_load_rejects_is_rejected_by_save(self, tmp_path, seed):
-        # Unchecked, each of these saved a file that load_checkpoint then rejected.
-        net = init_network(small_config(), RngStream(1))
-        path = tmp_path / "net.npz"
-        save_checkpoint(net, path, seed=1)
-        before = path.read_bytes()
-        message = f"seed must be an integer in [0, 2**64), got {seed!r}"
-        with pytest.raises(ValueError, match="^" + re.escape(message)):
-            save_checkpoint(net, path, seed=seed)
-        assert path.read_bytes() == before
-
-    def test_null_seed_loads(self, tmp_path):
-        path = tmp_path / "net.npz"
-        save_checkpoint(init_network(small_config(), RngStream(1)), path)
-        assert load_checkpoint(path)[1] is None

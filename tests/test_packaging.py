@@ -36,6 +36,7 @@ def test_every_exported_name_exists():
 
 def test_names_without_caller_stay_deleted():
     from distilrec.data import SyntheticWorld, generate_synthetic
+    from distilrec.network import save_checkpoint
     from distilrec.optim import OptimizerState
     from distilrec.rng import RngStream
 
@@ -58,7 +59,19 @@ def test_names_without_caller_stay_deleted():
     assert not ({"beta1", "beta2", "epsilon_hat", "kind", "m", "v"}
                 & {f.name for f in dataclasses.fields(OptimizerState)})
     assert "scale" not in inspect.signature(generate_synthetic).parameters
+    assert "seed" not in inspect.signature(save_checkpoint).parameters
     assert "p" not in inspect.signature(RngStream.choice).parameters
+
+
+def test_every_record_but_the_optimizer_state_is_frozen():
+    # A checked record whose fields can be replaced is checked for nothing; the optimizer
+    # state alone moves, its step by each update.
+    modules = [importlib.import_module(f"distilrec.{info.name}")
+               for info in pkgutil.iter_modules(distilrec.__path__)]
+    mutable = [f"{m.__name__}.{name}" for m in modules for name, obj in vars(m).items()
+               if dataclasses.is_dataclass(obj) and isinstance(obj, type)
+               and obj.__module__ == m.__name__ and not obj.__dataclass_params__.frozen]
+    assert mutable == ["distilrec.optim.OptimizerState"]
 
 
 def test_package_root_exports_only_version():
