@@ -28,11 +28,17 @@ Recommendation on Data Missing Not at Random", ICML 2019).  This reading
 is an interpretation: the term is fitted as a discrepancy between two
 predictions, and nothing here estimates or corrects an imputation error.
 
-One clamp rule serves both terms: probabilities are clamped into
-[CLAMP_EPS, 1 - CLAMP_EPS] before any logarithm, and the clamp drops no
-gradient.  BCE's logit gradient ``p - y`` pulls an observed row back from
-the clamp, and the distillation gradient, taken at the clamped student,
-pulls an unobserved one back toward the teacher.
+Loss terms are float64 whatever the network's dtype: probabilities enter
+each per-row term through ``_clamp``, which casts them to float64, and
+``l2_reg`` sums its squares in float64.  Only the gradient follows the
+network: ``backprop`` casts the float64 logit gradients to the network's
+dtype on entry, and the L2 gradient is added in that dtype.
+
+One clamp rule serves both terms and both dtypes: probabilities are clamped
+into [CLAMP_EPS, 1 - CLAMP_EPS] in float64 before any logarithm, and the
+clamp drops no gradient.  BCE's logit gradient ``p - y`` pulls an observed
+row back from the clamp, and the distillation gradient, taken at the
+clamped student, pulls an unobserved one back toward the teacher.
 """
 
 from __future__ import annotations
@@ -87,8 +93,8 @@ def _bce_terms(p_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def l2_reg(net: Network) -> float:
-    """Sum of squared entries over ``net.l2_arrays()``; biases excluded."""
-    return float(sum(np.sum(np.square(a)) for a in net.l2_arrays()))
+    """Sum of squared entries over ``net.l2_arrays()``, summed in float64; biases excluded."""
+    return float(sum(np.sum(np.square(a), dtype=np.float64) for a in net.l2_arrays()))
 
 
 def _reg_terms(kind: RegLossKind, t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,8 +139,20 @@ class LossBreakdown:
         return LossBreakdown(data_term, distill_term, reg_term, total)
 
 
+def _hold_read_only(batch) -> None:
+    """Replaces each of ``batch``'s columns, once checked, by a read-only view of it, so
+    neither a field nor an entry can change after the check; the caller's array stays
+    writeable."""
+    for name, column in vars(batch).items():
+        view = np.asarray(column).view()
+        view.flags.writeable = False
+        object.__setattr__(batch, name, view)
+
+
 @dataclass(frozen=True)
 class ObservedBatch:
+    """A checked training batch; its columns are read-only views."""
+
     users: np.ndarray
     items: np.ndarray
     labels: np.ndarray
@@ -142,10 +160,13 @@ class ObservedBatch:
     def __post_init__(self):
         _check_columns(type(self).__name__, **vars(self))
         _check_labels(np.asarray(self.labels))
+        _hold_read_only(self)
 
 
 @dataclass(frozen=True)
 class UnobservedBatch:
+    """Checked unobserved pairs and the teacher's targets; its columns are read-only views."""
+
     users: np.ndarray
     items: np.ndarray
     teacher_targets: np.ndarray   # constants: the teacher is detached
@@ -153,6 +174,7 @@ class UnobservedBatch:
     def __post_init__(self):
         _check_columns(type(self).__name__, **vars(self))
         _check_unit_interval(np.asarray(self.teacher_targets), "teacher target")
+        _hold_read_only(self)
 
 
 def loss_and_grads(

@@ -7,12 +7,17 @@ item)``.  Dropout (inverted convention) is applied after each hidden
 activation; drawing fresh masks at inference time turns the scorer into
 an approximate posterior sampler.
 
-Everything is plain float64 numpy with hand-written reverse-mode
-gradients for this fixed architecture; there is no general autodiff.
-``Network`` is the one parameter container: ``backprop`` returns the
-gradient, and the optimizer keeps Adam's moments, as ``Network``s of the
-same config.  Every construction, checkpoint loads included, checks each
-array's shape against the config and requires float64.
+Everything is plain numpy with hand-written reverse-mode gradients for
+this fixed architecture; there is no general autodiff.  ``Network`` is the
+one parameter container: ``backprop`` returns the gradient, and the
+optimizer keeps Adam's moments, as ``Network``s of the same config.  Every
+construction, checkpoint loads included, checks each array's shape
+against the config and requires one dtype, float32 or float64, across all
+arrays.  ``init_network`` makes float32; a float64 network, as the
+finite-difference oracles build through ``Network.from_arrays``, runs the
+same code in float64.  Every array the size of a table or of a batch's
+activations follows the parameters' dtype: the activations, logits and
+probabilities of both forwards, and every array of the gradient.
 A training step runs ``forward_cached`` once over all its rows, observed
 and unobserved concatenated, and ``backprop`` once over the per-row
 logit gradients; ``backprop`` is the step's only gradient allocation and
@@ -106,7 +111,8 @@ class Network:
     """Parameter container, frozen once checked; the optimizer mutates its arrays in place.
 
     A gradient is a Network too, of the same config, so every array is
-    shaped by the config and checked against it on construction.
+    shaped by the config and checked against it on construction.  Every
+    array has one dtype, float32 or float64, which is the network's ``dtype``.
     """
 
     config: NetworkConfig
@@ -125,8 +131,16 @@ class Network:
         for (name, shape), a in zip(self.config.param_shapes(), self.param_arrays()):
             if _member(a, name, np.ndarray).shape != shape:
                 raise ValueError(f"{name} has shape {a.shape}; config expects {shape}")
-            if a.dtype != np.float64:
-                raise ValueError(f"{name} has dtype {a.dtype}; float64 expected")
+        if self.dtype not in (np.float32, np.float64):
+            raise ValueError(f"user_emb has dtype {self.dtype}; float32 or float64 expected")
+        for (name, _), a in zip(self.config.param_shapes(), self.param_arrays()):
+            if a.dtype != self.dtype:
+                raise ValueError(f"{name} has dtype {a.dtype}; user_emb's {self.dtype} expected")
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The one dtype of every array, ``user_emb``'s."""
+        return self.user_emb.dtype
 
     @classmethod
     def from_arrays(cls, config: NetworkConfig, arrays: list[np.ndarray]) -> "Network":
@@ -153,11 +167,13 @@ class Network:
 
 
 def init_network(config: NetworkConfig, rng: RngStream) -> Network:
-    """Fresh network: fan-based uniform weights, zero biases.
+    """Fresh float32 network: fan-based uniform weights, zero biases.
 
     Each parameter matrix of shape (fan_in, fan_out) is drawn i.i.d.
-    uniform on +-sqrt(6 / (fan_in + fan_out)); embedding tables count
-    their entity dimension as fan_in.  Deterministic given the stream.
+    uniform on +-sqrt(6 / (fan_in + fan_out)) in float64 and then cast to
+    float32, so the draws and the stream's position are those of a float64
+    init; embedding tables count their entity dimension as fan_in.
+    Deterministic given the stream.
     """
     _member(config, "config", NetworkConfig)
     r = _member(rng, "rng", RngStream).split("init")
@@ -168,7 +184,7 @@ def init_network(config: NetworkConfig, rng: RngStream) -> Network:
 
     arrays = [fan_uniform(*shape) if len(shape) == 2 else np.zeros(shape)
               for _, shape in config.param_shapes()]
-    return Network.from_arrays(config, arrays)
+    return Network.from_arrays(config, [a.astype(np.float32) for a in arrays])
 
 
 @dataclass(frozen=True)
@@ -264,10 +280,11 @@ def backprop(net: Network, cache: ForwardCache, dlogits: np.ndarray) -> Network:
     cfg = net.config
     n_hidden = len(cfg.hidden_sizes)
     weights, biases = [None] * (n_hidden + 1), [None] * (n_hidden + 1)
-    da = np.asarray(dlogits, dtype=np.float64).reshape(-1, 1)   # (B, 1)
+    da = np.asarray(dlogits, dtype=net.dtype).reshape(-1, 1)   # (B, 1)
+    scale = net.dtype.type(cache.scale)   # as the forward's ``a *= scale`` rounded it
 
     for k in range(n_hidden, -1, -1):
-        dz = da if k == n_hidden else da * ((cache.acts[k] > 0.0) * cache.scale)
+        dz = da if k == n_hidden else da * ((cache.acts[k] > 0.0) * scale)
         inputs = ([cache.acts[k - 1]] if k > 0   # the first layer's input, table by table
                   else [net.user_emb[cache.users], net.item_emb[cache.items]])
         weights[k] = np.vstack([_row_sum_product(a, dz) for a in inputs])
@@ -308,7 +325,7 @@ def forward_batch(
     mode: ForwardMode = ForwardMode.DETERMINISTIC,
     rng: RngStream | None = None,
 ) -> np.ndarray:
-    """Probabilities for (user, item) pairs shaped (n, 2); ``[]`` is n = 0.
+    """Probabilities, in the network's dtype, for (user, item) pairs shaped (n, 2); ``[]`` is n = 0.
 
     Tape-free: the rows of each embedding table that the pairs touch,
     found with a presence mask over the table, are projected once through
@@ -324,7 +341,7 @@ def forward_batch(
     _check_on_grid(users, items, net.config.n_users, net.config.n_items)
     scale = _mask_scale(net, mode, rng)
     first_layer = _first_layer(net, users, items)
-    probs = np.empty(len(arr))
+    probs = np.empty(len(arr), dtype=net.dtype)
     for start in range(0, len(arr), SCORE_BLOCK):
         rows = slice(start, start + SCORE_BLOCK)
         probs[rows] = _layer_stack(net, first_layer(rows), scale, rng)[2]

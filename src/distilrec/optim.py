@@ -3,10 +3,12 @@
 The gradient (from ``losses.loss_and_grads``) and Adam's two moments,
 ``OptimizerState.moments`` (None for SGD), are each a ``Network`` of the
 parameters' config, so one config comparison checks each, and their
-``param_arrays`` pair up with the parameters'.
+``param_arrays`` pair up with the parameters'.  They are of the
+parameters' dtype too, as is every array an update makes: the learning
+rate and Adam's constants are Python floats, which promote no array.
 
-Adam updates each array in place through two scratch arrays of its shape,
-made per call and freed with it, in the operation order of the
+Adam updates each array in place through two scratch arrays of its shape
+and dtype, made per call and freed with it, in the operation order of the
 out-of-place expressions, so the bits are theirs; no temporary the size of
 an embedding table is made per operation.
 """
@@ -62,7 +64,7 @@ def apply_update(opt: OptimizerState, net: Network, grads: Network) -> None:
 
     An argument of the wrong type, moments other than a tuple of two
     ``Network``s, a gradient or moment of another config (dropout_rate
-    included) or a non-finite gradient is rejected before anything changes,
+    included) or dtype, or a non-finite gradient is rejected before anything changes,
     so a caller may recover, e.g. by skipping the batch.  An update that
     makes a parameter non-finite raises ``FloatingPointError`` after it is
     applied: the parameters, the moments and ``opt.step`` keep their new
@@ -73,8 +75,11 @@ def apply_update(opt: OptimizerState, net: Network, grads: Network) -> None:
     if _member(grads, "grads", Network).config != net.config:
         raise ValueError(f"gradient config {grads.config} differs from the network's "
                          f"{net.config}; shapes and dropout_rate must match")
+    if grads.dtype != net.dtype:
+        raise ValueError(f"gradient dtype {grads.dtype} differs from the network's {net.dtype}")
     moments = _check_moments(opt.moments)
-    if moments is not None and [m.config for m in moments] != [net.config] * 2:
+    if moments is not None and any(m.config != net.config or m.dtype != net.dtype
+                                   for m in moments):
         raise ValueError("Adam moments do not match network parameters; "
                          "build the state with make_optimizer")
     if not grads.all_finite():

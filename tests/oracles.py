@@ -19,6 +19,12 @@ def interaction(user: int, item: int, rating: int, source: Source) -> Interactio
     return Interaction(user, item, rating, 1 if rating == 5 else 0, source)
 
 
+def float64_network(net: Network) -> Network:
+    """``net``'s parameters cast to float64, the dtype every oracle here runs in: central
+    differences at h = 1e-5 need float64's resolution."""
+    return Network.from_arrays(net.config, [a.astype(np.float64) for a in net.param_arrays()])
+
+
 def finite_difference_grads(loss_fn, net: Network, h: float = 1e-5) -> list[np.ndarray]:
     """Central differences of a scalar loss over every network parameter."""
     grads = []

@@ -24,10 +24,11 @@ from distilrec.network import ForwardMode, NetworkConfig, backprop, forward_cach
 from distilrec.optim import OptimizerState, apply_update, make_optimizer
 from distilrec.rng import RngStream
 
-from oracles import finite_difference_grads, max_relative_error
+from oracles import finite_difference_grads, float64_network, max_relative_error
 
 
 def random_net(rng, dropout=0.0, hidden=(4,)):
+    """A float64 network, as the oracles need, perturbed from its init."""
     gen = rng.generator
     cfg = NetworkConfig(
         n_users=int(gen.integers(2, 8)),
@@ -36,7 +37,7 @@ def random_net(rng, dropout=0.0, hidden=(4,)):
         hidden_sizes=hidden,
         dropout_rate=dropout,
     )
-    net = init_network(cfg, rng.split("net"))
+    net = float64_network(init_network(cfg, rng.split("net")))
     # Perturb away from the symmetric init so ReLUs are in mixed states.
     for arr in net.param_arrays():
         arr += gen.normal(scale=0.3, size=arr.shape)
@@ -71,7 +72,7 @@ class TestHandDerivedCases:
 
     def test_l2_only_gradient_is_two_lambda_theta(self):
         # The L2 part of the gradient is what lambda adds to the same observed call.
-        net = init_network(NetworkConfig(3, 3, 2, (3,)), RngStream(2))
+        net = float64_network(init_network(NetworkConfig(3, 3, 2, (3,)), RngStream(2)))
         obs = ObservedBatch(np.array([0, 2]), np.array([1, 2]), np.array([1.0, 0.0]))
         lam = 0.37
         _, with_l2 = loss_and_grads(net, obs, l2_coeff=lam)
@@ -288,7 +289,7 @@ class TestOptimizer:
         opt = make_optimizer(net, "sgd", learning_rate=0.1)
         apply_update(opt, net, g)
         for arr in net.param_arrays():
-            np.testing.assert_allclose(arr, 0.9, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(arr, 0.9, rtol=0, atol=np.finfo(arr.dtype).eps)
 
     def test_sgd_zero_gradient_no_change(self):
         net = init_network(NetworkConfig(2, 2, 2, (2,)), RngStream(3))
@@ -334,7 +335,7 @@ class TestOptimizer:
         opt = OptimizerState(learning_rate=0.1)
         apply_update(opt, net, g)
         for arr in net.param_arrays():
-            np.testing.assert_allclose(arr, 0.9, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(arr, 0.9, rtol=0, atol=np.finfo(arr.dtype).eps)
         assert opt.step == 1
 
     def test_rejects_adam_state_without_moments(self):
@@ -403,7 +404,7 @@ class TestOptimizer:
         net = init_network(NetworkConfig(1, 1, 1, (1,)), RngStream(1))
         g = net.zeros_like()
         for p, d in zip(net.param_arrays(), g.param_arrays()):
-            p[...], d[...] = 1e308, -1e308
+            p[...], d[...] = np.finfo(p.dtype).max, -np.finfo(p.dtype).max
         opt = make_optimizer(net, "sgd", learning_rate=1.0)
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
             apply_update(opt, net, g)
@@ -469,17 +470,20 @@ class TestInPlaceUpdateIsTheOutOfPlaceOne:
 
 
 # Adam steps at Coat shape (290 x 300, embedding 64, hidden (64, 32)) at two batch
-# sizes, printing one hash of every gradient and every updated parameter.
+# sizes, in the network dtype named by the first argument, printing one hash of every
+# gradient and every updated parameter.
 STEPS_SCRIPT = """
 import hashlib
+import sys
 from distilrec.losses import ObservedBatch, loss_and_grads
-from distilrec.network import ForwardMode, NetworkConfig, init_network
+from distilrec.network import ForwardMode, Network, NetworkConfig, init_network
 from distilrec.optim import apply_update, make_optimizer
 from distilrec.rng import RngStream
 
 digest = hashlib.sha256()
 for rows in (986, 2010):
     net = init_network(NetworkConfig(290, 300, 64, (64, 32), dropout_rate=0.1), RngStream(1))
+    net = Network.from_arrays(net.config, [a.astype(sys.argv[1]) for a in net.param_arrays()])
     opt, draws = make_optimizer(net), RngStream(2).generator
     for step in range(3):
         batch = ObservedBatch(draws.integers(0, 290, rows), draws.integers(0, 300, rows),
@@ -493,7 +497,8 @@ print(digest.hexdigest())
 
 
 class TestBitsAtAnyBlasThreadCount:
-    def test_steps_hash_alike_at_one_and_two_threads(self):
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_steps_hash_alike_at_one_and_two_threads(self, dtype):
         # A single product over 986 or 2,010 rows was rounded differently at one
         # and two OpenBLAS threads, so the weight gradients' bits split.
         src = Path(__file__).resolve().parents[1] / "src"
@@ -501,9 +506,10 @@ class TestBitsAtAnyBlasThreadCount:
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
                    "MKL_NUM_THREADS": threads, "PYTHONPATH": str(src)}
-            hashes.append(subprocess.run([sys.executable, "-c", STEPS_SCRIPT], env=env, check=True,
-                                         capture_output=True, text=True, timeout=120).stdout)
-        assert hashes[0] == hashes[1]
+            hashes.append(subprocess.run([sys.executable, "-c", STEPS_SCRIPT, dtype], env=env,
+                                         check=True, capture_output=True, text=True,
+                                         timeout=120).stdout)
+        assert len(hashes[0]) == 65 and hashes[0] == hashes[1]
 
     @pytest.mark.parametrize("rows", [0, 1, 255, 256])
     def test_up_to_one_block_is_the_single_product_bit_for_bit(self, rows):

@@ -101,16 +101,22 @@ class TestInit:
             Network(net.config, net.user_emb, net.item_emb,
                     [net.weights[0], net.weights[1].T, net.weights[2]], net.biases)
 
-    def test_construction_rejects_dtypes_other_than_float64(self):
-        # Unchecked, float32 arrays trained silently in float32 and int64 ones
-        # failed inside the forward pass with an unlocated UFuncTypeError.
+    def test_construction_rejects_mixed_or_non_float_dtypes(self):
+        # Unchecked, int64 arrays failed inside the forward pass with an unlocated
+        # UFuncTypeError, and one float64 array among float32 ones would promote each product.
         net = init_network(small_config(hidden_sizes=(4, 3)), RngStream(2))
         arrays = net.param_arrays()
-        with pytest.raises(ValueError, match="user_emb has dtype float32; float64 expected"):
-            Network.from_arrays(net.config, [arrays[0].astype(np.float32), *arrays[1:]])
-        with pytest.raises(ValueError, match=r"biases\[1\] has dtype int64; float64 expected"):
+        assert net.dtype == np.float32
+        for dtype in (np.float16, np.int64):
+            with pytest.raises(ValueError, match=f"^user_emb has dtype {np.dtype(dtype)}; "
+                                                 "float32 or float64 expected$"):
+                Network.from_arrays(net.config, [a.astype(dtype) for a in arrays])
+        with pytest.raises(ValueError,
+                           match=r"^biases\[1\] has dtype float64; user_emb's float32 expected$"):
             Network(net.config, net.user_emb, net.item_emb, net.weights,
-                    [net.biases[0], net.biases[1].astype(np.int64), net.biases[2]])
+                    [net.biases[0], net.biases[1].astype(np.float64), net.biases[2]])
+        with pytest.raises(ValueError, match="^item_emb has dtype float32; user_emb's float64"):
+            Network.from_arrays(net.config, [arrays[0].astype(np.float64), *arrays[1:]])
 
 
 class TestForward:
@@ -177,7 +183,8 @@ class TestForward:
         batch = forward_batch(net, pairs)
         single = [forward_batch(net, [(u, i)])[0] for u, i in pairs]
         # BLAS may pick different kernels per batch shape; tolerance is ulp-scale.
-        np.testing.assert_allclose(batch, single, rtol=1e-14, atol=1e-15)
+        eps = np.finfo(net.dtype).eps
+        np.testing.assert_allclose(batch, single, rtol=8 * eps, atol=eps)
 
 
 def random_pairs(cfg, n, seed=0):
@@ -250,7 +257,8 @@ class TestScorerMatchesTrainingForward:
                 a = a / (1.0 - cfg.dropout_rate)
             want.append(1.0 / (1.0 + np.exp(-(a @ net.weights[-1] + net.biases[-1])[:, 0])))
         want = np.concatenate(want) if want else np.empty(0)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        # The unfactored first layer and a / (1 - p) round apart from the scorer's by a few ulps.
+        np.testing.assert_allclose(got, want, rtol=16 * np.finfo(net.dtype).eps)
         # Both streams end at the same point: no draw was skipped or added.
         assert stream.random() == rng.random()
 
@@ -391,15 +399,18 @@ def test_record_fields_cannot_be_reassigned(record, field):
 
 
 class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_round_trip_bit_exact(self, tmp_path, dtype):
+        # Each saved array keeps its dtype, so a float32 network loads as one.
         net = init_network(small_config(dropout_rate=0.2, hidden_sizes=(4, 3)), RngStream(13))
+        net = Network.from_arrays(net.config, [a.astype(dtype) for a in net.param_arrays()])
         path = tmp_path / "net.npz"
         save_checkpoint(net, path)
         loaded = load_checkpoint(path)
         assert loaded.config == net.config
+        assert loaded.dtype == dtype
         for a, b in zip(net.param_arrays(), loaded.param_arrays()):
-            np.testing.assert_array_equal(a, b)
-            assert a.dtype == b.dtype
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("version", [1, 999])
     def test_version_check(self, tmp_path, version):
@@ -454,14 +465,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"user_emb has shape \(7, 5\); config expects \(3, 2\)"):
             load_checkpoint(path)
 
-    def test_rejects_float32_checkpoint(self, tmp_path):
+    def test_rejects_mixed_dtype_checkpoint(self, tmp_path):
         net = init_network(small_config(), RngStream(1))
         path = tmp_path / "net.npz"
         save_checkpoint(net, path)
         data = dict(np.load(path))
-        data["param_02"] = data["param_02"].astype(np.float32)
+        data["param_02"] = data["param_02"].astype(np.float64)
         np.savez(path, **data)
-        with pytest.raises(ValueError, match=r"weights\[0\] has dtype float32; float64 expected"):
+        with pytest.raises(ValueError,
+                           match=r"weights\[0\] has dtype float64; user_emb's float32 expected"):
             load_checkpoint(path)
 
     @staticmethod
@@ -479,11 +491,11 @@ class TestCheckpoint:
         (lambda h, d: h["config"].update(colour=1), "unexpected keyword argument 'colour'"),
         (lambda h, d: h["config"].update(embedding_dim=-1), "embedding_dim must be >= 1"),
         (lambda h, d: d.update(param_00=np.zeros((2, 2))), r"user_emb has shape \(2, 2\)"),
-        (lambda h, d: d.update(param_00=d["param_00"].astype(np.float32)),
-         "user_emb has dtype float32"),
+        (lambda h, d: d.update(param_00=d["param_00"].astype(np.float16)),
+         "user_emb has dtype float16"),
         (lambda h, d: d["param_00"].fill(np.nan), "non-finite parameter"),
     ], ids=["config-list", "config-unknown-key", "config-negative-dim", "param-shape",
-            "param-float32", "param-nan"])
+            "param-float16", "param-nan"])
     def test_fault_is_value_error_starting_with_path(self, tmp_path, edit, message):
         # Unchecked, a list or unknown key in the config raised a bare TypeError, three
         # faults raised a ValueError naming no path, and a NaN parameter loaded.
