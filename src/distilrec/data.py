@@ -19,7 +19,11 @@ it rejects, or one whose values fail a range check, is read again line by
 line, to name the first bad line as ``path:line``.
 
 The module also builds synthetic ground-truth worlds with a known
-preference matrix; these serve as oracles for debiasing experiments.
+preference matrix; these serve as oracles for debiasing experiments.  The
+matrix is stored as float32 and read-only.  It is computed in float64 one
+block of whole user rows at a time; the biased log's selection keys read that
+float64 block, and every label, the generator's own among them, reads the
+stored float32 truth.
 """
 
 from __future__ import annotations
@@ -456,13 +460,20 @@ class UnobservedSampler:
 
 @dataclass(frozen=True)
 class SyntheticWorld:
-    """Ground truth of a generated world: the matrix both logs were drawn from."""
+    """Ground truth of a generated world: the matrix both logs were drawn from.
 
-    prob: np.ndarray          # P[u, i] = p(label=1 | u, i), entries in (0, 1)
+    ``prob`` is float32 and read-only.  It is the float32 rounding of a float64
+    truth computed one block of whole user rows at a time; the biased log's keys
+    read those float64 blocks, and both logs' labels read ``prob`` itself.
+    """
+
+    prob: np.ndarray          # P[u, i] = p(label=1 | u, i), float32, entries in [0, 1]
 
 
 LOGIT_SCALE = 3.0
-GRID_CHUNK = 1 << 16  # cells whose selection keys are drawn and held at once
+# Cells whose selection keys are drawn and held at once; the float64 truth behind a chunk's
+# biased keys is computed over the whole user rows that cover it, then stored as float32.
+GRID_CHUNK = 1 << 16
 
 
 def _smallest_cells(n: int, n_cells: int, keys_of) -> np.ndarray:
@@ -511,18 +522,27 @@ def generate_synthetic(
 
     Both logs are exact top-n selections over per-cell keys (Gumbel top-k
     for the biased log, the n largest uniform draws for the uniform one),
-    drawn ``GRID_CHUNK`` cells at a time, so ``prob`` is the only array
-    over the whole grid.  Each log's rows come in ascending cell order
-    (user, then item), and its labels are drawn in that order.
+    drawn ``GRID_CHUNK`` cells at a time, so the float32 ``prob`` is the only
+    array over the whole grid; no float64 array of the grid is ever made.
+    Each log's rows come in ascending cell order (user, then item), and its
+    labels are drawn in that order, against the stored float32 ``prob``.
 
-    The biased log's key function applies the sigmoid to each chunk of
-    ``u_f @ i_f.T`` in place just before it draws that chunk's keys, so
-    ``prob`` is complete once that log is selected.  The uniform log's keys
-    never read ``prob``, so on a grid of at least ``2 * GRID_CHUNK`` cells
-    a ``ThreadPoolExecutor``'s one worker selects that log meanwhile; it is
-    joined on every exit, and its exception reaches the caller.  Each log
-    reads its own Philox stream (``"biased-cells"``, ``"uniform-cells"``)
-    from its start, so the world is bit for bit the same on one thread or two.
+    For each chunk, the biased log's key function computes the float64 logits
+    ``u_f[r0:r1] @ i_f.T`` of the whole user rows that cover it (of its own
+    items alone when it lies inside one row), applies the sigmoid to the
+    chunk's cells in place, stores their float32 rounding in ``prob`` and
+    draws the chunk's keys from the float64 values, so ``prob`` is complete
+    once that log is selected, and is then made read-only.  A BLAS may round
+    a block of rows in the last bit unlike the whole grid's product; the
+    float32 ``prob`` hides such a difference unless it crosses a float32
+    rounding boundary.
+
+    The uniform log's keys never read ``prob``, so on a grid of at least
+    ``2 * GRID_CHUNK`` cells a ``ThreadPoolExecutor``'s one worker selects
+    that log meanwhile; it is joined on every exit, and its exception reaches
+    the caller.  Each log reads its own Philox stream (``"biased-cells"``,
+    ``"uniform-cells"``) from its start, so the world is bit for bit the same
+    on one thread or two.
     """
     n_users, n_items, latent_dim, n_biased, n_uniform = map(
         _count, (n_users, n_items, latent_dim, n_biased, n_uniform),
@@ -534,7 +554,7 @@ def generate_synthetic(
     fr = root.split("factors").generator
     u_f = fr.normal(size=(n_users, latent_dim)) / np.sqrt(latent_dim)
     i_f = fr.normal(size=(n_items, latent_dim))
-    prob = u_f @ i_f.T
+    prob = np.empty((n_users, n_items), dtype=np.float32)
     flat_prob = prob.reshape(-1)
     # Made here, so the second thread allocates only its candidates.
     draws, skewed, uniform_draws = np.empty((3, min(GRID_CHUNK, prob.size)))
@@ -545,14 +565,22 @@ def generate_synthetic(
     biased_rng = root.split("biased-cells").generator
 
     def gumbel_keys(start, stop):
-        block = flat_prob[start:stop]
-        # sigmoid(LOGIT_SCALE * (u_f @ i_f.T) + bias), in place.
+        # The float64 logits of cells start..stop-1, from the whole rows that cover them;
+        # a chunk inside one row takes only its own items, as a row may be wider than a chunk.
+        r0, offset = divmod(start, n_items)
+        r1 = -(-stop // n_items)
+        if r1 - r0 == 1:
+            block = (u_f[r0:r1] @ i_f[offset:offset + stop - start].T).reshape(-1)
+        else:
+            block = (u_f[r0:r1] @ i_f.T).reshape(-1)[offset:offset + stop - start]
+        # sigmoid(LOGIT_SCALE * logits + bias), in place.
         block *= LOGIT_SCALE
         block += bias
         np.negative(block, out=block)
         np.exp(block, out=block)
         block += 1.0
         np.divide(1.0, block, out=block)
+        flat_prob[start:stop] = block
         keys = biased_rng.random(out=draws[:stop - start])
         np.log(keys, out=keys)
         np.negative(keys, out=keys)
@@ -575,6 +603,7 @@ def generate_synthetic(
     else:
         biased_cells = _smallest_cells(n_biased, prob.size, gumbel_keys)
         uniform_cells = _smallest_cells(n_uniform, prob.size, negated_uniform_keys)
+    prob.flags.writeable = False
     world = SyntheticWorld(prob=prob)
 
     # Per log: the labels' draws, then the low ratings' draws.

@@ -44,6 +44,15 @@ def zero_weight_gumbel_top_k(stream, n_cells, k):
     return np.sort(np.argpartition(-(np.zeros(n_cells) + gumbel), k - 1)[:k])
 
 
+def float64_truth(n_users, n_items, latent_dim, seed, bias=-2.0):
+    """``generate_synthetic``'s truth before its float32 rounding: the sigmoid of the whole
+    float64 grid ``u_f @ i_f.T`` of the seed's factors, taken at once."""
+    fr = RngStream(seed).split("factors").generator
+    u_f = fr.normal(size=(n_users, latent_dim)) / np.sqrt(latent_dim)
+    i_f = fr.normal(size=(n_items, latent_dim))
+    return 1.0 / (1.0 + np.exp(-(3.0 * (u_f @ i_f.T) + bias)))
+
+
 def observed_keys(ds):
     """The distinct observed cells of ``ds``, as keys user * n_items + item, ascending."""
     return UnobservedSampler(ds, RngStream(1))._observed_keys
@@ -762,21 +771,30 @@ class TestGenerateSynthetic:
             world.prob = np.zeros((3, 4))
         assert world.prob is prob
 
+    def test_truth_cannot_be_written(self):
+        world, _ = generate_synthetic(3, 4, 2, 1.0, 5, 5, seed=0)
+        truth = world.prob.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            world.prob[0, 0] = 2.0
+        np.testing.assert_array_equal(world.prob, truth)
+
     @pytest.mark.parametrize("log", ["n_biased", "n_uniform"])
     def test_log_larger_than_grid_rejected(self, log):
         sizes = dict(n_biased=5, n_uniform=5)
         with pytest.raises(ValueError, match="log size exceeds the number of distinct cells"):
             generate_synthetic(3, 4, 2, 1.0, **{**sizes, log: 13}, seed=0)
 
-    def test_peak_memory_under_two_full_grid_arrays(self):
-        # prob is the only full-grid array; the selection keys are drawn a chunk at a time.
+    def test_peak_memory_under_eleven_bytes_a_cell(self):
+        # The float32 prob is the only full-grid array: its float64 logits and the selection
+        # keys are made a chunk at a time.  Peaks read 8.3-10.6 MB; a float64 grid of logits
+        # with the same chunk work read 11.8-14.6 MB.
         tracemalloc.start()
         try:
             generate_synthetic(1000, 1000, 4, 4.0, 100, 100, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 1000 * 1000 * 8
+        assert peak < 11 * 1000 * 1000
 
     def test_determinism(self):
         w1, d1 = generate_synthetic(20, 15, 4, 3.0, 60, 30, seed=42)
@@ -831,10 +849,11 @@ class TestChunkedSelection:
     @classmethod
     def full_grid_cells(cls, seed, skew, n):
         n_cells = cls.N_USERS * cls.N_ITEMS
-        world, _ = generate_synthetic(cls.N_USERS, cls.N_ITEMS, 3, skew, n, n, seed=seed)
         root = RngStream(seed)
         gumbel_keys = np.log(-np.log(root.split("biased-cells").random(n_cells)))
-        biased_keys = gumbel_keys - skew * world.prob.reshape(-1)
+        # The keys read the float64 truth, not the float32 prob it is stored as.
+        biased_keys = gumbel_keys - skew * float64_truth(cls.N_USERS, cls.N_ITEMS, 3,
+                                                         seed).reshape(-1)
         uniform_keys = -root.split("uniform-cells").random(n_cells)
         return [np.sort(np.argpartition(keys, n - 1)[:n]) for keys in (biased_keys, uniform_keys)]
 
@@ -1012,14 +1031,12 @@ class TestRowsMatchPerRowReference:
 
     @staticmethod
     def reference_synthetic(n_users, n_items, latent_dim, skew, n_biased, n_uniform, seed, bias):
-        """``prob`` and the rows of ``generate_synthetic``, by whole-grid arrays and a row loop."""
+        """``prob`` and the rows of ``generate_synthetic``, by whole-grid arrays and a row loop:
+        the keys read the float64 truth, the labels its float32 rounding, which is ``prob``."""
         root = RngStream(seed)
-        fr = root.split("factors").generator
-        u_f = fr.normal(size=(n_users, latent_dim)) / np.sqrt(latent_dim)
-        i_f = fr.normal(size=(n_items, latent_dim))
-        logits = 3.0 * (u_f @ i_f.T) + bias
-        prob = 1.0 / (1.0 + np.exp(-logits))
-        log_w = skew * prob.reshape(-1)
+        truth = float64_truth(n_users, n_items, latent_dim, seed, bias)
+        prob = truth.astype(np.float32)
+        log_w = skew * truth.reshape(-1)
         gumbel = -np.log(-np.log(root.split("biased-cells").random(log_w.size)))
         biased_cells = np.sort(np.argpartition(-(log_w + gumbel), n_biased - 1)[:n_biased])
         uniform_keys = root.split("uniform-cells").random(n_users * n_items)
@@ -1039,12 +1056,23 @@ class TestRowsMatchPerRowReference:
         *(pytest.param(seed, 7, id=f"{seed}-chunk-7") for seed in (1, 2, 3, 1000))])
     def test_generate_synthetic(self, monkeypatch, seed, chunk):
         """At chunks of 7 cells the 750-cell grid's logs are selected on two threads and end
-        in a partial chunk, so the sigmoid applied chunk by chunk is checked too."""
+        in a partial chunk, and most chunks lie inside one row of 25 items, so the sigmoid
+        applied chunk by chunk and the logits of a chunk's own items are checked too."""
         if chunk is not None:
             monkeypatch.setattr(data, "GRID_CHUNK", chunk)
-        sizes = (30, 25, 4, 3.0, 120, 90)
-        world, ds = generate_synthetic(*sizes, seed=seed, bias=-1.5)
-        prob, rows = self.reference_synthetic(*sizes, seed, -1.5)
+        self.assert_reference(30, 25, 4, 3.0, 120, 90, seed=seed, bias=-1.5)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_generate_synthetic_over_multi_row_blocks(self, seed):
+        """150 x 1000 cells are three chunks at the set ``GRID_CHUNK``, so each chunk's logits
+        come from a block of many whole rows, as at Yahoo! shape."""
+        assert 150 * 1000 > 2 * data.GRID_CHUNK
+        self.assert_reference(150, 1000, 4, 4.0, 3000, 800, seed=seed, bias=-2.0)
+
+    def assert_reference(self, *sizes, seed, bias):
+        world, ds = generate_synthetic(*sizes, seed=seed, bias=bias)
+        prob, rows = self.reference_synthetic(*sizes, seed, bias)
+        assert world.prob.dtype == np.float32
         np.testing.assert_array_equal(world.prob, prob)
         assert ds.interactions == rows
         assert Dataset(ds.interactions, ds.n_users, ds.n_items) == ds
