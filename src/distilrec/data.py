@@ -491,7 +491,9 @@ def _smallest_cells(n: int, n_cells: int, keys_of) -> np.ndarray:
         stop = min(start + GRID_CHUNK, n_cells)
         chunk = keys_of(start, stop)
         hit = np.flatnonzero(chunk <= bound)
-        parts.append((hit + start, chunk[hit]))
+        keys = chunk[hit]
+        hit += start
+        parts.append((hit, keys))
         held += hit.size
         if held >= 2 * n or stop == n_cells:
             # One piece is cut as it is: a copy would add to the peak of both logs at once.
@@ -557,7 +559,7 @@ def generate_synthetic(
     prob = np.empty((n_users, n_items), dtype=np.float32)
     flat_prob = prob.reshape(-1)
     # Made here, so the second thread allocates only its candidates.
-    draws, skewed, uniform_draws = np.empty((3, min(GRID_CHUNK, prob.size)))
+    draws, uniform_draws = np.empty((2, min(GRID_CHUNK, prob.size)))
 
     # Gumbel top-k, exact weighted sampling without replacement: the n
     # cells of largest skew * prob + Gumbel noise are those of smallest
@@ -577,7 +579,8 @@ def generate_synthetic(
         block *= LOGIT_SCALE
         block += bias
         np.negative(block, out=block)
-        np.exp(block, out=block)
+        with np.errstate(over="ignore"):  # exp(-logit) = inf gives the limit 0.0
+            np.exp(block, out=block)
         block += 1.0
         np.divide(1.0, block, out=block)
         flat_prob[start:stop] = block
@@ -585,7 +588,7 @@ def generate_synthetic(
         np.log(keys, out=keys)
         np.negative(keys, out=keys)
         np.log(keys, out=keys)
-        keys -= np.multiply(exposure_skew, block, out=skewed[:stop - start])
+        keys -= np.multiply(exposure_skew, block, out=block)  # block is stored: reuse it
         return keys
 
     # With equal weights the Gumbel top-k reduces to the n largest uniform keys.

@@ -11,6 +11,10 @@ Adam updates each array in place through two scratch arrays of its shape
 and dtype, made per call and freed with it, in the operation order of the
 out-of-place expressions, so the bits are theirs; no temporary the size of
 an embedding table is made per operation.
+
+The state is checked once, when made, and frozen; ``apply_update`` alone
+advances its ``step``.  A new learning rate is ``dataclasses.replace(opt,
+learning_rate=...)``, which runs the same check and keeps moments and step.
 """
 
 from __future__ import annotations
@@ -28,27 +32,22 @@ __all__ = ["OptimizerState", "make_optimizer", "apply_update"]
 BETA1, BETA2, EPSILON_HAT = 0.9, 0.999, 1e-8
 
 
-def _check_moments(moments):
-    """The one moments rule: ``moments`` if it is None (SGD) or a tuple of exactly two
-    ``Network``s (Adam's first and second)."""
-    if moments is not None:
-        for k, m in enumerate(_member(moments, "moments", tuple)):
-            _member(m, f"moments[{k}]", Network)
-        if len(moments) != 2:
-            raise ValueError(f"moments must hold 2 Networks, got {len(moments)}")
-    return moments
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OptimizerState:
+    """Frozen once checked; ``apply_update`` alone advances ``step``; equal only to itself."""
+
     learning_rate: float                            # a finite real > 0, stored as a float
     step: int = 0                                   # updates applied, a whole number >= 0
     moments: tuple[Network, Network] | None = None  # Adam's first and second; None for SGD
 
     def __post_init__(self):
-        self.learning_rate = _real(self.learning_rate, "learning_rate", 0.0)
-        self.step = _count(self.step, "step", 0)
-        _check_moments(self.moments)
+        object.__setattr__(self, "learning_rate", _real(self.learning_rate, "learning_rate", 0.0))
+        object.__setattr__(self, "step", _count(self.step, "step", 0))
+        if self.moments is not None:
+            for k, m in enumerate(_member(self.moments, "moments", tuple)):
+                _member(m, f"moments[{k}]", Network)
+            if len(self.moments) != 2:
+                raise ValueError(f"moments must hold 2 Networks, got {len(self.moments)}")
 
 
 def make_optimizer(net: Network, kind: str = "adam", learning_rate: float = 1e-3) -> OptimizerState:
@@ -60,15 +59,13 @@ def make_optimizer(net: Network, kind: str = "adam", learning_rate: float = 1e-3
 
 
 def apply_update(opt: OptimizerState, net: Network, grads: Network) -> None:
-    """One in-place parameter update.
+    """One in-place parameter update; the state's own fields are not re-checked.
 
-    An argument of the wrong type, moments other than a tuple of two
-    ``Network``s, a gradient or moment of another config (dropout_rate
-    included) or dtype, or a non-finite gradient is rejected before anything changes,
-    so a caller may recover, e.g. by skipping the batch.  An update that
-    makes a parameter non-finite raises ``FloatingPointError`` after it is
-    applied: the parameters, the moments and ``opt.step`` keep their new
-    values.
+    An argument of the wrong type, a gradient or moment of another config (dropout_rate
+    included) or dtype, or a non-finite gradient is rejected before anything changes, so
+    a caller may recover, e.g. by skipping the batch.  An update that makes a parameter
+    non-finite raises ``FloatingPointError`` after it is applied: the parameters, the
+    moments and ``opt.step`` keep their new values.
     """
     _member(opt, "opt", OptimizerState)
     _member(net, "net", Network)
@@ -77,15 +74,13 @@ def apply_update(opt: OptimizerState, net: Network, grads: Network) -> None:
                          f"{net.config}; shapes and dropout_rate must match")
     if grads.dtype != net.dtype:
         raise ValueError(f"gradient dtype {grads.dtype} differs from the network's {net.dtype}")
-    moments = _check_moments(opt.moments)
-    if moments is not None and any(m.config != net.config or m.dtype != net.dtype
-                                   for m in moments):
+    if any(m.config != net.config or m.dtype != net.dtype for m in opt.moments or ()):
         raise ValueError("Adam moments do not match network parameters; "
                          "build the state with make_optimizer")
     if not grads.all_finite():
         raise ValueError("non-finite gradient; network left unchanged")
 
-    opt.step += 1
+    object.__setattr__(opt, "step", opt.step + 1)
     lr = opt.learning_rate
     params, garrs = net.param_arrays(), grads.param_arrays()
     if opt.moments is None:

@@ -1,5 +1,7 @@
 """One dtype per network: every array the size of a table or of a batch follows it."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -83,7 +85,7 @@ def test_update_rejects_a_gradient_or_moment_of_another_dtype():
     with pytest.raises(ValueError, match="^gradient dtype float64 differs from the network's "
                                          "float32$"):
         apply_update(opt, net, wide)
-    opt.moments = (opt.moments[0], wide)
+    opt = dataclasses.replace(opt, moments=(opt.moments[0], wide))
     with pytest.raises(ValueError, match="^Adam moments do not match network parameters"):
         apply_update(opt, net, net.zeros_like())
     assert opt.step == 0

@@ -1,5 +1,7 @@
 """Analytic gradients checked against central finite differences."""
 
+import contextlib
+import dataclasses
 import os
 import subprocess
 import sys
@@ -355,16 +357,69 @@ class TestOptimizer:
             np.testing.assert_array_equal(a, b)
 
     def test_moments_replaced_after_construction_rejected(self):
-        # The state is a plain dataclass: apply_update checks its moments by the rule that
-        # built it, before anything changes.
+        # The state is frozen: a field cannot be assigned, and a replaced state is checked
+        # by the rule that built the first one.
         net = init_network(NetworkConfig(2, 2, 2, (2,)), RngStream(3))
         opt = make_optimizer(net, "adam")
+        for field, value in (("moments", None), ("step", 1), ("learning_rate", 0.5)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(opt, field, value)
         for moments, message in (("adam", "^moments must be a tuple, got 'adam'$"),
                                  ((net.zeros_like(),), "^moments must hold 2 Networks, got 1$")):
-            opt.moments = moments
             with pytest.raises(ValueError, match=message):
-                apply_update(opt, net, net.zeros_like())
-            assert opt.step == 0
+                dataclasses.replace(opt, moments=moments)
+        assert opt.step == 0 and len(opt.moments) == 2 and opt.learning_rate == 1e-3
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("field, value", [
+        ("step", -1), ("step", 2.5), ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")), ("learning_rate", "0.1"), ("learning_rate", -1.0),
+        ("moments", "adam")])
+    def test_attempted_assignment_leaves_the_next_update_as_it_was(self, kind, field, value):
+        # Were the fields assignable, each value would reach the update: NaN parameters, a
+        # bare numpy type error, gradient ascent, a fractional step or a late moments error.
+        config = NetworkConfig(3, 4, 2, (2,))
+        grads = TestInPlaceUpdateIsTheOutOfPlaceOne.gradient(init_network(config, RngStream(3)),
+                                                             np.random.default_rng(2))
+        results = []
+        for attempt in (False, True):
+            net = init_network(config, RngStream(3))
+            opt = make_optimizer(net, kind, learning_rate=0.1)
+            if attempt:
+                with contextlib.suppress(dataclasses.FrozenInstanceError):
+                    setattr(opt, field, value)
+            apply_update(opt, net, grads)
+            results.append((opt.step, opt.learning_rate, net.param_arrays()
+                            + [a for m in opt.moments or () for a in m.param_arrays()]))
+        (step, lr, arrays), (step_after, lr_after, arrays_after) = results
+        assert (step_after, lr_after) == (step, lr) == (1, 0.1)
+        for a, b in zip(arrays, arrays_after, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    def test_replaced_learning_rate_keeps_moments_and_step(self):
+        net = init_network(NetworkConfig(3, 4, 2, (2,)), RngStream(3))
+        opt, gen = make_optimizer(net, "adam", learning_rate=0.1), np.random.default_rng(2)
+        grads = TestInPlaceUpdateIsTheOutOfPlaceOne.gradient(net, gen)
+        apply_update(opt, net, grads)
+        params = [a.copy() for a in net.param_arrays()]
+        moments = [[a.copy() for a in m.param_arrays()] for m in opt.moments]
+        faster = dataclasses.replace(opt, learning_rate=0.5)
+        assert faster.moments is opt.moments and faster.step == 1 and faster.learning_rate == 0.5
+        grads = TestInPlaceUpdateIsTheOutOfPlaceOne.gradient(net, gen)
+        apply_update(faster, net, grads)
+        for p, g, m, v in zip(params, grads.param_arrays(), *moments):
+            out_of_place_adam(p, g, m, v, 0.5, 2)
+        assert faster.step == 2
+        got = (net.param_arrays() + faster.moments[0].param_arrays()
+               + faster.moments[1].param_arrays())
+        for a, b in zip(got, params + moments[0] + moments[1], strict=True):
+            assert np.array_equal(a, b)
+        for change, message in (
+                ({"learning_rate": float("nan")},
+                 r"^learning_rate must be a finite real in \(0, inf\), got nan$"),
+                ({"step": -1}, "^step must be >= 0, got -1$")):
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(faster, **change)
 
     def test_unknown_kind_rejected(self):
         net = init_network(NetworkConfig(1, 1, 1, (1,)), RngStream(1))
@@ -392,7 +447,7 @@ class TestOptimizer:
             opt = make_optimizer(net, "adam", learning_rate=0.1)
             moments = list(opt.moments)
             moments[k] = other.zeros_like()
-            opt.moments = tuple(moments)
+            opt = dataclasses.replace(opt, moments=tuple(moments))
             with pytest.raises(ValueError, match="moments"):
                 apply_update(opt, net, net.zeros_like())
             assert opt.step == 0
