@@ -19,15 +19,17 @@ it rejects, or one whose values fail a range check, is read again line by
 line, to name the first bad line as ``path:line``.
 
 The module also builds synthetic ground-truth worlds with a known
-preference matrix; these serve as oracles for debiasing experiments.  The
-matrix is stored as float32 and read-only.  It is computed in float64 one
-block of whole user rows at a time; the biased log's selection keys read that
-float64 block, and every label, the generator's own among them, reads the
-stored float32 truth.
+preference matrix; these serve as oracles for debiasing experiments.  No
+array spans the grid: the matrix is held as its float64 latent factors and
+computed on read, in float32, by one fixed-order formula.  The biased log's
+selection keys read a float64 BLAS block of whole user rows at a time, and
+every reader, the generator's labels among them, reads the float32
+fixed-order truth.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -53,6 +55,7 @@ __all__ = [
     "SplitSpec",
     "UnobservedSampler",
     "SyntheticWorld",
+    "TruthMatrix",
     "load_yahoo",
     "load_coat",
     "split_uniform",
@@ -183,6 +186,16 @@ def _as_rows(rows: Rows | Sequence[Interaction], name: str) -> Rows:
     return checked
 
 
+def _log_keys(rows: Rows, n_items: int) -> np.ndarray:
+    """One int64 key per row, equal only for rows of one cell and one source, built in
+    one array."""
+    keys = rows.users * n_items
+    keys += rows.items
+    keys *= 2
+    keys += rows.is_uniform
+    return keys
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Logged rows on an ``n_users`` x ``n_items`` grid of at most 2**62 cells, so every
@@ -200,9 +213,13 @@ class Dataset:
             raise ValueError(f"grid n_users={n_users} x n_items={n_items} exceeds 2**62 cells")
         rows = _as_rows(self.interactions, "interactions")
         _check_on_grid(rows.users, rows.items, n_users, n_items)
-        keys = (rows.users * n_items + rows.items) * 2 + rows.is_uniform
-        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-        if (k := _first(first[group] != np.arange(keys.size))) is not None:
+        keys = _log_keys(rows, n_items)
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():
+            # Only a log with a duplicate pays for the inverse that names its first one.
+            _, first, group = np.unique(_log_keys(rows, n_items), return_index=True,
+                                        return_inverse=True)
+            k = _first(first[group] != np.arange(keys.size))
             raise ValueError(f"row {k}: duplicate of row {first[group[k]]}: user={rows.users[k]}, "
                              f"item={rows.items[k]}, source={rows[k].source.value}")
         for name, value in (("interactions", rows), ("n_users", n_users), ("n_items", n_items)):
@@ -458,22 +475,116 @@ class UnobservedSampler:
 # ---------------------------------------------------------------------------
 
 
+LOGIT_SCALE = 3.0
+# Cells whose selection keys are drawn and held at once, and cells of float64 truth a read
+# computes at once; the float64 truth behind a chunk's biased keys is computed over the
+# whole user rows that cover it.
+GRID_CHUNK = 1 << 16
+_TRUTH_READS = "prob[rows] or prob[users, items] with integer ids, or np.asarray(prob)"
+
+
+def _sigmoid(logits: np.ndarray, bias: float) -> np.ndarray:
+    """sigmoid(LOGIT_SCALE * logits + bias), in place on the float64 ``logits``."""
+    logits *= LOGIT_SCALE
+    logits += bias
+    np.negative(logits, out=logits)
+    with np.errstate(over="ignore"):  # exp(-logit) = inf gives the limit 0.0
+        np.exp(logits, out=logits)
+    logits += 1.0
+    return np.divide(1.0, logits, out=logits)
+
+
+class TruthMatrix:
+    """A world's true preference matrix, P[u, i] = p(label=1 | u, i), computed on read.
+
+    It holds read-only float64 copies of the user and item factors, and ``bias``; no
+    array spans the grid.  Every cell is read as the float32 rounding of
+    ``_sigmoid(sum_d u[d] * i[d], bias)``, the sum taken in the order d = 0 ... L-1,
+    so a cell has one value however it is read.  It serves ``shape``, ``dtype`` and:
+
+    - ``prob[rows]``: the whole rows of integer user ids, as outer products of factor
+      columns;
+    - ``prob[users, items]``: integer ids broadcast together as by numpy's integer
+      indexing, so ``prob[np.ix_(users, items)]`` and ``prob[users[:, None], items]``
+      work;
+    - ``np.asarray(prob)``: the whole grid, made at that call.
+
+    A read computes about ``GRID_CHUNK`` cells of float64 at a time.  An id out of
+    range raises IndexError; any other key raises TypeError, and an assignment
+    ValueError, each naming the accepted reads.
+    """
+
+    __slots__ = ("_factors", "_bias")
+    user_factors, item_factors = (property(lambda self, k=k: self._factors[k]) for k in range(2))
+    bias = property(lambda self: self._bias)
+    shape = property(lambda self: (len(self.user_factors), len(self.item_factors)))
+    dtype = np.dtype(np.float32)
+
+    def __init__(self, user_factors, item_factors, bias: float):
+        factors = tuple(np.array(f, dtype=np.float64) for f in (user_factors, item_factors))
+        if any(f.ndim != 2 for f in factors) or not factors[0].shape[1] == factors[1].shape[1] > 0:
+            raise ValueError(f"factors of shapes {factors[0].shape} and {factors[1].shape} "
+                             "are not two 2-D arrays of one nonzero width")
+        for f in factors:
+            f.flags.writeable = False
+        self._factors, self._bias = factors, _real(bias, "bias")
+
+    @staticmethod
+    def _ids(key) -> np.ndarray:
+        ids = np.asarray(key)
+        if ids.dtype.kind not in "iu":
+            what = type(key).__name__ if ids.dtype == object else f"{ids.dtype} ids"
+            raise TypeError(f"a truth matrix takes no {what} as a key; it reads {_TRUTH_READS}")
+        return ids
+
+    def __getitem__(self, key) -> np.ndarray:
+        if not isinstance(key, tuple):
+            return self._cells(self._ids(key)[..., None], np.arange(self.shape[1]))
+        if len(key) != 2:
+            raise TypeError(f"a truth matrix takes no {len(key)}-part key; it reads {_TRUTH_READS}")
+        return self._cells(*map(self._ids, key))
+
+    def __setitem__(self, key, value):
+        raise ValueError(f"a truth matrix is read-only; it reads {_TRUTH_READS}")
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a truth matrix is computed on read, so no copy can be avoided")
+        grid = self[np.arange(self.shape[0])]
+        return grid if dtype is None else grid.astype(dtype, copy=False)
+
+    def _cells(self, users: np.ndarray, items: np.ndarray):
+        """The cells at ``users`` and ``items`` broadcast together, a block of whole
+        leading-axis slices at a time."""
+        ndim = max(users.ndim, items.ndim)
+        users, items = np.atleast_1d(users, items)
+        out = np.empty(np.broadcast_shapes(users.shape, items.shape), dtype=self.dtype)
+        step = max(1, GRID_CHUNK // max(1, math.prod(out.shape[1:])))
+        for start in range(0, len(out), step):
+            part = slice(start, start + step)
+            # An id array spans the leading axis or is broadcast along it.
+            u, i = (ids[part] if ids.ndim == out.ndim and len(ids) > 1 else ids
+                    for ids in (users, items))
+            columns = zip(self.user_factors.T, self.item_factors.T)
+            u_col, i_col = next(columns)
+            logits = u_col[u] * i_col[i]
+            term = np.empty_like(logits)
+            for u_col, i_col in columns:
+                logits += np.multiply(u_col[u], i_col[i], out=term)
+            out[part] = _sigmoid(logits, self.bias)
+        return out if ndim else out[0]
+
+
 @dataclass(frozen=True)
 class SyntheticWorld:
     """Ground truth of a generated world: the matrix both logs were drawn from.
 
-    ``prob`` is float32 and read-only.  It is the float32 rounding of a float64
-    truth computed one block of whole user rows at a time; the biased log's keys
-    read those float64 blocks, and both logs' labels read ``prob`` itself.
+    ``prob`` is a ``TruthMatrix``: the float32 truth, computed on read from the world's
+    factors.  The biased log's keys read float64 BLAS blocks of the same factors; both
+    logs' labels read ``prob``.
     """
 
-    prob: np.ndarray          # P[u, i] = p(label=1 | u, i), float32, entries in [0, 1]
-
-
-LOGIT_SCALE = 3.0
-# Cells whose selection keys are drawn and held at once; the float64 truth behind a chunk's
-# biased keys is computed over the whole user rows that cover it, then stored as float32.
-GRID_CHUNK = 1 << 16
+    prob: TruthMatrix         # P[u, i] = p(label=1 | u, i), float32, entries in [0, 1]
 
 
 def _smallest_cells(n: int, n_cells: int, keys_of) -> np.ndarray:
@@ -524,22 +635,20 @@ def generate_synthetic(
 
     Both logs are exact top-n selections over per-cell keys (Gumbel top-k
     for the biased log, the n largest uniform draws for the uniform one),
-    drawn ``GRID_CHUNK`` cells at a time, so the float32 ``prob`` is the only
-    array over the whole grid; no float64 array of the grid is ever made.
-    Each log's rows come in ascending cell order (user, then item), and its
-    labels are drawn in that order, against the stored float32 ``prob``.
+    drawn ``GRID_CHUNK`` cells at a time, so no array spans the grid.  The
+    world's ``prob`` is a ``TruthMatrix`` over the factors.  Each log's rows
+    come in ascending cell order (user, then item), and its labels are drawn
+    in that order, against the float32 fixed-order truth that ``prob`` reads.
 
     For each chunk, the biased log's key function computes the float64 logits
     ``u_f[r0:r1] @ i_f.T`` of the whole user rows that cover it (of its own
     items alone when it lies inside one row), applies the sigmoid to the
-    chunk's cells in place, stores their float32 rounding in ``prob`` and
-    draws the chunk's keys from the float64 values, so ``prob`` is complete
-    once that log is selected, and is then made read-only.  A BLAS may round
-    a block of rows in the last bit unlike the whole grid's product; the
-    float32 ``prob`` hides such a difference unless it crosses a float32
-    rounding boundary.
+    chunk's cells in place and draws the chunk's keys from those float64
+    values.  A BLAS may round such a block in the last bit unlike the
+    fixed-order sum that ``prob`` reads; the float32 rounding hides such a
+    difference unless it crosses a float32 rounding boundary.
 
-    The uniform log's keys never read ``prob``, so on a grid of at least
+    The uniform log's keys never read the truth, so on a grid of at least
     ``2 * GRID_CHUNK`` cells a ``ThreadPoolExecutor``'s one worker selects
     that log meanwhile; it is joined on every exit, and its exception reaches
     the caller.  Each log reads its own Philox stream (``"biased-cells"``,
@@ -549,17 +658,17 @@ def generate_synthetic(
     n_users, n_items, latent_dim, n_biased, n_uniform = map(
         _count, (n_users, n_items, latent_dim, n_biased, n_uniform),
         ("n_users", "n_items", "latent_dim", "n_biased", "n_uniform"))
-    if n_biased > n_users * n_items or n_uniform > n_users * n_items:
+    n_cells = n_users * n_items
+    if n_biased > n_cells or n_uniform > n_cells:
         raise ValueError("log size exceeds the number of distinct cells")
     exposure_skew, bias = _real(exposure_skew, "exposure_skew"), _real(bias, "bias")
     root = RngStream(seed)
     fr = root.split("factors").generator
-    u_f = fr.normal(size=(n_users, latent_dim)) / np.sqrt(latent_dim)
-    i_f = fr.normal(size=(n_items, latent_dim))
-    prob = np.empty((n_users, n_items), dtype=np.float32)
-    flat_prob = prob.reshape(-1)
+    world = SyntheticWorld(TruthMatrix(fr.normal(size=(n_users, latent_dim)) / np.sqrt(latent_dim),
+                                       fr.normal(size=(n_items, latent_dim)), bias))
+    u_f, i_f = world.prob.user_factors, world.prob.item_factors
     # Made here, so the second thread allocates only its candidates.
-    draws, uniform_draws = np.empty((2, min(GRID_CHUNK, prob.size)))
+    draws, uniform_draws = np.empty((2, min(GRID_CHUNK, n_cells)))
 
     # Gumbel top-k, exact weighted sampling without replacement: the n
     # cells of largest skew * prob + Gumbel noise are those of smallest
@@ -575,20 +684,12 @@ def generate_synthetic(
             block = (u_f[r0:r1] @ i_f[offset:offset + stop - start].T).reshape(-1)
         else:
             block = (u_f[r0:r1] @ i_f.T).reshape(-1)[offset:offset + stop - start]
-        # sigmoid(LOGIT_SCALE * logits + bias), in place.
-        block *= LOGIT_SCALE
-        block += bias
-        np.negative(block, out=block)
-        with np.errstate(over="ignore"):  # exp(-logit) = inf gives the limit 0.0
-            np.exp(block, out=block)
-        block += 1.0
-        np.divide(1.0, block, out=block)
-        flat_prob[start:stop] = block
+        _sigmoid(block, bias)
         keys = biased_rng.random(out=draws[:stop - start])
         np.log(keys, out=keys)
         np.negative(keys, out=keys)
         np.log(keys, out=keys)
-        keys -= np.multiply(exposure_skew, block, out=block)  # block is stored: reuse it
+        keys -= np.multiply(exposure_skew, block, out=block)
         return keys
 
     # With equal weights the Gumbel top-k reduces to the n largest uniform keys.
@@ -598,23 +699,21 @@ def generate_synthetic(
         keys = uniform_rng.random(out=uniform_draws[:stop - start])
         return np.negative(keys, out=keys)
 
-    if prob.size >= 2 * GRID_CHUNK:
+    if n_cells >= 2 * GRID_CHUNK:
         with ThreadPoolExecutor(1, thread_name_prefix="generate_synthetic-uniform-log") as worker:
-            uniform = worker.submit(_smallest_cells, n_uniform, prob.size, negated_uniform_keys)
-            biased_cells = _smallest_cells(n_biased, prob.size, gumbel_keys)
+            uniform = worker.submit(_smallest_cells, n_uniform, n_cells, negated_uniform_keys)
+            biased_cells = _smallest_cells(n_biased, n_cells, gumbel_keys)
         uniform_cells = uniform.result()
     else:
-        biased_cells = _smallest_cells(n_biased, prob.size, gumbel_keys)
-        uniform_cells = _smallest_cells(n_uniform, prob.size, negated_uniform_keys)
-    prob.flags.writeable = False
-    world = SyntheticWorld(prob=prob)
+        biased_cells = _smallest_cells(n_biased, n_cells, gumbel_keys)
+        uniform_cells = _smallest_cells(n_uniform, n_cells, negated_uniform_keys)
 
     # Per log: the labels' draws, then the low ratings' draws.
+    users, items = np.divmod(np.concatenate([biased_cells, uniform_cells]), n_items)
     label_rng = root.split("labels").generator
     ratings = np.concatenate([
-        np.where(label_rng.random(cells.size) < flat_prob[cells], 5,
-                 label_rng.integers(1, 5, size=cells.size))
-        for cells in (biased_cells, uniform_cells)])
-    users, items = np.divmod(np.concatenate([biased_cells, uniform_cells]), n_items)
+        np.where(label_rng.random(truth.size) < truth, 5,
+                 label_rng.integers(1, 5, size=truth.size))
+        for truth in np.split(world.prob[users, items], [n_biased])])
     is_uniform = np.repeat([False, True], [n_biased, n_uniform])
     return world, _Dataset(Rows(users, items, ratings, is_uniform), n_users, n_items)

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import re
 import threading
 import tracemalloc
 import warnings
@@ -16,6 +17,7 @@ from distilrec.data import (
     Rows,
     Source,
     SplitSpec,
+    TruthMatrix,
     UnobservedSampler,
     _distinct,
     generate_synthetic,
@@ -44,13 +46,27 @@ def zero_weight_gumbel_top_k(stream, n_cells, k):
     return np.sort(np.argpartition(-(np.zeros(n_cells) + gumbel), k - 1)[:k])
 
 
-def float64_truth(n_users, n_items, latent_dim, seed, bias=-2.0):
-    """``generate_synthetic``'s truth before its float32 rounding: the sigmoid of the whole
-    float64 grid ``u_f @ i_f.T`` of the seed's factors, taken at once."""
+def seed_factors(n_users, n_items, latent_dim, seed):
+    """The user and item factors ``generate_synthetic`` draws from ``seed``."""
     fr = RngStream(seed).split("factors").generator
     u_f = fr.normal(size=(n_users, latent_dim)) / np.sqrt(latent_dim)
-    i_f = fr.normal(size=(n_items, latent_dim))
+    return u_f, fr.normal(size=(n_items, latent_dim))
+
+
+def float64_truth(n_users, n_items, latent_dim, seed, bias=-2.0):
+    """The float64 truth behind ``generate_synthetic``'s biased keys: the sigmoid of the
+    whole float64 grid ``u_f @ i_f.T`` of the seed's factors, taken at once."""
+    u_f, i_f = seed_factors(n_users, n_items, latent_dim, seed)
     return 1.0 / (1.0 + np.exp(-(3.0 * (u_f @ i_f.T) + bias)))
+
+
+def fixed_order_truth(u_f, i_f, bias):
+    """The float32 grid a ``TruthMatrix`` reads: the sigmoid of ``sum_d u_f[:, d] i_f[:, d]``
+    over the whole grid, summed in the order d = 0 ... L-1, then rounded to float32."""
+    logits = np.zeros((len(u_f), len(i_f)))
+    for d in range(u_f.shape[1]):
+        logits += np.outer(u_f[:, d], i_f[:, d])
+    return (1.0 / (1.0 + np.exp(-(3.0 * logits + bias)))).astype(np.float32)
 
 
 def observed_keys(ds):
@@ -773,10 +789,10 @@ class TestGenerateSynthetic:
 
     def test_truth_cannot_be_written(self):
         world, _ = generate_synthetic(3, 4, 2, 1.0, 5, 5, seed=0)
-        truth = world.prob.copy()
+        truth = np.asarray(world.prob)
         with pytest.raises(ValueError, match="read-only"):
             world.prob[0, 0] = 2.0
-        np.testing.assert_array_equal(world.prob, truth)
+        np.testing.assert_array_equal(np.asarray(world.prob), truth)
 
     def test_truth_saturates_to_zero_without_a_warning(self):
         # exp(-logit) overflowed with a RuntimeWarning below a logit of about -709.8, where
@@ -784,7 +800,7 @@ class TestGenerateSynthetic:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             world, ds = generate_synthetic(4, 5, 2, 1.0, 3, 3, seed=0, bias=-720.0)
-        assert np.all(world.prob == 0.0)
+            assert np.all(np.asarray(world.prob) == 0.0)
         assert not any(i.label for i in ds.interactions)
 
     @pytest.mark.parametrize("log", ["n_biased", "n_uniform"])
@@ -793,17 +809,18 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match="log size exceeds the number of distinct cells"):
             generate_synthetic(3, 4, 2, 1.0, **{**sizes, log: 13}, seed=0)
 
-    def test_peak_memory_under_ten_bytes_a_cell(self):
-        # The float32 prob is the only full-grid array: its float64 logits and the selection
-        # keys are made a chunk at a time.  Peaks read 6.7-9.0 MB, and 7.8-10.6 MB with a
-        # skew buffer and two index arrays a chunk; a float64 grid of logits read 11.8-14.6 MB.
+    def test_peak_memory_does_not_grow_with_the_grid(self):
+        # No array spans the grid: the float64 logits and the selection keys are made a chunk
+        # at a time, and the truth is read from the factors.  Peaks read about 4 MB at
+        # 1,000 x 1,000 and at 4,000 x 1,000; a stored float32 grid of the truth read
+        # 7.2-8.5 MB at 1,000 x 1,000 and 19.9-20.4 MB at 4,000 x 1,000.
         tracemalloc.start()
         try:
-            generate_synthetic(1000, 1000, 4, 4.0, 100, 100, seed=1)
+            generate_synthetic(4000, 1000, 4, 4.0, 100, 100, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 1000 * 1000
+        assert peak < 6 * 1000 * 1000
 
     def test_determinism(self):
         w1, d1 = generate_synthetic(20, 15, 4, 3.0, 60, 30, seed=42)
@@ -824,8 +841,9 @@ class TestGenerateSynthetic:
         w, ds = generate_synthetic(60, 60, 4, 2.0, 100, 2000, seed=7)
         uniform = ds.by_source(Source.UNIFORM)
         rate = np.mean([i.label for i in uniform])
-        p_mean = w.prob.mean()
-        se = np.sqrt(p_mean * (1 - p_mean) / len(uniform)) + w.prob.std() / np.sqrt(len(uniform))
+        prob = np.asarray(w.prob)
+        p_mean = prob.mean()
+        se = np.sqrt(p_mean * (1 - p_mean) / len(uniform)) + prob.std() / np.sqrt(len(uniform))
         assert abs(rate - p_mean) < 3 * se + 0.02
 
     def test_labels_consistent_with_ratings(self):
@@ -850,6 +868,119 @@ class TestGenerateSynthetic:
         assert rows == [divmod(int(c), n_items) for c in cells]
 
 
+class TestTruthMatrix:
+    """Every read of the truth computes the one fixed-order float32 value of each cell."""
+
+    @staticmethod
+    def truth():
+        """A 7 x 5 truth of 3 latent dimensions, and its fixed-order reference grid."""
+        gen = np.random.default_rng(4)
+        u_f, i_f = gen.normal(size=(7, 3)), gen.normal(size=(5, 3))
+        return TruthMatrix(u_f, i_f, -1.5), fixed_order_truth(u_f, i_f, -1.5)
+
+    @pytest.mark.parametrize("chunk", [None, 1, 4], ids=["one-block", "chunk-1", "chunk-4"])
+    def test_each_read_equals_the_fixed_order_reference(self, monkeypatch, chunk):
+        """Chunks of 1 and 4 cells make a read of several rows or pairs a block at a time."""
+        if chunk is not None:
+            monkeypatch.setattr(data, "GRID_CHUNK", chunk)
+        prob, want = self.truth()
+        users, items = np.array([4, 0, 4, 6, -1]), np.array([2, 2, 0, 4, 1])
+        picks = np.array([[0, 1], [3, 3], [4, 0], [2, 1], [1, 0]])
+        reads = [
+            (prob[users], want[users]),
+            (prob[[2, 3]], want[[2, 3]]),
+            (prob[np.int64(3)], want[3]),
+            (prob[users, items], want[users, items]),
+            (prob[users[:, None], picks], want[users[:, None], picks]),
+            (prob[np.ix_(users, items)], want[np.ix_(users, items)]),
+            (prob[np.ix_(np.arange(7, dtype=np.uint32), [4, 0])], want[:, [4, 0]]),
+            (prob[users[:0], items[:0]], want[users[:0], items[:0]]),
+            (np.asarray(prob), want),
+        ]
+        for got, expected in reads:
+            assert got.dtype == np.float32 and got.shape == expected.shape
+            np.testing.assert_array_equal(got, expected)
+        cell = prob[3, 2]
+        assert isinstance(cell, np.float32) and cell == want[3, 2]
+        assert prob.shape == (7, 5) and prob.dtype == np.float32
+        np.testing.assert_array_equal(np.asarray(prob, dtype=np.float64), want.astype(np.float64))
+
+    def test_a_cell_reads_one_value_every_way(self):
+        """On a world of several chunks, whose biased keys read other sums of its factors."""
+        world, _ = generate_synthetic(150, 1000, 4, 4.0, 300, 200, seed=2)
+        prob, gen = world.prob, np.random.default_rng(0)
+        users, items = gen.integers(0, 150, size=400), gen.integers(0, 1000, size=400)
+        by_row = prob[users][np.arange(users.size), items]
+        by_block = prob[np.ix_(users, items)][np.arange(users.size), np.arange(items.size)]
+        for other in (prob[users, items], by_block, np.asarray(prob)[users, items]):
+            np.testing.assert_array_equal(other, by_row)
+        np.testing.assert_array_equal(
+            np.asarray(prob), fixed_order_truth(prob.user_factors, prob.item_factors, -2.0))
+
+    def test_saturates_to_zero_without_a_warning(self):
+        gen = np.random.default_rng(4)
+        prob = TruthMatrix(gen.normal(size=(7, 3)), gen.normal(size=(5, 3)), -720.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reads = [prob[[0, 6]], prob[[1, 2], [3, 4]], np.asarray(prob)]
+        for read in reads:
+            assert np.all(read == 0.0)
+
+    @pytest.mark.parametrize("key", [[7], np.array([-8]), ([0], [5]), ([0, 7], [1, 1])],
+                             ids=["row", "negative-row", "item", "user-of-pair"])
+    def test_id_out_of_range_raises_index_error(self, key):
+        prob, _ = self.truth()
+        with pytest.raises(IndexError):
+            prob[key]
+
+    @pytest.mark.parametrize("key, what", [
+        (slice(0, 2), "slice"),
+        (np.ones(7, dtype=bool), "bool ids"),
+        (..., "ellipsis"),
+        (None, "NoneType"),
+        (np.array([0.0, 1.0]), "float64 ids"),
+        ((slice(None), 1), "slice"),
+        (([0], [1], [2]), "3-part key"),
+        (([0],), "1-part key"),
+    ], ids=["slice", "bool-mask", "ellipsis", "none", "float-ids", "pair-with-slice",
+            "three-part", "one-part"])
+    def test_other_keys_rejected_naming_the_reads(self, key, what):
+        prob, _ = self.truth()
+        with pytest.raises(TypeError, match=rf"takes no {re.escape(what)}.*"
+                                            r"prob\[rows\] or prob\[users, items\]"):
+            prob[key]
+
+    def test_assignment_and_copy_free_array_rejected(self):
+        prob, want = self.truth()
+        for key in ([0], ([0], [1]), slice(None)):
+            with pytest.raises(ValueError, match=r"read-only; it reads prob\[rows\]"):
+                prob[key] = 0.5
+        with pytest.raises(ValueError, match="no copy can be avoided"):
+            np.asarray(prob, copy=False)
+        np.testing.assert_array_equal(np.asarray(prob), want)
+
+    def test_factors_are_read_only_copies(self):
+        gen = np.random.default_rng(1)
+        u_f, i_f = gen.normal(size=(7, 3)), gen.normal(size=(5, 3))
+        prob = TruthMatrix(u_f, i_f, -1.5)
+        want = np.asarray(prob)
+        u_f[:], i_f[:] = 0.0, 0.0
+        for factors in (prob.user_factors, prob.item_factors):
+            with pytest.raises(ValueError, match="read-only"):
+                factors[0, 0] = 1.0
+        for name in ("user_factors", "item_factors", "bias"):
+            with pytest.raises(AttributeError):
+                setattr(prob, name, 0.0)
+        np.testing.assert_array_equal(np.asarray(prob), want)
+
+    @pytest.mark.parametrize("shapes", [
+        ((7, 3), (5, 2)), ((7, 0), (5, 0)), ((7,), (5,)), ((7, 3), (5, 3, 1))],
+        ids=["widths-differ", "zero-width", "one-dimensional", "three-dimensional"])
+    def test_factors_of_other_shapes_rejected(self, shapes):
+        with pytest.raises(ValueError, match="are not two 2-D arrays of one nonzero width"):
+            TruthMatrix(np.zeros(shapes[0]), np.zeros(shapes[1]), 0.0)
+
+
 class TestChunkedSelection:
     """Cells picked chunk by chunk equal the full-grid top-n, in ascending cell order."""
 
@@ -860,7 +991,7 @@ class TestChunkedSelection:
         n_cells = cls.N_USERS * cls.N_ITEMS
         root = RngStream(seed)
         gumbel_keys = np.log(-np.log(root.split("biased-cells").random(n_cells)))
-        # The keys read the float64 truth, not the float32 prob it is stored as.
+        # The keys read the float64 truth, not the float32 truth that prob reads.
         biased_keys = gumbel_keys - skew * float64_truth(cls.N_USERS, cls.N_ITEMS, 3,
                                                          seed).reshape(-1)
         uniform_keys = -root.split("uniform-cells").random(n_cells)
@@ -1041,10 +1172,13 @@ class TestRowsMatchPerRowReference:
     @staticmethod
     def reference_synthetic(n_users, n_items, latent_dim, skew, n_biased, n_uniform, seed, bias):
         """``prob`` and the rows of ``generate_synthetic``, by whole-grid arrays and a row loop:
-        the keys read the float64 truth, the labels its float32 rounding, which is ``prob``."""
+        the keys read the float64 truth of the whole-grid BLAS product, the labels the float32
+        fixed-order truth, which is ``prob``."""
         root = RngStream(seed)
         truth = float64_truth(n_users, n_items, latent_dim, seed, bias)
-        prob = truth.astype(np.float32)
+        prob = fixed_order_truth(*seed_factors(n_users, n_items, latent_dim, seed), bias)
+        # The two sums may differ in float64's last bit, but not in float32 at these shapes.
+        np.testing.assert_array_equal(truth.astype(np.float32), prob)
         log_w = skew * truth.reshape(-1)
         gumbel = -np.log(-np.log(root.split("biased-cells").random(log_w.size)))
         biased_cells = np.sort(np.argpartition(-(log_w + gumbel), n_biased - 1)[:n_biased])
