@@ -200,7 +200,8 @@ def loss_and_grads(
     one backward pass takes the logit gradients ``p - y`` of the BCE slice
     and ``_reg_terms``' of the distillation slice.  Raises NonFiniteLossError
     if any term degenerates.  ``reg_kind`` stays a parameter, defaulting to
-    KL, because perfbench passes it, on the teacher's call too.
+    KL, because its callers pass it, on the teacher's call too: perfbench and
+    the library loop, ``train.fit``.
     """
     if observed is None or len(_member(observed, "observed", ObservedBatch).users) == 0:
         raise ValueError("loss_and_grads requires a nonempty observed batch")

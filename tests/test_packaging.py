@@ -151,13 +151,21 @@ def test_every_input_rule_has_one_home():
     # The rules live in _rules, which imports only numbers and numpy. The model stack
     # (network, losses, optim) imports nothing from data, and the only private name one
     # module takes from another, other than a rule, is the BCE that bce_eval shares.
+    # The training loop sits at the top of the import graph: no module imports it, and it
+    # takes no private name but a rule.
     trees = package_trees()
-    imports = [(module, node.module.removeprefix("distilrec."), alias.name)
+    imports = [(module, (node.module or "").removeprefix("distilrec."), alias.name)
                for module, tree in trees.items() for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.module
-               and (node.level == 1 or node.module.startswith("distilrec."))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level == 1 or (node.module or "").startswith("distilrec"))
                for alias in node.names]
     assert not [i for i in imports if i[0] in ("network", "losses", "optim") and i[1] == "data"]
+    assert not [i for i in imports if "train" in (i[1], i[2])]
+    assert not [alias.name for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names
+                if "train" in alias.name.split(".")]
+    assert not [node.attr for node in ast.walk(trees["train"])
+                if isinstance(node, ast.Attribute) and node.attr.startswith("_")]
     assert {i for i in imports if i[2].startswith("_") and i[1] != "_rules"} == {
         ("metrics", "losses", "_bce_terms")}
     rules = trees.pop("_rules")
