@@ -4,7 +4,9 @@ Seeds, counts, real numbers and typed arguments (enum choices, random
 streams, batches, specs, networks, gradients) enter the library by one rule
 each: ``_check_seed``, ``_count`` with its whole-number test ``_is_whole``,
 ``_real`` and ``_member``.  Ids enter as int64 by ``_as_int64`` and
-``_as_pairs`` and are kept on the grid by ``_check_on_grid``; a batch's
+``_as_pairs``, are checked in int64 and kept on the grid by
+``_check_on_grid``; ``data.Rows`` then holds them as int32, after its own
+int32 check, and every key formed from them is widened first; a batch's
 parallel columns are shaped by ``_check_columns``, its labels by
 ``_check_labels`` and its probabilities by ``_check_unit_interval``.  Every
 rule raises a ``ValueError`` that names the argument, or the row of the

@@ -5,14 +5,19 @@ items were shown uniformly at random (an unbiased sample of preference)
 and a large slice logged by a deployed recommender (exposure-biased).
 Ratings on a 1-5 scale are binarized: only a 5 counts as a positive.
 A log is held as columns, not one Python object per rating: ``Rows`` holds
-int64 ``users``, ``items`` and ``ratings`` and a bool ``is_uniform``, and
-makes an ``Interaction`` only when a caller reads a row.  ``Rows`` checks its
-columns on construction, naming the first bad row, so every log is checked
-once, where its columns are made: by the generator, a loader, a slice, a
-sum or a caller.  A list or tuple of rows is read into columns once, by
-``_as_rows``, which takes nothing else as a log and adds the list's own checks:
-each row an ``Interaction``, its label and its source.  ``Dataset`` then
-checks only the log: its grid and the first row off it or duplicated.
+int32 ``users`` and ``items``, int8 ``ratings`` and a bool ``is_uniform``, 10
+bytes a row, and makes an ``Interaction`` only when a caller reads a row.
+``Rows`` checks its columns on construction, on the int64 input before it is
+narrowed, naming the first bad row, so every log is checked once, where its
+columns are made: by the generator, a loader, a slice, a sum or a caller.
+Every key formed from ids (``Dataset``'s duplicate check, the sampler's cells)
+is widened to int64 before any product, and ``pack`` gives int64 ids.  The
+generator and the loaders log each source as one run, so ``by_source`` on
+their logs is a slice whose columns are views of the log's.  A list or tuple
+of rows is read into columns once, by ``_as_rows``, which takes nothing else
+as a log and adds the list's own checks: each row an ``Interaction``, its
+label and its source.  ``Dataset`` then checks only the log: its grid and
+the first row off it or duplicated.
 
 The native loaders parse each file with one ``np.loadtxt``.  Only a file
 it rejects, or one whose values fail a range check, is read again line by
@@ -103,17 +108,21 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 
 _SOURCES = (Source.BIASED, Source.UNIFORM)  # indexed by ``Rows.is_uniform``
 ROW_BLOCK = 1 << 12  # rows made at once when ``Rows`` is iterated
+_DTYPES = (np.dtype(np.int32), np.dtype(np.int32), np.dtype(np.int8))  # users, items, ratings
 
 
 class Rows:
-    """Logged rows as parallel columns: int64 ``users``, ``items`` and ``ratings``, and
-    bool ``is_uniform``; the rating rule gives the labels.  An int index makes an
-    ``Interaction``, iteration makes them ``ROW_BLOCK`` at a time, and a slice, bool mask
-    or index array gives ``Rows``; ``+`` appends ``Rows`` or a list of ``Interaction``s.
-    The columns are checked on construction: whole int64 ids and ratings, ratings in
-    1-5, each naming its first bad row, a bool ``is_uniform``, and all four 1-D and of
-    one length.  The arrays are then made read-only, so no view changes a checked
-    ``Dataset``, and the four attributes are read-only too, so no column is replaced.
+    """Logged rows as parallel columns, 10 bytes a row: int32 ``users`` and ``items``,
+    int8 ``ratings`` and bool ``is_uniform``; the rating rule gives the labels.  An int
+    index makes an ``Interaction``, iteration makes them ``ROW_BLOCK`` at a time, and a
+    slice, bool mask or index array gives ``Rows``, whose columns are views of these for
+    a slice; ``+`` appends ``Rows`` or a list of ``Interaction``s.  The columns are checked on
+    construction, on the int64 input before it is narrowed: whole int64 ids and ratings,
+    ids within int32 and ratings in 1-5, each naming its first bad row, a bool
+    ``is_uniform``, and all four 1-D and of one length; columns already int32 and int8
+    are held as they are.  The arrays are then made read-only, so no view changes a
+    checked ``Dataset``, and the four attributes are read-only too, so no column is
+    replaced.
     """
 
     __slots__ = ("_columns",)
@@ -121,14 +130,22 @@ class Rows:
                                          for k in range(4))
 
     def __init__(self, users, items, ratings, is_uniform):
-        users, items, ratings = (_as_int64(column, name) for column, name in zip(
-            (users, items, ratings), ("user", "item", "rating")))
+        users, items, ratings = (
+            column if column.dtype == dtype else _as_int64(column, name)
+            for column, dtype, name in zip(map(np.asarray, (users, items, ratings)), _DTYPES,
+                                           ("user", "item", "rating")))
         _check_columns("Rows", users=users, items=items, ratings=ratings, is_uniform=is_uniform)
+        narrow = [column.astype(dtype, copy=False)
+                  for column, dtype in zip((users, items, ratings), _DTYPES)]
+        for ids, wide, name in zip(narrow, (users, items), ("user", "item")):
+            # An id the cast changes lies outside int32; an int32 column is not cast.
+            if ids is not wide and (k := _first(ids != wide)) is not None:
+                raise ValueError(f"row {k}: {name} id {wide[k]} outside int32")
         if (k := _first((ratings < 1) | (ratings > 5))) is not None:
             raise ValueError(f"row {k}: rating {ratings[k]} outside 1-5")
         if (is_uniform := np.asarray(is_uniform)).dtype != bool:
             raise ValueError(f"Rows: is_uniform has dtype {is_uniform.dtype}, not bool")
-        self._columns = users, items, ratings, is_uniform
+        self._columns = (*narrow, is_uniform)
         for column in self._columns:
             column.flags.writeable = False
 
@@ -186,11 +203,19 @@ def _as_rows(rows: Rows | Sequence[Interaction], name: str) -> Rows:
     return checked
 
 
+def _cell_keys(rows: Rows, n_items: int) -> np.ndarray:
+    """One int64 key per row, ``user * n_items + item``, built in one array widened from
+    the int32 ids before any product, so no key wraps at 2**31."""
+    keys = rows.users.astype(np.int64)
+    keys *= n_items
+    keys += rows.items
+    return keys
+
+
 def _log_keys(rows: Rows, n_items: int) -> np.ndarray:
     """One int64 key per row, equal only for rows of one cell and one source, built in
     one array."""
-    keys = rows.users * n_items
-    keys += rows.items
+    keys = _cell_keys(rows, n_items)
     keys *= 2
     keys += rows.is_uniform
     return keys
@@ -226,9 +251,17 @@ class Dataset:
             object.__setattr__(self, name, value)
 
     def by_source(self, source: Source) -> Rows:
-        """The ``Rows`` that ``source`` logged, in log order."""
-        uniform = self.interactions.is_uniform
-        return self.interactions[uniform == (_member(source, "source", Source) is Source.UNIFORM)]
+        """The ``Rows`` that ``source`` logged, in log order.
+
+        When they form one run, as in every log the loaders and the generator make, this
+        is a slice: its columns are views of the log's, and keep all of them alive while
+        it is held.  Otherwise it is a copy, selected by a bool mask.
+        """
+        rows = self.interactions
+        mine = rows.is_uniform == (_member(source, "source", Source) is Source.UNIFORM)
+        start = _first(mine) or 0
+        run = slice(start, start + np.count_nonzero(mine))
+        return rows[run] if mine[run].all() else rows[mine]
 
 
 # Bound once, here: the producers build through, and ``UnobservedSampler`` tests against,
@@ -237,9 +270,11 @@ _Dataset = Dataset
 
 
 def pack(interactions: Rows | Sequence[Interaction]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Copies of the (users, items, labels) columns for vectorized scoring/training."""
+    """The (users, items, labels) columns for vectorized scoring/training: int64 copies of
+    the ids and float64 labels, new arrays that share nothing with the rows."""
     rows = _as_rows(interactions, "interactions")
-    return rows.users.copy(), rows.items.copy(), (rows.ratings == 5).astype(np.float64)
+    return (rows.users.astype(np.int64), rows.items.astype(np.int64),
+            (rows.ratings == 5).astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +365,7 @@ def load_yahoo(biased_path, uniform_path) -> Dataset:
     user_ids, users = np.unique(triples[:, 0], return_inverse=True)
     item_ids, items = np.unique(triples[:, 1], return_inverse=True)
     is_uniform = np.repeat([False, True], [len(biased), len(triples) - len(biased)])
-    return _Dataset(Rows(users, items, triples[:, 2].copy(), is_uniform),
+    return _Dataset(Rows(users, items, triples[:, 2], is_uniform),
                     user_ids.size, item_ids.size)
 
 
@@ -443,7 +478,8 @@ class UnobservedSampler:
 
     It reads the checked ``Dataset``'s grid and id columns as they are; ``n_users`` and
     ``n_items`` are read-only.  Each draw is a rank among the free cells, mapped exactly to
-    its key.
+    its key.  It holds one int64 array, the free cells before each observed key in
+    ascending order; the observed keys themselves are derived from it on read.
     """
 
     n_users, n_items = property(lambda self: self._n_users), property(lambda self: self._n_items)
@@ -452,11 +488,17 @@ class UnobservedSampler:
         rows = _member(dataset, "dataset", _Dataset).interactions
         self._n_users, self._n_items = dataset.n_users, dataset.n_items
         self._rng = _member(rng, "rng", RngStream)
-        self._observed_keys = _distinct(rows.users * self.n_items + rows.items)
-        self._n_free = self.n_users * self.n_items - self._observed_keys.size
+        keys = _distinct(_cell_keys(rows, self.n_items))
+        self._n_free = self.n_users * self.n_items - keys.size
         if self._n_free == 0:
             raise ValueError("every (user, item) pair is observed; no complement to sample")
-        self._free_before = self._observed_keys - np.arange(self._observed_keys.size)
+        keys -= np.arange(keys.size)
+        self._free_before = keys
+
+    @property
+    def _observed_keys(self) -> np.ndarray:
+        """The observed cells' keys, ``user * n_items + item``, ascending."""
+        return self._free_before + np.arange(self._free_before.size)
 
     @classmethod
     def from_dataset(cls, dataset: Dataset, rng: RngStream) -> "UnobservedSampler":

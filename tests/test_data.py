@@ -136,6 +136,22 @@ class TestDatasetRowChecks:
         with pytest.raises(ValueError, match=rf"row 1: {field} {value!r} is not an integer"):
             build([interaction(0, 0, 5, Source.UNIFORM), bad], n_users=1, n_items=2)
 
+    @pytest.mark.parametrize("field,value", [("user", -2**31 - 1), ("user", 2**31),
+                                             ("item", -2**31 - 1), ("item", 2**31)])
+    def test_id_outside_int32_names_row(self, field, value):
+        # Held as int32, such an id would wrap to another id.
+        bad = interaction(0, 1, 4, Source.UNIFORM)._replace(**{field: value})
+        with pytest.raises(ValueError, match=rf"^row 1: {field} id {value} outside int32$"):
+            both_entries([interaction(0, 0, 5, Source.UNIFORM), bad], n_users=1, n_items=2)
+
+    def test_int32_extreme_ids_accepted_on_a_2_62_cell_grid(self):
+        top = 2**31 - 1
+        inters = [interaction(top, top, 5, Source.UNIFORM), interaction(top, top, 3, Source.BIASED),
+                  interaction(0, top, 2, Source.BIASED)]
+        ds = both_entries(inters, n_users=2**31, n_items=2**31)
+        assert ds.interactions == inters
+        np.testing.assert_array_equal(observed_keys(ds), [top, top * 2**31 + top])
+
     def test_whole_float_values_accepted(self):
         ds = both_entries([Interaction(0.0, 1.0, 5.0, 1.0, Source.UNIFORM)], n_users=1, n_items=2)
         np.testing.assert_array_equal(observed_keys(ds), [1])
@@ -216,6 +232,41 @@ class TestDatasetInvariants:
         np.testing.assert_array_equal(keys, [1, 2, 3])  # (0, 1), (0, 2), (1, 0)
         assert keys.dtype == np.int64
         assert observed_keys(Dataset([], n_users=2, n_items=3)).shape == (0,)
+
+
+class TestKeysPastInt32:
+    """On a 5 x 2**30 grid, keys ``user * n_items + item`` reach 2**32: formed in int32,
+    users 0, 2 and 4 of one item would share a key."""
+
+    N_USERS, N_ITEMS = 5, 2**30
+
+    def test_duplicate_named_among_cells_whose_int32_keys_collide(self):
+        inters = [interaction(u, 5, 3, Source.BIASED) for u in (0, 4, 2, 0)]
+        with pytest.raises(ValueError, match=r"^row 3: duplicate of row 0: user=0, item=5, "
+                                             r"source=biased$"):
+            both_entries(inters, self.N_USERS, self.N_ITEMS)
+
+    def test_same_cell_other_source_accepted_beside_colliding_cells(self):
+        inters = [interaction(0, 5, 5, Source.UNIFORM), interaction(0, 5, 3, Source.BIASED),
+                  interaction(4, 5, 2, Source.BIASED), interaction(2, 5, 1, Source.UNIFORM)]
+        ds = both_entries(inters, self.N_USERS, self.N_ITEMS)
+        assert ds.interactions == inters
+        keys = observed_keys(ds)
+        np.testing.assert_array_equal(keys, [5, 2 * 2**30 + 5, 4 * 2**30 + 5])
+        assert keys.dtype == np.int64
+
+    def test_sampler_draws_skip_observed_cells(self):
+        # Ranks around each observed cell map to the free cells beside it, in key order.
+        observed = np.array([[0, 5], [2, 5], [2, 6], [4, 5]])
+        keys = observed[:, 0] * self.N_ITEMS + observed[:, 1]
+        cells = np.unique(np.concatenate([keys + d for d in range(-3, 4)]))
+        free = np.setdiff1d(cells, keys)
+        ranks = free - np.searchsorted(keys, free)
+        planted = RngStream(0)
+        planted.generator = SimpleNamespace(integers=lambda low, high, size: ranks)
+        draws = sampler_of(self.N_USERS, self.N_ITEMS, observed, planted).sample(ranks.size)
+        assert not set(map(tuple, draws.tolist())) & set(map(tuple, observed.tolist()))
+        np.testing.assert_array_equal(draws, np.column_stack(np.divmod(free, self.N_ITEMS)))
 
 
 class TestYahooLoader:
@@ -1232,6 +1283,56 @@ def traced(build):
     return out, held
 
 
+def synthetic_log(tmp_path):
+    return generate_synthetic(6, 9, 2, 1.0, 12, 8, seed=3)[1]
+
+
+def yahoo_log(tmp_path):
+    biased, uniform = tmp_path / "b.txt", tmp_path / "u.txt"
+    biased.write_text("7\t100\t3\n2\t100\t5\n2\t300\t1\n")
+    uniform.write_text("7\t900\t1\n9\t300\t4\n")
+    return load_yahoo(biased, uniform)
+
+
+def coat_log(tmp_path):
+    train, test = tmp_path / "train.ascii", tmp_path / "test.ascii"
+    train.write_text("0 5 0\n1 0 2\n")
+    test.write_text("4 0 0\n0 3 5\n")
+    return load_coat(train, test)
+
+
+@pytest.mark.parametrize("log", [synthetic_log, yahoo_log, coat_log],
+                         ids=["generate_synthetic", "load_yahoo", "load_coat"])
+class TestProducedLogFootprint:
+    def test_columns_hold_10_bytes_a_row(self, tmp_path, log):
+        rows = log(tmp_path).interactions
+        columns = (rows.users, rows.items, rows.ratings, rows.is_uniform)
+        assert [c.dtype for c in columns] == [np.int32, np.int32, np.int8, np.bool_]
+
+    def test_by_source_columns_are_views_of_the_log(self, tmp_path, log):
+        ds = log(tmp_path)
+        for source in Source:
+            part = ds.by_source(source)
+            assert len(part) > 0
+            for name in ("users", "items", "ratings", "is_uniform"):
+                assert np.shares_memory(getattr(part, name), getattr(ds.interactions, name))
+
+
+def test_by_source_of_a_log_appended_after_its_uniform_rows_equals_the_mask():
+    # The log a round rebuilds: biased rows, uniform rows, then more biased rows.
+    world_log = generate_synthetic(6, 9, 2, 1.0, 12, 8, seed=3)[1]
+    taken = {(r.user, r.item) for r in world_log.by_source(Source.BIASED)}
+    picks = [interaction(u, i, 5 if (u + i) % 2 else 2, Source.BIASED)
+             for u in range(6) for i in range(9) if (u, i) not in taken][:10]
+    ds = Dataset(world_log.interactions + picks, 6, 9)
+    for source in Source:
+        mask = ds.interactions.is_uniform == (source is Source.UNIFORM)
+        part = ds.by_source(source)
+        assert part == ds.interactions[mask]
+        assert part == [r for r in ds.interactions if r.source is source]
+        assert np.shares_memory(part.users, ds.interactions.users) == (source is Source.UNIFORM)
+
+
 class TestRows:
     """``Rows`` and each consumer of rows, against the list semantics written inline."""
 
@@ -1372,9 +1473,9 @@ class TestRows:
             setattr(ds.interactions, column, np.array([0, 7]))
         assert ds.interactions == want
 
-    def test_dataset_holds_at_most_32_bytes_a_row(self):
-        # Three int64 columns and a bool column, 25 bytes a row.  Held as one
-        # Interaction a row, with the ids' ints shared, a Dataset traced 97.
+    def test_dataset_holds_at_most_12_bytes_a_row(self):
+        # Two int32 columns, an int8 and a bool column, 10 bytes a row.  With three int64
+        # columns a Dataset held 25; as one Interaction a row, with the ids' ints shared, 97.
         n, n_users, n_items = 20_000, 400, 500
         gen = np.random.default_rng(0)
         users, items = np.divmod(np.sort(gen.choice(n_users * n_items, n, replace=False)), n_items)
@@ -1386,4 +1487,4 @@ class TestRows:
                                            np.zeros(n, bool)), n_users, n_items)):
             ds, held = traced(build)
             assert ds.interactions == listed
-            assert held <= 32 * n
+            assert held <= 12 * n

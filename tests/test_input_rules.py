@@ -408,6 +408,8 @@ GOOD_COLUMNS = dict(users=[0, 1], items=[1, 0], ratings=[5, 2], is_uniform=np.ar
 # fault: (the columns it replaces, the message)
 ROW_FAULTS = {
     "non-whole id": (dict(users=[0, 0.5]), "row 1: user 0.5 is not an integer within int64"),
+    "user id 2**31": (dict(users=[0, 2**31]), "row 1: user id 2147483648 outside int32"),
+    "item id -2**31-1": (dict(items=[-2**31 - 1, 0]), "row 0: item id -2147483649 outside int32"),
     "rating 0": (dict(ratings=[5, 0]), "row 1: rating 0 outside 1-5"),
     "rating 6": (dict(ratings=[6, 2]), "row 0: rating 6 outside 1-5"),
     "int is_uniform": (dict(is_uniform=np.array([1, 0])),
