@@ -32,7 +32,10 @@ Loss terms are float64 whatever the network's dtype: probabilities enter
 each per-row term through ``_clamp``, which casts them to float64, and
 ``l2_reg`` sums its squares in float64.  Only the gradient follows the
 network: ``backprop`` casts the float64 logit gradients to the network's
-dtype on entry, and the L2 gradient is added in that dtype.
+dtype on entry.  The L2 gradient ``2 * l2_coeff * W`` is added in that
+dtype, by ``backprop`` to the dense weights and by ``optim.apply_update``
+to the embedding tables, row block by row block, so no step makes an array
+the size of a table for it.
 
 One clamp rule serves both terms and both dtypes: probabilities are clamped
 into [CLAMP_EPS, 1 - CLAMP_EPS] in float64 before any logarithm, and the
@@ -49,7 +52,7 @@ from enum import Enum
 import numpy as np
 
 from ._rules import _check_columns, _check_labels, _check_unit_interval, _member, _real
-from .network import ForwardMode, Network, backprop, forward_cached
+from .network import ForwardMode, Gradient, Network, backprop, forward_cached
 from .rng import RngStream
 
 __all__ = [
@@ -64,6 +67,7 @@ __all__ = [
 
 
 CLAMP_EPS = 1e-7
+L2_BLOCK = 8 * 8192  # entries per l2_reg block: eight of numpy's reduction buffers
 
 
 def _clamp(p) -> np.ndarray:
@@ -93,8 +97,22 @@ def _bce_terms(p_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def l2_reg(net: Network) -> float:
-    """Sum of squared entries over ``net.l2_arrays()``, summed in float64; biases excluded."""
-    return float(sum(np.sum(np.square(a), dtype=np.float64) for a in net.l2_arrays()))
+    """Sum of squared entries over ``net.l2_arrays()``, summed in float64; biases excluded.
+
+    Each array is squared ``L2_BLOCK`` entries at a time, so no temporary the size of a
+    table is made, and each block's sum starts from the running total.  The blocks are a
+    whole number of numpy's 8,192-entry reduction buffers, so a float32 array's sum keeps
+    ``np.sum(np.square(a), dtype=np.float64)``'s bits; a float64 one's is within a few
+    units in the last place of it.
+    """
+    def sum_of_squares(a):
+        flat, total = a.reshape(-1), 0.0
+        for start in range(0, flat.size, L2_BLOCK):
+            total = np.sum(np.square(flat[start:start + L2_BLOCK]), dtype=np.float64,
+                           initial=total)
+        return total
+
+    return float(sum(sum_of_squares(a) for a in net.l2_arrays()))
 
 
 def _reg_terms(kind: RegLossKind, t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +204,7 @@ def loss_and_grads(
     l2_coeff: float = 0.0,
     mode: ForwardMode = ForwardMode.DETERMINISTIC,
     rng: RngStream | None = None,
-) -> tuple[LossBreakdown, Network]:
+) -> tuple[LossBreakdown, Gradient]:
     """Composite objective value and its gradient w.r.t. ``net``.
 
     The observed batch is required and nonempty.  The unobserved batch has
@@ -222,10 +240,6 @@ def loss_and_grads(
     # sum / max(m, 1) is np.mean bit for bit, and 0 without unobserved rows.
     data_term = float(np.sum(_bce_terms(p, y)) / n)
     distill_term = float(np.sum(values) / max(m, 1))
-    grads = backprop(net, cache, np.concatenate([(p - y) / n, gamma_reg * dlogit / max(m, 1)]))
-
-    if l2_coeff != 0.0:
-        for g, a in zip(grads.l2_arrays(), net.l2_arrays()):
-            g += 2.0 * l2_coeff * a
-
+    grads = backprop(net, cache, np.concatenate([(p - y) / n, gamma_reg * dlogit / max(m, 1)]),
+                     l2_coeff)
     return LossBreakdown.compose(data_term, distill_term, l2_reg(net), gamma_reg, l2_coeff), grads

@@ -9,22 +9,28 @@ an approximate posterior sampler.
 
 Everything is plain numpy with hand-written reverse-mode gradients for
 this fixed architecture; there is no general autodiff.  ``Network`` is the
-one parameter container: ``backprop`` returns the gradient, and the
-optimizer keeps Adam's moments, as ``Network``s of the same config.  Every
-construction, checkpoint loads included, checks each array's shape
-against the config and requires one dtype, float32 or float64, across all
-arrays.  ``init_network`` makes float32; a float64 network, as the
-finite-difference oracles build through ``Network.from_arrays``, runs the
-same code in float64.  Every array the size of a table or of a batch's
+one parameter container, and the optimizer keeps Adam's moments as
+``Network``s of the same config.  ``backprop`` returns a ``Gradient``: each
+embedding table's touched rows with their values and the L2 coefficient
+that the update folds into every row, and the dense layers' arrays in
+full.  Every construction, checkpoint loads included, checks each array's
+shape against the config and requires one dtype, float32 or float64,
+across all arrays.  ``init_network`` makes float32; a float64 network, as
+the finite-difference oracles build through ``Network.from_arrays``, runs
+the same code in float64.  Every array the size of a table or of a batch's
 activations follows the parameters' dtype: the activations, logits and
 probabilities of both forwards, and every array of the gradient.
+
 A training step runs ``forward_cached`` once over all its rows, observed
-and unobserved concatenated, and ``backprop`` once over the per-row
-logit gradients; ``backprop`` is the step's only gradient allocation and
-its only scatter into the embedding tables.  The tape ``forward_cached``
-keeps is its activations: ``backprop`` recovers the ReLU gates and the
-dropout masks from them, since a unit is live exactly when its activation
-is positive, and every live unit was scaled by 1/(1-dropout_rate).
+and unobserved concatenated, and ``backprop`` once over the per-row logit
+gradients.  No array of an embedding table's shape is made: the forward
+keeps each table's touched rows, found with one entry per table row (a
+presence mask and a slot), and ``backprop`` scatters the rows' gradients
+into a block of those rows alone.  The rest of the tape
+``forward_cached`` keeps is its activations: ``backprop`` recovers the
+ReLU gates and the dropout masks from them, since a unit is live exactly
+when its activation is positive, and every live unit was scaled by
+1/(1-dropout_rate).
 
 Both forwards share the factored first layer, ``_first_layer``,
 ``[e_u; e_i] @ W0 = (user_emb @ W0[:d])[u] + (item_emb @ W0[d:])[i]``,
@@ -55,6 +61,7 @@ __all__ = [
     "ForwardMode",
     "NetworkConfig",
     "Network",
+    "Gradient",
     "init_network",
     "forward_batch",
     "save_checkpoint",
@@ -110,7 +117,7 @@ class NetworkConfig:
 class Network:
     """Parameter container, frozen once checked; the optimizer mutates its arrays in place.
 
-    A gradient is a Network too, of the same config, so every array is
+    Adam's moments are Networks too, of the same config, so every array is
     shaped by the config and checked against it on construction.  Every
     array has one dtype, float32 or float64, which is the network's ``dtype``.
     """
@@ -122,20 +129,9 @@ class Network:
     biases: list[np.ndarray]
 
     def __post_init__(self):
-        n_layers = len(_member(self.config, "config", NetworkConfig).layer_widths())
-        _member(self.weights, "weights", list, tuple)
-        _member(self.biases, "biases", list, tuple)
-        if len(self.weights) != n_layers or len(self.biases) != n_layers:
-            raise ValueError(f"{len(self.weights)} weights and {len(self.biases)} biases; "
-                             f"config expects {n_layers} of each")
-        for (name, shape), a in zip(self.config.param_shapes(), self.param_arrays()):
-            if _member(a, name, np.ndarray).shape != shape:
-                raise ValueError(f"{name} has shape {a.shape}; config expects {shape}")
-        if self.dtype not in (np.float32, np.float64):
-            raise ValueError(f"user_emb has dtype {self.dtype}; float32 or float64 expected")
-        for (name, _), a in zip(self.config.param_shapes(), self.param_arrays()):
-            if a.dtype != self.dtype:
-                raise ValueError(f"{name} has dtype {a.dtype}; user_emb's {self.dtype} expected")
+        _member(self.config, "config", NetworkConfig)
+        _check_arrays(self.config, self.weights, self.biases, self.config.param_shapes(),
+                      self.param_arrays)
 
     @property
     def dtype(self) -> np.dtype:
@@ -159,11 +155,85 @@ class Network:
         return [self.user_emb, self.item_emb, *self.weights]
 
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.param_arrays())
+        """Whether every entry is finite, read from each array's extremes, to which a NaN
+        propagates, so no mask the size of a table is made."""
+        return all(np.isfinite(a.min()) and np.isfinite(a.max()) for a in self.param_arrays())
 
     def zeros_like(self) -> "Network":
         """A zero Network of the same config, e.g. a fresh Adam moment."""
         return Network.from_arrays(self.config, [np.zeros_like(a) for a in self.param_arrays()])
+
+
+@dataclass(frozen=True)
+class Gradient:
+    """The loss gradient of a ``Network`` of ``config``, frozen once checked.
+
+    Each embedding table's gradient is ``2 * l2_coeff * table`` plus, on the
+    rows the batch touched, their values: ``user_rows`` and ``item_rows`` are
+    ascending distinct int64 row ids, and ``user_values`` and ``item_values``
+    hold one row of the table's width per id.  The dense layers' arrays hold
+    their whole gradient, L2 term included.  Every array has one dtype,
+    float32 or float64, which is the gradient's ``dtype``.
+    """
+
+    config: NetworkConfig
+    user_rows: np.ndarray
+    user_values: np.ndarray
+    item_rows: np.ndarray
+    item_values: np.ndarray
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
+    l2_coeff: float = 0.0
+
+    def __post_init__(self):
+        _member(self.config, "config", NetworkConfig)
+        d = self.config.embedding_dim
+        tables = (("user", self.user_rows, self.config.n_users),
+                  ("item", self.item_rows, self.config.n_items))
+        for name, rows, n in tables:
+            _member(rows, f"{name}_rows", np.ndarray)
+            if not (rows.dtype == np.int64 and rows.ndim == 1
+                    and not np.any(rows[1:] <= rows[:-1])
+                    and (not rows.size or 0 <= rows[0] and rows[-1] < n)):
+                raise ValueError(f"{name}_rows must be ascending distinct int64 ids in [0, {n})")
+        shapes = [(f"{name}_values", (len(rows), d)) for name, rows, _ in tables]
+        _check_arrays(self.config, self.weights, self.biases,
+                      shapes + self.config.param_shapes()[2:], self.arrays)
+        object.__setattr__(self, "l2_coeff",
+                           _real(self.l2_coeff, "l2_coeff", 0.0, low_closed=True))
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The one dtype of every array, ``user_values``'."""
+        return self.user_values.dtype
+
+    def arrays(self) -> list[np.ndarray]:
+        """The two tables' row values, then the dense layers' arrays in ``param_arrays`` order."""
+        out = [self.user_values, self.item_values]
+        for w, b in zip(self.weights, self.biases):
+            out.extend((w, b))
+        return out
+
+
+def _check_arrays(config: NetworkConfig, weights, biases, shapes, arrays) -> None:
+    """Checks ``config``'s count of weights and biases, then each of ``arrays()`` against its
+    (name, shape) in ``shapes``, and one dtype across them, float32 or float64: the first's."""
+    n_layers = len(config.layer_widths())
+    _member(weights, "weights", list, tuple)
+    _member(biases, "biases", list, tuple)
+    if len(weights) != n_layers or len(biases) != n_layers:
+        raise ValueError(f"{len(weights)} weights and {len(biases)} biases; "
+                         f"config expects {n_layers} of each")
+    arrays = arrays()
+    for (name, shape), a in zip(shapes, arrays):
+        if _member(a, name, np.ndarray).shape != shape:
+            raise ValueError(f"{name} has shape {a.shape}; config expects {shape}")
+    first, dtype = shapes[0][0], arrays[0].dtype
+    if dtype not in (np.float32, np.float64):
+        raise ValueError(f"{first} has dtype {dtype}; float32 or float64 expected")
+    for (name, _), a in zip(shapes, arrays):
+        if a.dtype != dtype:
+            raise ValueError(f"{name} has dtype {a.dtype}; {first}'s {dtype} expected")
 
 
 def init_network(config: NetworkConfig, rng: RngStream) -> Network:
@@ -189,11 +259,15 @@ def init_network(config: NetworkConfig, rng: RngStream) -> Network:
 
 @dataclass(frozen=True)
 class ForwardCache:
-    """What ``backprop`` reads: ids, activations and outputs; the first layer's input
-    is gathered again from the tables."""
+    """What ``backprop`` reads: ids, each table's touched rows, activations and outputs; the
+    first layer's input is gathered again from the tables."""
 
     users: np.ndarray
     items: np.ndarray
+    user_rows: np.ndarray              # the user rows the ids touch, ascending, (k_u,)
+    user_index: np.ndarray             # each pair's index into user_rows, (B,)
+    item_rows: np.ndarray              # as user_rows, for the items, (k_i,)
+    item_index: np.ndarray             # each pair's index into item_rows, (B,)
     acts: list[np.ndarray]             # post-ReLU, post-dropout, (B, w_k)
     scale: float                       # 1/(1-dropout_rate) if masks were drawn, else 1
     logits: np.ndarray                 # final pre-activation, (B,)
@@ -252,8 +326,9 @@ def forward_cached(
     _check_columns("forward_cached", users=users, items=items)
     _check_on_grid(users, items, net.config.n_users, net.config.n_items)
     scale = _mask_scale(net, mode, rng)
-    acts, logits, probs = _layer_stack(net, _first_layer(net, users, items)(), scale, rng)
-    return ForwardCache(users, items, acts, scale or 1.0, logits, probs)
+    first_layer, touched = _first_layer(net, users, items)
+    acts, logits, probs = _layer_stack(net, first_layer(), scale, rng)
+    return ForwardCache(users, items, *touched, acts, scale or 1.0, logits, probs)
 
 
 def _row_sum_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -265,15 +340,20 @@ def _row_sum_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def backprop(net: Network, cache: ForwardCache, dlogits: np.ndarray) -> Network:
-    """Reverse-mode gradients given d(loss)/d(final pre-activation).
+def backprop(net: Network, cache: ForwardCache, dlogits: np.ndarray,
+             l2_coeff: float = 0.0) -> Gradient:
+    """Reverse-mode gradient given d(loss)/d(final pre-activation), and the L2 penalty's.
 
     Recovers the ReLU gates and dropout masks from the activations, so
     the gradient is taken of exactly the function the forward pass
     evaluated.  Weight gradients sum over the rows by ``_row_sum_product``,
-    the first layer's as its user and item halves stacked; only the two
-    embedding tables are zero-filled, to scatter the rows' gradients into.
-    ``dlogits`` must be 1-D, one per row of the cache.
+    the first layer's as its user and item halves stacked.  Each table's
+    gradient is scattered, pair by pair in row order, into a zero block of
+    the rows the cache's ids touch, which is bit for bit the scatter into a
+    whole zero table.  The L2 term ``2 * l2_coeff * W`` is added to the
+    dense weights here and carried in the ``Gradient`` for the tables.
+    ``dlogits`` must be 1-D, one per row of the cache, and ``l2_coeff`` a
+    finite real >= 0.
     """
     _member(net, "net", Network)
     _check_columns("backprop", users=_member(cache, "cache", ForwardCache).users, dlogits=dlogits)
@@ -292,31 +372,44 @@ def backprop(net: Network, cache: ForwardCache, dlogits: np.ndarray) -> Network:
         da = dz @ net.weights[k].T
 
     d = cfg.embedding_dim
-    user_emb = np.zeros_like(net.user_emb)
-    item_emb = np.zeros_like(net.item_emb)
-    np.add.at(user_emb, cache.users, da[:, :d])
-    np.add.at(item_emb, cache.items, da[:, d:])
-    return Network(cfg, user_emb, item_emb, weights, biases)
+    user_values = np.zeros((len(cache.user_rows), d), dtype=net.dtype)
+    item_values = np.zeros((len(cache.item_rows), d), dtype=net.dtype)
+    np.add.at(user_values, cache.user_index, da[:, :d])
+    np.add.at(item_values, cache.item_index, da[:, d:])
+    grads = Gradient(cfg, cache.user_rows, user_values, cache.item_rows, item_values,
+                     weights, biases, l2_coeff)
+    if grads.l2_coeff != 0.0:
+        for g, w in zip(grads.weights, net.weights):
+            g += 2.0 * grads.l2_coeff * w
+    return grads
 
 
 def _projected(table: np.ndarray, ids: np.ndarray,
-               w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``table @ w`` over the rows ``ids`` touch, and each id's row in it.
+               w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``table @ w`` over the rows ``ids`` touch, those rows, ascending, and each id's index
+    into them.
 
-    A presence mask over the table finds the rows.
+    A presence mask over the table finds the rows, and a slot per table row, written only
+    at those rows, gives each id its index.
     """
     present = np.zeros(len(table), dtype=bool)
     present[ids] = True
-    return table[present] @ w, np.cumsum(present)[ids] - 1
+    rows = np.flatnonzero(present)
+    slot = np.empty(len(table), dtype=np.intp)
+    slot[rows] = np.arange(len(rows))
+    return table[rows] @ w, rows, slot[ids]
 
 
 def _first_layer(net: Network, users: np.ndarray, items: np.ndarray):
     """``rows -> ([e_u; e_i] @ W0)[rows]`` over the pairs, as ``(user_emb @ W0[:d])[u] +
-    (item_emb @ W0[d:])[i]``; only the table rows the ids touch are projected, once."""
+    (item_emb @ W0[d:])[i]``, and ``(user_rows, user_index, item_rows, item_index)``, each
+    table's touched rows and each pair's index into them; only those rows are projected,
+    once."""
     d = net.config.embedding_dim
-    proj_u, users = _projected(net.user_emb, users, net.weights[0][:d])
-    proj_i, items = _projected(net.item_emb, items, net.weights[0][d:])
-    return lambda rows=slice(None): proj_u[users[rows]] + proj_i[items[rows]]
+    proj_u, user_rows, users = _projected(net.user_emb, users, net.weights[0][:d])
+    proj_i, item_rows, items = _projected(net.item_emb, items, net.weights[0][d:])
+    return ((lambda rows=slice(None): proj_u[users[rows]] + proj_i[items[rows]]),
+            (user_rows, users, item_rows, items))
 
 
 def forward_batch(
@@ -340,7 +433,7 @@ def forward_batch(
     users, items = arr[:, 0], arr[:, 1]
     _check_on_grid(users, items, net.config.n_users, net.config.n_items)
     scale = _mask_scale(net, mode, rng)
-    first_layer = _first_layer(net, users, items)
+    first_layer = _first_layer(net, users, items)[0]
     probs = np.empty(len(arr), dtype=net.dtype)
     for start in range(0, len(arr), SCORE_BLOCK):
         rows = slice(start, start + SCORE_BLOCK)

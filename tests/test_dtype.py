@@ -11,6 +11,8 @@ from distilrec.network import (ForwardMode, Network, NetworkConfig, backprop, fo
 from distilrec.optim import apply_update, make_optimizer
 from distilrec.rng import RngStream
 
+from oracles import sparse_gradient
+
 CONFIG = NetworkConfig(6, 7, 3, (5, 4), dropout_rate=0.3)
 
 
@@ -84,9 +86,9 @@ def test_update_rejects_a_gradient_or_moment_of_another_dtype():
     opt = make_optimizer(net, "adam")
     with pytest.raises(ValueError, match="^gradient dtype float64 differs from the network's "
                                          "float32$"):
-        apply_update(opt, net, wide)
+        apply_update(opt, net, sparse_gradient(wide))
     opt = dataclasses.replace(opt, moments=(opt.moments[0], wide))
     with pytest.raises(ValueError, match="^Adam moments do not match network parameters"):
-        apply_update(opt, net, net.zeros_like())
+        apply_update(opt, net, sparse_gradient(net.zeros_like()))
     assert opt.step == 0
     assert all(np.array_equal(a, b) for a, b in zip(net.param_arrays(), before))

@@ -5,6 +5,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +22,14 @@ from distilrec.losses import (
     l2_reg,
     loss_and_grads,
 )
-from distilrec import network
-from distilrec.network import ForwardMode, NetworkConfig, backprop, forward_cached, init_network
+from distilrec import network, optim
+from distilrec.network import (ForwardMode, Network, NetworkConfig, backprop, forward_cached,
+                               init_network)
 from distilrec.optim import OptimizerState, apply_update, make_optimizer
 from distilrec.rng import RngStream
 
-from oracles import finite_difference_grads, float64_network, max_relative_error
+from oracles import (densify, finite_difference_grads, float64_network, max_relative_error,
+                     out_of_place_adam, out_of_place_sgd, sparse_gradient)
 
 
 def random_net(rng, dropout=0.0, hidden=(4,)):
@@ -77,8 +80,8 @@ class TestHandDerivedCases:
         net = float64_network(init_network(NetworkConfig(3, 3, 2, (3,)), RngStream(2)))
         obs = ObservedBatch(np.array([0, 2]), np.array([1, 2]), np.array([1.0, 0.0]))
         lam = 0.37
-        _, with_l2 = loss_and_grads(net, obs, l2_coeff=lam)
-        _, without = loss_and_grads(net, obs, l2_coeff=0.0)
+        with_l2 = densify(loss_and_grads(net, obs, l2_coeff=lam)[1], net)
+        without = densify(loss_and_grads(net, obs, l2_coeff=0.0)[1], net)
         for g, g0, a in zip(with_l2.l2_arrays(), without.l2_arrays(), net.l2_arrays()):
             np.testing.assert_allclose(g - g0, 2 * lam * a, rtol=1e-12, atol=1e-15)
         for gb, gb0 in zip(with_l2.biases, without.biases):
@@ -99,7 +102,7 @@ class TestFiniteDifferenceOracle:
                 return bd.total
 
             numeric = finite_difference_grads(loss_fn, net)
-            err = max_relative_error(grads.param_arrays(), numeric)
+            err = max_relative_error(densify(grads, net).param_arrays(), numeric)
             assert err < 1e-4, f"trial {trial}: max relative error {err}"
 
     @pytest.mark.parametrize("kind", list(RegLossKind))
@@ -121,7 +124,7 @@ class TestFiniteDifferenceOracle:
                 return bd.total
 
             numeric = finite_difference_grads(loss_fn, net)
-            err = max_relative_error(grads.param_arrays(), numeric)
+            err = max_relative_error(densify(grads, net).param_arrays(), numeric)
             assert err < 1e-4, f"{kind} trial {trial}: max relative error {err}"
 
     def test_two_hidden_layers(self):
@@ -136,7 +139,8 @@ class TestFiniteDifferenceOracle:
                                    reg_kind=RegLossKind.MSE, l2_coeff=0.01)
             return bd.total
 
-        err = max_relative_error(grads.param_arrays(), finite_difference_grads(loss_fn, net))
+        err = max_relative_error(densify(grads, net).param_arrays(),
+                                 finite_difference_grads(loss_fn, net))
         assert err < 1e-4
 
     def test_dropout_with_frozen_masks(self):
@@ -157,7 +161,8 @@ class TestFiniteDifferenceOracle:
             net, obs, unobs, gamma_reg=0.7, reg_kind=RegLossKind.MSE,
             l2_coeff=0.0, mode=ForwardMode.TRAIN_DROPOUT, rng=RngStream(99),
         )
-        err = max_relative_error(grads.param_arrays(), finite_difference_grads(loss_fn, net))
+        err = max_relative_error(densify(grads, net).param_arrays(),
+                                 finite_difference_grads(loss_fn, net))
         assert err < 1e-4
 
 
@@ -177,8 +182,8 @@ class TestTapeMatchesStoredMaskReference:
         p = net.config.dropout_rate
         masks_rng = rng.split("dropout")
         d = net.config.embedding_dim
-        proj_u, rows_u = network._projected(net.user_emb, users, net.weights[0][:d])
-        proj_i, rows_i = network._projected(net.item_emb, items, net.weights[0][d:])
+        proj_u, _, rows_u = network._projected(net.user_emb, users, net.weights[0][:d])
+        proj_i, _, rows_i = network._projected(net.item_emb, items, net.weights[0][d:])
         x = np.concatenate([net.user_emb[users], net.item_emb[items]], axis=1)
         a, pre_acts, acts, masks = None, [], [], []
         for k, (w, b) in enumerate(zip(net.weights[:-1], net.biases[:-1])):
@@ -204,8 +209,9 @@ class TestTapeMatchesStoredMaskReference:
         np.add.at(ref_i, items, da[:, d:])
 
         assert any(np.any((m == 0.0) & (z > 0.0)) for m, z in zip(masks, pre_acts))
-        np.testing.assert_array_equal(grads.user_emb, ref_u)
-        np.testing.assert_array_equal(grads.item_emb, ref_i)
+        dense = densify(grads, net)
+        np.testing.assert_array_equal(dense.user_emb, ref_u)
+        np.testing.assert_array_equal(dense.item_emb, ref_i)
         for got, want in zip(grads.weights + grads.biases, ref_w + ref_b):
             np.testing.assert_array_equal(got, want)
 
@@ -214,13 +220,13 @@ def two_pass_reference(net, obs, unobs, gamma, kind, lam):
     """The objective with one forward and one backward per batch, summed."""
     cache = forward_cached(net, obs.users, obs.items, ForwardMode.DETERMINISTIC)
     data_term = float(np.mean(_bce_terms(cache.probs, obs.labels)))
-    grads = backprop(net, cache, (cache.probs - obs.labels) / obs.labels.size)
+    grads = densify(backprop(net, cache, (cache.probs - obs.labels) / obs.labels.size), net)
     distill_term = 0.0
     if unobs is not None:
         cache = forward_cached(net, unobs.users, unobs.items, ForwardMode.DETERMINISTIC)
         values, dlogit = _reg_terms(kind, unobs.teacher_targets, cache.probs)
         distill_term = float(np.mean(values))
-        part = backprop(net, cache, gamma * dlogit / values.size)
+        part = densify(backprop(net, cache, gamma * dlogit / values.size), net)
         for g, p in zip(grads.param_arrays(), part.param_arrays()):
             g += p
     for g, a in zip(grads.l2_arrays(), net.l2_arrays()):
@@ -239,6 +245,7 @@ class TestOnePassMatchesTwoPassReference:
     @staticmethod
     def assert_close(net, obs, unobs, gamma, kind, lam):
         bd, grads = loss_and_grads(net, obs, unobs, gamma_reg=gamma, reg_kind=kind, l2_coeff=lam)
+        grads = densify(grads, net)
         ref_bd, ref = two_pass_reference(net, obs, unobs, gamma, kind, lam)
         for name in ("data_term", "distill_term", "reg_term", "total"):
             assert getattr(bd, name) == pytest.approx(getattr(ref_bd, name), rel=1e-10, abs=0.0)
@@ -254,6 +261,7 @@ class TestOnePassMatchesTwoPassReference:
     def test_observed_only_is_exact(self):
         net, obs, _ = self.setup(404)
         bd, grads = loss_and_grads(net, obs, l2_coeff=0.03)
+        grads = densify(grads, net)
         ref_bd, ref = two_pass_reference(net, obs, None, 0.0, RegLossKind.KL, 0.03)
         assert bd == ref_bd
         for a, b in zip(grads.param_arrays(), ref.param_arrays()):
@@ -289,7 +297,7 @@ class TestOptimizer:
         for arr in g.param_arrays():
             arr[...] = 1.0
         opt = make_optimizer(net, "sgd", learning_rate=0.1)
-        apply_update(opt, net, g)
+        apply_update(opt, net, sparse_gradient(g))
         for arr in net.param_arrays():
             np.testing.assert_allclose(arr, 0.9, rtol=0, atol=np.finfo(arr.dtype).eps)
 
@@ -297,7 +305,7 @@ class TestOptimizer:
         net = init_network(NetworkConfig(2, 2, 2, (2,)), RngStream(3))
         before = [a.copy() for a in net.param_arrays()]
         opt = make_optimizer(net, "sgd", learning_rate=0.5)
-        apply_update(opt, net, net.zeros_like())
+        apply_update(opt, net, sparse_gradient(net.zeros_like()))
         for a, b in zip(net.param_arrays(), before):
             np.testing.assert_array_equal(a, b)
 
@@ -309,7 +317,7 @@ class TestOptimizer:
         for arr in g.param_arrays():
             arr[...] = 0.5
         opt = make_optimizer(net, "adam", learning_rate=0.1)
-        apply_update(opt, net, g)
+        apply_update(opt, net, sparse_gradient(g))
         # Bias-corrected first step is lr * g / (|g| + eps) ~= lr.
         for arr in net.param_arrays():
             np.testing.assert_allclose(arr, 1.0 - 0.1, rtol=1e-6)
@@ -322,7 +330,7 @@ class TestOptimizer:
         g.weights[0][0, 0] = np.nan
         opt = make_optimizer(net, "adam", learning_rate=0.1)
         with pytest.raises(ValueError, match="non-finite"):
-            apply_update(opt, net, g)
+            apply_update(opt, net, sparse_gradient(g))
         for a, b in zip(net.param_arrays(), before):
             np.testing.assert_array_equal(a, b)
         assert opt.step == 0
@@ -335,7 +343,7 @@ class TestOptimizer:
         for arr in g.param_arrays():
             arr[...] = 1.0
         opt = OptimizerState(learning_rate=0.1)
-        apply_update(opt, net, g)
+        apply_update(opt, net, sparse_gradient(g))
         for arr in net.param_arrays():
             np.testing.assert_allclose(arr, 0.9, rtol=0, atol=np.finfo(arr.dtype).eps)
         assert opt.step == 1
@@ -349,7 +357,7 @@ class TestOptimizer:
         other = make_optimizer(init_network(NetworkConfig(2, 3, 2, (2,)), RngStream(3)), "adam")
         opt = OptimizerState(learning_rate=0.1, moments=other.moments)
         with pytest.raises(ValueError, match="moments"):
-            apply_update(opt, net, g)
+            apply_update(opt, net, sparse_gradient(g))
         assert opt.step == 0
         with pytest.raises(ValueError, match="moments"):
             OptimizerState(learning_rate=0.1, moments=(net.zeros_like(),))
@@ -388,7 +396,7 @@ class TestOptimizer:
             if attempt:
                 with contextlib.suppress(dataclasses.FrozenInstanceError):
                     setattr(opt, field, value)
-            apply_update(opt, net, grads)
+            apply_update(opt, net, sparse_gradient(grads))
             results.append((opt.step, opt.learning_rate, net.param_arrays()
                             + [a for m in opt.moments or () for a in m.param_arrays()]))
         (step, lr, arrays), (step_after, lr_after, arrays_after) = results
@@ -400,13 +408,13 @@ class TestOptimizer:
         net = init_network(NetworkConfig(3, 4, 2, (2,)), RngStream(3))
         opt, gen = make_optimizer(net, "adam", learning_rate=0.1), np.random.default_rng(2)
         grads = TestInPlaceUpdateIsTheOutOfPlaceOne.gradient(net, gen)
-        apply_update(opt, net, grads)
+        apply_update(opt, net, sparse_gradient(grads))
         params = [a.copy() for a in net.param_arrays()]
         moments = [[a.copy() for a in m.param_arrays()] for m in opt.moments]
         faster = dataclasses.replace(opt, learning_rate=0.5)
         assert faster.moments is opt.moments and faster.step == 1 and faster.learning_rate == 0.5
         grads = TestInPlaceUpdateIsTheOutOfPlaceOne.gradient(net, gen)
-        apply_update(faster, net, grads)
+        apply_update(faster, net, sparse_gradient(grads))
         for p, g, m, v in zip(params, grads.param_arrays(), *moments):
             out_of_place_adam(p, g, m, v, 0.5, 2)
         assert faster.step == 2
@@ -433,7 +441,7 @@ class TestOptimizer:
         other = init_network(NetworkConfig(2, 2, 3, (2,)), RngStream(3))
         opt = make_optimizer(net, "sgd", learning_rate=0.1)
         with pytest.raises(ValueError, match="shape"):
-            apply_update(opt, net, other.zeros_like())
+            apply_update(opt, net, sparse_gradient(other.zeros_like()))
 
     def test_rejects_config_differing_only_in_dropout_rate(self):
         # Shapes alone once decided; a gradient or moment of another dropout_rate passed.
@@ -442,14 +450,14 @@ class TestOptimizer:
         other = init_network(NetworkConfig(2, 2, 2, (2,), dropout_rate=0.5), RngStream(3))
         opt = make_optimizer(net, "adam", learning_rate=0.1)
         with pytest.raises(ValueError, match="dropout_rate must match"):
-            apply_update(opt, net, other.zeros_like())
+            apply_update(opt, net, sparse_gradient(other.zeros_like()))
         for k in (0, 1):
             opt = make_optimizer(net, "adam", learning_rate=0.1)
             moments = list(opt.moments)
             moments[k] = other.zeros_like()
             opt = dataclasses.replace(opt, moments=tuple(moments))
             with pytest.raises(ValueError, match="moments"):
-                apply_update(opt, net, net.zeros_like())
+                apply_update(opt, net, sparse_gradient(net.zeros_like()))
             assert opt.step == 0
         for a, b in zip(net.param_arrays(), before):
             np.testing.assert_array_equal(a, b)
@@ -462,18 +470,9 @@ class TestOptimizer:
             p[...], d[...] = np.finfo(p.dtype).max, -np.finfo(p.dtype).max
         opt = make_optimizer(net, "sgd", learning_rate=1.0)
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
-            apply_update(opt, net, g)
+            apply_update(opt, net, sparse_gradient(g))
         assert all(np.all(a == np.inf) for a in net.param_arrays())
         assert opt.step == 1
-
-
-def out_of_place_adam(p, g, m, v, lr, step):
-    """Adam's update as it was written before it ran in place through scratch arrays."""
-    m *= 0.9
-    m += (1.0 - 0.9) * g
-    v *= 0.999
-    v += (1.0 - 0.999) * np.square(g)
-    p -= lr * (m / (1.0 - 0.9 ** step)) / (np.sqrt(v / (1.0 - 0.999 ** step)) + 1e-8)
 
 
 class TestInPlaceUpdateIsTheOutOfPlaceOne:
@@ -496,7 +495,7 @@ class TestInPlaceUpdateIsTheOutOfPlaceOne:
         moments = [[np.zeros_like(a) for a in params] for _ in range(2)]
         for step in range(1, 51):
             grads = self.gradient(net, gen)
-            apply_update(opt, net, grads)
+            apply_update(opt, net, sparse_gradient(grads))
             for p, g, m, v in zip(params, grads.param_arrays(), *moments):
                 reference(p, g, m, v, learning_rate, step)
             got = net.param_arrays()
@@ -518,10 +517,147 @@ class TestInPlaceUpdateIsTheOutOfPlaceOne:
 
     @pytest.mark.parametrize("name", CONFIGS)
     def test_sgd(self, name):
-        def sgd(p, g, m, v, lr, step):
-            p -= lr * g
+        self.run("sgd", *self.CONFIGS[name], out_of_place_sgd)
 
-        self.run("sgd", *self.CONFIGS[name], sgd)
+
+# The users span three update blocks, the last one partial.
+SPARSE_CONFIG = NetworkConfig(2 * optim.ROW_BLOCK + 37, 9, 4, (6, 3), dropout_rate=0.2)
+
+
+def sparse_config_network(dtype) -> Network:
+    net = init_network(SPARSE_CONFIG, RngStream(1))
+    return Network.from_arrays(SPARSE_CONFIG, [a.astype(dtype) for a in net.param_arrays()])
+
+
+def sparse_config_batch(gen, step) -> ObservedBatch:
+    """40 rows: 20 distinct users drawn over every block, each twice, and one item."""
+    users = np.tile(gen.choice(SPARSE_CONFIG.n_users, 20, replace=False), 2)
+    return ObservedBatch(users, np.full(40, step % SPARSE_CONFIG.n_items),
+                         gen.integers(0, 2, 40).astype(np.float64))
+
+
+def state_bytes(net, opt) -> list[bytes]:
+    return [a.tobytes() for a in net.param_arrays()
+            + [a for m in opt.moments or () for a in m.param_arrays()]] + [opt.step]
+
+
+class TestRowSparseStepIsTheDenseOne:
+    """Each step's row-sparse gradient and row-block update give the bits of the whole-array
+    step: the gradient densified, then the out-of-place update of every array."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.05], ids=["no-l2", "l2"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_hundred_steps(self, kind, dtype, lam):
+        net = sparse_config_network(dtype)
+        opt = make_optimizer(net, kind, 0.05)
+        params = [a.copy() for a in net.param_arrays()]
+        moments = [[np.zeros_like(a) for a in params] for _ in range(2)]
+        reference = out_of_place_adam if kind == "adam" else out_of_place_sgd
+        gen, dropout = np.random.default_rng(3), RngStream(4)
+        for step in range(1, 101):
+            _, grads = loss_and_grads(net, sparse_config_batch(gen, step), l2_coeff=lam,
+                                      mode=ForwardMode.TRAIN_DROPOUT, rng=dropout)
+            assert len(grads.item_rows) == 1 and len(grads.user_rows) == 20
+            dense = densify(grads, net)
+            apply_update(opt, net, grads)
+            for p, g, m, v in zip(params, dense.param_arrays(), *moments):
+                reference(p, g, m, v, 0.05, step)
+            got = net.param_arrays()
+            want = params
+            if kind == "adam":
+                got += opt.moments[0].param_arrays() + opt.moments[1].param_arrays()
+                want = params + moments[0] + moments[1]
+            assert opt.step == step
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), f"step {step}"
+
+
+class TestFoldedL2Faults:
+    """The L2 term the update adds to every table row is checked with the gradient."""
+
+    @staticmethod
+    def stepped():
+        """A float32 network and its Adam state after one step, so the moments are not zero."""
+        net = sparse_config_network(np.float32)
+        opt = make_optimizer(net, "adam", 0.05)
+        _, grads = loss_and_grads(net, sparse_config_batch(np.random.default_rng(3), 1),
+                                  l2_coeff=0.05)
+        apply_update(opt, net, grads)
+        return net, opt
+
+    def assert_rejected_unchanged(self, net, opt, grads):
+        before = state_bytes(net, opt)
+        with pytest.raises(ValueError, match="^non-finite gradient; network left unchanged$"):
+            apply_update(opt, net, grads)
+        assert state_bytes(net, opt) == before
+
+    def test_overflowing_l2_term_of_an_untouched_row(self):
+        # 2 * 1e36 * 1e3 is past float32's range; the row is in the last block and untouched.
+        net, opt = self.stepped()
+        net.user_emb[-1, 0] = 1e3
+        grads = sparse_gradient(net.zeros_like(), l2_coeff=1e36)
+        assert grads.user_rows.size == 0
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(2.0 * 1e36 * net.user_emb[-1, 0])
+        self.assert_rejected_unchanged(net, opt, grads)
+
+    def test_nan_in_a_touched_row(self):
+        net, opt = self.stepped()
+        _, grads = loss_and_grads(net, sparse_config_batch(np.random.default_rng(4), 2),
+                                  l2_coeff=0.05)
+        grads.user_values[-1, -1] = np.nan
+        self.assert_rejected_unchanged(net, opt, grads)
+
+    def test_touched_row_whose_value_and_l2_term_overflow_together(self):
+        # Each part is finite; their sum, the row's gradient, is not.
+        net, opt = self.stepped()
+        _, grads = loss_and_grads(net, sparse_config_batch(np.random.default_rng(4), 2),
+                                  l2_coeff=0.5)
+        row = grads.item_rows[0]
+        net.item_emb[row, 0] = 3e38
+        grads.item_values[0, 0] = 3e38
+        self.assert_rejected_unchanged(net, opt, grads)
+
+    def test_non_finite_parameter_raises_after_every_block(self):
+        # The first block overflows; the last block, the item table and the dense layers are
+        # still updated, as the whole-array update would have done.
+        net = sparse_config_network(np.float32)
+        dense = net.zeros_like()
+        dense.user_emb[0, 0] = -np.finfo(np.float32).max
+        net.user_emb[0, 0] = np.finfo(np.float32).max
+        for g in (dense.user_emb[-1], dense.item_emb[3], *dense.weights, *dense.biases):
+            g[...] = 0.5
+        want = [a.copy() for a in net.param_arrays()]
+        with np.errstate(over="ignore"):
+            for p, g in zip(want, dense.param_arrays()):
+                out_of_place_sgd(p, g, None, None, 1.0, 1)
+        opt = make_optimizer(net, "sgd", learning_rate=1.0)
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+            apply_update(opt, net, sparse_gradient(dense))
+        assert net.user_emb[0, 0] == np.inf and opt.step == 1
+        for a, b in zip(net.param_arrays(), want, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_a_step_makes_no_array_the_size_of_a_table():
+    # One table dwarfs the batch.  The whole-table gradient, its L2 term, l2_reg's squares,
+    # the finite masks and Adam's scratch each made such an array, three or more per step.
+    net = init_network(NetworkConfig(200_000, 50, 16, (8,), dropout_rate=0.1), RngStream(1))
+    opt = make_optimizer(net, "adam")
+    gen = np.random.default_rng(0)
+    batch = ObservedBatch(gen.integers(0, 200_000, 256), gen.integers(0, 50, 256),
+                          gen.integers(0, 2, 256).astype(np.float64))
+    tracemalloc.start()
+    try:
+        _, grads = loss_and_grads(net, batch, l2_coeff=1e-6, mode=ForwardMode.TRAIN_DROPOUT,
+                                  rng=RngStream(2))
+        apply_update(opt, net, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert opt.step == 1
+    assert peak < net.user_emb.nbytes / 4
 
 
 # Adam steps at Coat shape (290 x 300, embedding 64, hidden (64, 32)) at two batch
@@ -545,7 +681,7 @@ for rows in (986, 2010):
                               draws.integers(0, 2, rows).astype(float))
         _, grads = loss_and_grads(net, batch, mode=ForwardMode.TRAIN_DROPOUT, rng=RngStream(3))
         apply_update(opt, net, grads)
-        for a in grads.param_arrays() + net.param_arrays():
+        for a in [grads.user_rows, grads.item_rows] + grads.arrays() + net.param_arrays():
             digest.update(a.tobytes())
 print(digest.hexdigest())
 """

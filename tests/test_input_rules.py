@@ -44,7 +44,7 @@ from distilrec.network import (
 from distilrec.optim import OptimizerState, apply_update, make_optimizer
 from distilrec.rng import RngStream
 
-from oracles import interaction
+from oracles import interaction, sparse_gradient
 
 CONFIG = dict(n_users=5, n_items=6, embedding_dim=3, hidden_sizes=(4, 2))
 SIZES = dict(n_users=8, n_items=8, latent_dim=2, n_biased=8, n_uniform=8)
@@ -206,7 +206,8 @@ def test_float32_dropout_rate_round_trips_through_checkpoint(tmp_path):
 def update(**over):
     """One Adam update of a fresh network by a zero gradient, ``over`` replacing arguments."""
     net = init_network(NetworkConfig(**CONFIG), RngStream(1))
-    apply_update(**{"opt": make_optimizer(net), "net": net, "grads": net.zeros_like(), **over})
+    apply_update(**{"opt": make_optimizer(net), "net": net,
+                    "grads": sparse_gradient(net.zeros_like()), **over})
 
 
 def saved(net):
@@ -258,8 +259,8 @@ CHOICE_ENTRIES = {
     "loss_and_grads.unobserved": (lambda v: loss_and_grads(NET, OBSERVED, v, gamma_reg=0.5),
                                   "unobserved", "UnobservedBatch",
                                   [tuple(vars(UNOBSERVED).values())], UNOBSERVED),
-    "apply_update.grads": (lambda v: update(grads=v), "grads", "Network", [None],
-                           NET.zeros_like()),
+    "apply_update.grads": (lambda v: update(grads=v), "grads", "Gradient", [None, NET],
+                           sparse_gradient(NET.zeros_like())),
     "init_network.config": (lambda v: init_network(v, RngStream(1)), "config", "NetworkConfig",
                             [CONFIG], NetworkConfig(**CONFIG)),
     **{f"{entry}.net": (call, "net", "Network", [None, NET.config], NET)

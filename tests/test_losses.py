@@ -22,7 +22,7 @@ from distilrec.metrics import bce_eval
 from distilrec.network import NetworkConfig, init_network
 from distilrec.rng import RngStream
 
-from oracles import interaction
+from oracles import densify, interaction
 
 LN2 = math.log(2.0)
 KL_09_05 = 0.9 * math.log(0.9 / 0.5) + 0.1 * math.log(0.1 / 0.5)
@@ -312,7 +312,7 @@ class TestStudentLoss:
         bd, grads = loss_and_grads(net, obs, unobs, gamma_reg=0.5)
         bd_kl, grads_kl = loss_and_grads(net, obs, unobs, gamma_reg=0.5, reg_kind=RegLossKind.KL)
         assert bd == bd_kl
-        for a, b in zip(grads.param_arrays(), grads_kl.param_arrays()):
+        for a, b in zip(densify(grads, net).param_arrays(), densify(grads_kl, net).param_arrays()):
             np.testing.assert_array_equal(a, b)
 
     def test_saturated_student_is_pulled_toward_the_teacher(self):
@@ -341,7 +341,8 @@ class TestStudentLoss:
                                                    interaction(2, 2, 3, Source.BIASED)),
                                      unobserved([(1, 1)], [0.25]), gamma_reg=0.5)
         assert from_lists[0] == from_arrays[0]
-        for a, b in zip(from_lists[1].param_arrays(), from_arrays[1].param_arrays()):
+        for a, b in zip(densify(from_lists[1], net).param_arrays(),
+                        densify(from_arrays[1], net).param_arrays()):
             np.testing.assert_array_equal(a, b)
 
     def test_empty_observed_rejected(self):

@@ -12,6 +12,7 @@ from distilrec.network import (
     SCORE_BLOCK,
     ForwardCache,
     ForwardMode,
+    Gradient,
     Network,
     NetworkConfig,
     forward_batch,
@@ -20,6 +21,7 @@ from distilrec.network import (
     load_checkpoint,
     save_checkpoint,
 )
+from distilrec.network import backprop
 from distilrec.rng import RngStream
 
 
@@ -280,7 +282,7 @@ class TestScorerMatchesTrainingForward:
 class TestScorerProjectsTouchedRows:
     @staticmethod
     def whole_table(table, ids, w):
-        return table @ w, ids
+        return table @ w, np.arange(len(table)), ids
 
     @pytest.mark.parametrize("mode", [ForwardMode.DETERMINISTIC, ForwardMode.STOCHASTIC_INFERENCE])
     @pytest.mark.parametrize("pairs", [
@@ -306,9 +308,11 @@ class TestScorerProjectsTouchedRows:
         gen = np.random.default_rng(3)
         table, w = gen.normal(size=(50, 4)), gen.normal(size=(4, 3))
         ids = np.array([7, 3, 7, 49, 0, 3])
-        proj, rows = network._projected(table, ids, w)
+        proj, rows, index = network._projected(table, ids, w)
         assert proj.shape == (4, 3)
-        np.testing.assert_allclose(proj[rows], (table @ w)[ids], rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(rows, [0, 3, 7, 49])
+        np.testing.assert_array_equal(rows[index], ids)
+        np.testing.assert_allclose(proj[index], (table @ w)[ids], rtol=1e-12, atol=0.0)
 
 
 class TestScorerKeepsNoTape:
@@ -378,14 +382,16 @@ class TestDropout:
 
 
 def records():
-    """A checked Network and the ForwardCache of a 2-row forward through it."""
+    """A checked Network, and the ForwardCache and Gradient of a 2-row forward through it."""
     net = init_network(small_config(), RngStream(1))
-    return {"Network": net,
-            "ForwardCache": forward_cached(net, [0, 1], [0, 1], ForwardMode.DETERMINISTIC)}
+    cache = forward_cached(net, [0, 1], [0, 1], ForwardMode.DETERMINISTIC)
+    return {"Network": net, "ForwardCache": cache,
+            "Gradient": backprop(net, cache, np.ones(2), 0.5)}
 
 
 @pytest.mark.parametrize("record, field", [
-    (cls.__name__, f.name) for cls in (Network, ForwardCache) for f in dataclasses.fields(cls)])
+    (cls.__name__, f.name) for cls in (Network, ForwardCache, Gradient)
+    for f in dataclasses.fields(cls)])
 def test_record_fields_cannot_be_reassigned(record, field):
     # Unchecked, user_emb = zeros((2, 2)) on this 5-user network made
     # forward_batch(net, [(2, 0)]) fail with a bare IndexError.
@@ -527,3 +533,45 @@ class TestCheckpoint:
         with pytest.raises(FileNotFoundError, match="^" + re.escape(f"{path}: ")):
             save_checkpoint(init_network(small_config(), RngStream(1)), path)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestGradientIsChecked:
+    """A Gradient is checked against its config once, when made."""
+
+    @staticmethod
+    def parts(**over):
+        net = init_network(small_config(), RngStream(1))
+        cache = forward_cached(net, [3, 0, 3], [5, 5, 1], ForwardMode.DETERMINISTIC)
+        fields = vars(backprop(net, cache, np.array([0.5, -1.0, 2.0]), 0.25))
+        return {**fields, **over}
+
+    def test_backprop_keeps_the_touched_rows(self):
+        grads = Gradient(**self.parts())
+        np.testing.assert_array_equal(grads.user_rows, [0, 3])
+        np.testing.assert_array_equal(grads.item_rows, [1, 5])
+        assert grads.user_values.shape == grads.item_values.shape == (2, 3)
+        assert grads.l2_coeff == 0.25 and grads.dtype == np.float32
+
+    @pytest.mark.parametrize("rows", [
+        np.array([3, 0]), np.array([3, 3]), np.array([-1, 3]), np.array([0, 5]),
+        np.array([0, 3], dtype=np.int32), np.array([[0, 3]])],
+        ids=["descending", "repeated", "negative", "past-the-table", "int32", "2-d"])
+    def test_rows_must_be_ascending_distinct_int64_ids_on_the_table(self, rows):
+        with pytest.raises(ValueError, match=r"^user_rows must be ascending distinct int64 ids "
+                                             r"in \[0, 5\)$"):
+            Gradient(**self.parts(user_rows=rows))
+
+    def test_values_must_have_a_row_per_id_and_the_one_dtype(self):
+        values = self.parts()["item_values"]
+        with pytest.raises(ValueError, match=r"^item_values has shape \(1, 3\); config expects "
+                                             r"\(2, 3\)$"):
+            Gradient(**self.parts(item_values=values[:1]))
+        with pytest.raises(ValueError, match="^item_values has dtype float64; user_values's "
+                                             "float32 expected$"):
+            Gradient(**self.parts(item_values=values.astype(np.float64)))
+
+    @pytest.mark.parametrize("l2_coeff", [-0.1, np.inf, np.nan, "0.1"])
+    def test_l2_coeff_must_be_a_finite_real_at_least_zero(self, l2_coeff):
+        with pytest.raises(ValueError, match="^l2_coeff must be a finite real in \\[0, inf\\)"):
+            Gradient(**self.parts(l2_coeff=l2_coeff))
+
