@@ -18,7 +18,7 @@ the teacher calls ``loss_and_grads`` at gamma = 0 with no unobserved batch
 gamma > 0 with a nonempty one, whose targets are the teacher's predictions,
 held constant.  Any other pairing is a ``ValueError``.  One forward pass
 scores both batches, so dropout masks are shared by value and gradient,
-and one backward pass yields the whole gradient.
+and one backward pass yields both terms' gradient.
 
 Read as a missing-data method, the distillation term imputes the labels of
 the unobserved cells.  With one constant target it fills them with a fixed
@@ -32,10 +32,10 @@ Loss terms are float64 whatever the network's dtype: probabilities enter
 each per-row term through ``_clamp``, which casts them to float64, and
 ``l2_reg`` sums its squares in float64.  Only the gradient follows the
 network: ``backprop`` casts the float64 logit gradients to the network's
-dtype on entry.  The L2 gradient ``2 * l2_coeff * W`` is added in that
-dtype, by ``backprop`` to the dense weights and by ``optim.apply_update``
-to the embedding tables, row block by row block, so no step makes an array
-the size of a table for it.
+dtype on entry.  The L2 gradient ``2 * l2_coeff * θ`` is not formed here:
+the ``Gradient`` carries ``l2_coeff``, and ``optim.apply_update`` is where
+it enters, in that dtype, on each array of ``Network.l2_arrays()``, row
+block by row block, so no step makes an array the size of a table for it.
 
 One clamp rule serves both terms and both dtypes: probabilities are clamped
 into [CLAMP_EPS, 1 - CLAMP_EPS] in float64 before any logarithm, and the

@@ -10,16 +10,18 @@ an approximate posterior sampler.
 Everything is plain numpy with hand-written reverse-mode gradients for
 this fixed architecture; there is no general autodiff.  ``Network`` is the
 one parameter container, and the optimizer keeps Adam's moments as
-``Network``s of the same config.  ``backprop`` returns a ``Gradient``: each
-embedding table's touched rows with their values and the L2 coefficient
-that the update folds into every row, and the dense layers' arrays in
-full.  Every construction, checkpoint loads included, checks each array's
-shape against the config and requires one dtype, float32 or float64,
-across all arrays.  ``init_network`` makes float32; a float64 network, as
-the finite-difference oracles build through ``Network.from_arrays``, runs
-the same code in float64.  Every array the size of a table or of a batch's
-activations follows the parameters' dtype: the activations, logits and
-probabilities of both forwards, and every array of the gradient.
+``Network``s of the same config.  ``backprop`` returns a ``Gradient`` of
+the data term alone: each embedding table's touched rows with their
+values and the dense layers' arrays in full, carrying the L2 coefficient
+λ; ``optim.apply_update`` is where ``2λθ`` enters, on each array of
+``Network.l2_arrays()``.  Every construction, checkpoint loads included,
+checks each array's shape against the config and requires one dtype,
+float32 or float64, across all arrays.  ``init_network`` makes float32; a
+float64 network, as the finite-difference oracles build through
+``Network.from_arrays``, runs the same code in float64.  Every array the
+size of a table or of a batch's activations follows the parameters' dtype:
+the activations, logits and probabilities of both forwards, and every
+array of the gradient.
 
 A training step runs ``forward_cached`` once over all its rows, observed
 and unobserved concatenated, and ``backprop`` once over the per-row logit
@@ -168,12 +170,14 @@ class Network:
 class Gradient:
     """The loss gradient of a ``Network`` of ``config``, frozen once checked.
 
-    Each embedding table's gradient is ``2 * l2_coeff * table`` plus, on the
-    rows the batch touched, their values: ``user_rows`` and ``item_rows`` are
-    ascending distinct int64 row ids, and ``user_values`` and ``item_values``
-    hold one row of the table's width per id.  The dense layers' arrays hold
-    their whole gradient, L2 term included.  Every array has one dtype,
-    float32 or float64, which is the gradient's ``dtype``.
+    The arrays hold the data term's gradient: each embedding table's on the
+    rows the batch touched, zero elsewhere, and each dense layer's whole.
+    ``user_rows`` and ``item_rows`` are ascending distinct int64 row ids, and
+    ``user_values`` and ``item_values`` hold one row of the table's width per
+    id.  The L2 term is ``l2_coeff`` alone: ``optim.apply_update`` is where
+    ``2 * l2_coeff * θ`` enters, on each array of ``Network.l2_arrays()``.
+    Every array has one dtype, float32 or float64, which is the gradient's
+    ``dtype``.
     """
 
     config: NetworkConfig
@@ -259,11 +263,9 @@ def init_network(config: NetworkConfig, rng: RngStream) -> Network:
 
 @dataclass(frozen=True)
 class ForwardCache:
-    """What ``backprop`` reads: ids, each table's touched rows, activations and outputs; the
-    first layer's input is gathered again from the tables."""
+    """What ``backprop`` reads: each table's touched rows and each pair's index into them,
+    activations and outputs; the first layer's input is gathered again from the tables."""
 
-    users: np.ndarray
-    items: np.ndarray
     user_rows: np.ndarray              # the user rows the ids touch, ascending, (k_u,)
     user_index: np.ndarray             # each pair's index into user_rows, (B,)
     item_rows: np.ndarray              # as user_rows, for the items, (k_i,)
@@ -328,7 +330,7 @@ def forward_cached(
     scale = _mask_scale(net, mode, rng)
     first_layer, touched = _first_layer(net, users, items)
     acts, logits, probs = _layer_stack(net, first_layer(), scale, rng)
-    return ForwardCache(users, items, *touched, acts, scale or 1.0, logits, probs)
+    return ForwardCache(*touched, acts, scale or 1.0, logits, probs)
 
 
 def _row_sum_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -342,7 +344,7 @@ def _row_sum_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def backprop(net: Network, cache: ForwardCache, dlogits: np.ndarray,
              l2_coeff: float = 0.0) -> Gradient:
-    """Reverse-mode gradient given d(loss)/d(final pre-activation), and the L2 penalty's.
+    """Reverse-mode gradient of the data term given d(loss)/d(final pre-activation).
 
     Recovers the ReLU gates and dropout masks from the activations, so
     the gradient is taken of exactly the function the forward pass
@@ -350,13 +352,14 @@ def backprop(net: Network, cache: ForwardCache, dlogits: np.ndarray,
     the first layer's as its user and item halves stacked.  Each table's
     gradient is scattered, pair by pair in row order, into a zero block of
     the rows the cache's ids touch, which is bit for bit the scatter into a
-    whole zero table.  The L2 term ``2 * l2_coeff * W`` is added to the
-    dense weights here and carried in the ``Gradient`` for the tables.
+    whole zero table.  ``l2_coeff`` is only carried in the ``Gradient``:
+    ``optim.apply_update`` is where ``2 * l2_coeff * θ`` enters.
     ``dlogits`` must be 1-D, one per row of the cache, and ``l2_coeff`` a
     finite real >= 0.
     """
     _member(net, "net", Network)
-    _check_columns("backprop", users=_member(cache, "cache", ForwardCache).users, dlogits=dlogits)
+    _check_columns("backprop", users=_member(cache, "cache", ForwardCache).user_index,
+                   dlogits=dlogits)
     cfg = net.config
     n_hidden = len(cfg.hidden_sizes)
     weights, biases = [None] * (n_hidden + 1), [None] * (n_hidden + 1)
@@ -366,7 +369,8 @@ def backprop(net: Network, cache: ForwardCache, dlogits: np.ndarray,
     for k in range(n_hidden, -1, -1):
         dz = da if k == n_hidden else da * ((cache.acts[k] > 0.0) * scale)
         inputs = ([cache.acts[k - 1]] if k > 0   # the first layer's input, table by table
-                  else [net.user_emb[cache.users], net.item_emb[cache.items]])
+                  else [net.user_emb[cache.user_rows[cache.user_index]],
+                        net.item_emb[cache.item_rows[cache.item_index]]])
         weights[k] = np.vstack([_row_sum_product(a, dz) for a in inputs])
         biases[k] = dz.sum(axis=0)
         da = dz @ net.weights[k].T
@@ -376,12 +380,8 @@ def backprop(net: Network, cache: ForwardCache, dlogits: np.ndarray,
     item_values = np.zeros((len(cache.item_rows), d), dtype=net.dtype)
     np.add.at(user_values, cache.user_index, da[:, :d])
     np.add.at(item_values, cache.item_index, da[:, d:])
-    grads = Gradient(cfg, cache.user_rows, user_values, cache.item_rows, item_values,
-                     weights, biases, l2_coeff)
-    if grads.l2_coeff != 0.0:
-        for g, w in zip(grads.weights, net.weights):
-            g += 2.0 * grads.l2_coeff * w
-    return grads
+    return Gradient(cfg, cache.user_rows, user_values, cache.item_rows, item_values,
+                    weights, biases, l2_coeff)
 
 
 def _projected(table: np.ndarray, ids: np.ndarray,

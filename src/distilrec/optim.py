@@ -1,20 +1,23 @@
 """First-order optimizers operating in place on a Network.
 
 The gradient, a ``network.Gradient`` from ``losses.loss_and_grads``,
-holds each embedding table's touched rows and L2 coefficient and the dense
-layers' arrays; Adam's two moments, ``OptimizerState.moments`` (None for
-SGD), are each a ``Network``.  All are of the parameters' config, so one
-config comparison checks each.  They are of the parameters' dtype too, as
-is every array an update makes: the learning rate and Adam's constants are
-Python floats, which promote no array.
+holds the data term's gradient (each embedding table's touched rows, the
+dense layers' arrays) and the L2 coefficient λ; Adam's two moments,
+``OptimizerState.moments`` (None for SGD), are each a ``Network``.  All are
+of the parameters' config, so one config comparison checks each.  They are
+of the parameters' dtype too, as is every array an update makes: the
+learning rate and Adam's constants are Python floats, which promote no
+array.
 
-Each embedding table is updated ``ROW_BLOCK`` rows at a time.  The block's
-whole gradient is built in scratch: zeros, the touched rows' values written
-in, then ``2 * l2_coeff * θ`` added, the order in which a whole-table
-gradient sums them.  The block then steps through two more scratch arrays,
-and each dense layer through two of its own shape.  Every step runs in the
-operation order of the out-of-place expressions, so the bits are theirs,
-and no array the size of an embedding table is made.
+``apply_update`` is where the L2 gradient ``2λθ`` enters.  One loop steps
+every parameter array alike, ``ROW_BLOCK`` rows at a time: a table's held
+rows are its touched rows, a dense array's are all its rows.  Each block's
+gradient is built in scratch: zeros, the held rows' values written in,
+then, on the arrays of ``Network.l2_arrays()``, ``2λθ`` added, the order in
+which a whole-array gradient sums them.  The block then steps through two
+more scratch arrays, in the operation order of the out-of-place
+expressions, so the bits are theirs, and no array the size of an
+embedding table is made.
 
 The state is checked once, when made, and frozen; ``apply_update`` alone
 advances its ``step``.  A new learning rate is ``dataclasses.replace(opt,
@@ -63,26 +66,29 @@ def make_optimizer(net: Network, kind: str = "adam", learning_rate: float = 1e-3
     return OptimizerState(learning_rate, moments=moments)
 
 
-def _finite_gradient(net: Network, grads: Gradient) -> bool:
-    """Whether every entry of the whole gradient is finite; no array the size of a table
-    is made.
+def _held(net: Network, grads: Gradient) -> list:
+    """``(θ, rows, values, c)`` for each of ``net.param_arrays()``: the gradient's held rows
+    of θ, ascending (a table's touched rows, a dense array's every row), their data values,
+    and the L2 factor ``c``, ``2 * l2_coeff`` on the arrays of ``net.l2_arrays()``, else 0."""
+    rows = [grads.user_rows, grads.item_rows, *(np.arange(len(g)) for g in grads.arrays()[2:])]
+    c, l2 = 2.0 * grads.l2_coeff, net.l2_arrays()
+    return [(p, r, g, c if any(p is a for a in l2) else 0.0)
+            for p, r, g in zip(net.param_arrays(), rows, grads.arrays())]
 
-    A table's L2 term ``c * θ`` rounds monotonically in θ, so it is finite everywhere
-    exactly when it is finite at θ's extremes, to which a NaN in θ propagates.  The touched
-    rows' sums are formed as the update forms them.
+
+def _finite_gradient(held: list) -> bool:
+    """Whether every entry of the whole gradient, given as ``_held``'s list, is finite; no
+    array the size of a table is made.
+
+    One rule serves every array.  An L2 term ``c * θ`` rounds monotonically in θ, so it is
+    finite everywhere exactly when it is finite at θ's extremes, to which a NaN in θ
+    propagates; the held rows' sums with it are formed as the update forms them.
     """
-    c = 2.0 * grads.l2_coeff
-    tables = ((net.user_emb, grads.user_rows, grads.user_values),
-              (net.item_emb, grads.item_rows, grads.item_values))
     with np.errstate(over="ignore", invalid="ignore"):
-        for table, rows, values in tables:
-            if c != 0.0:
-                if not np.all(np.isfinite(np.multiply(c, [table.min(), table.max()]))):
-                    return False
-                values = values + np.multiply(c, table[rows])
-            if not np.all(np.isfinite(values)):
-                return False
-    return all(np.all(np.isfinite(a)) for a in grads.arrays()[2:])
+        return all(np.all(np.isfinite(values)) if c == 0.0 else
+                   np.isfinite(c * p.min()) and np.isfinite(c * p.max())
+                   and np.all(np.isfinite(values + np.multiply(c, p[rows])))
+                   for p, rows, values, c in held)
 
 
 def _step(opt: OptimizerState, p: np.ndarray, g: np.ndarray, moments: tuple,
@@ -105,7 +111,8 @@ def _step(opt: OptimizerState, p: np.ndarray, g: np.ndarray, moments: tuple,
 
 
 def apply_update(opt: OptimizerState, net: Network, grads: Gradient) -> None:
-    """One in-place parameter update; the state's own fields are not re-checked.
+    """One in-place parameter update, the data gradient plus ``2λθ`` on each array of
+    ``net.l2_arrays()``; the state's own fields are not re-checked.
 
     An argument of the wrong type, a gradient or moment of another config (dropout_rate
     included) or dtype, or a gradient with a non-finite entry, its L2 term included, is
@@ -123,34 +130,25 @@ def apply_update(opt: OptimizerState, net: Network, grads: Gradient) -> None:
     if any(m.config != net.config or m.dtype != net.dtype for m in opt.moments or ()):
         raise ValueError("Adam moments do not match network parameters; "
                          "build the state with make_optimizer")
-    if not _finite_gradient(net, grads):
+    if not _finite_gradient(held := _held(net, grads)):
         raise ValueError("non-finite gradient; network left unchanged")
 
     object.__setattr__(opt, "step", opt.step + 1)
-    params = net.param_arrays()
-    moments = (list(zip(*(m.param_arrays() for m in opt.moments))) if opt.moments is not None
-               else [()] * len(params))
-    finite = True
-    cfg = net.config
-    # Three arrays, not one of three blocks: at Coat shape each stays under glibc's 128 KiB
-    # mmap threshold, where one 230 KiB array left coat-rounds' peak RSS 0.2-0.5 MB higher.
-    scratch = [np.empty((min(ROW_BLOCK, max(cfg.n_users, cfg.n_items)), cfg.embedding_dim),
-                        dtype=net.dtype) for _ in range(3)]
-    tables = ((grads.user_rows, grads.user_values), (grads.item_rows, grads.item_values))
-    for p, mv, (rows, values) in zip(params, moments, tables):
+    # Three flat arrays for the largest block, shared by every parameter array.  At Coat shape
+    # each stays under glibc's 128 KiB mmap threshold; one 230 KiB array of three blocks, or a
+    # set per parameter array, left coat-rounds' peak RSS 0.2-1 MB higher.
+    size = max(min(ROW_BLOCK, len(p)) * p[0].size for p, *_ in held)
+    scratch = [np.empty(size, dtype=net.dtype) for _ in range(3)]
+    for k, (p, rows, values, c) in enumerate(held):
+        mv = [m.param_arrays()[k] for m in opt.moments or ()]
         for start in range(0, len(p), ROW_BLOCK):
             block = slice(start, start + ROW_BLOCK)
-            g, a, b = (x[:len(p[block])] for x in scratch)
+            g, a, b = (x[:p[block].size].reshape(p[block].shape) for x in scratch)
             lo, hi = np.searchsorted(rows, (start, start + ROW_BLOCK))
             g.fill(0.0)
             g[rows[lo:hi] - start] = values[lo:hi]
-            if grads.l2_coeff != 0.0:
-                g += np.multiply(2.0 * grads.l2_coeff, p[block], out=a)
+            if c != 0.0:
+                g += np.multiply(c, p[block], out=a)
             _step(opt, p[block], g, tuple(x[block] for x in mv), a, b)
-            finite = finite and np.all(np.isfinite(p[block]))
-    for p, mv, g in zip(params[2:], moments[2:], grads.arrays()[2:]):
-        _step(opt, p, g, mv, np.empty_like(p), np.empty_like(p))
-        finite = finite and np.all(np.isfinite(p))
-
-    if not finite:
+    if not net.all_finite():
         raise FloatingPointError("parameters became non-finite after update")

@@ -19,8 +19,8 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import data, losses, optim
-from ._rules import _as_pairs, _count, _first, _member
-from .network import ForwardMode
+from ._rules import _as_pairs, _check_on_grid, _check_unit_interval, _count, _first, _member
+from .network import ForwardMode, Network
 
 __all__ = ["fit", "fit_teacher"]
 
@@ -29,16 +29,30 @@ _NO_SPAN = nullcontext()
 
 
 def fit(net, opt, batches, n_steps, rng, pool=None, targets=None, tracer=None):
-    """Trains ``net`` in place for ``n_steps`` steps; returns each step's ``LossBreakdown``."""
+    """Trains ``net`` in place for ``n_steps`` steps; returns each step's ``LossBreakdown``.
+
+    Before the first step, every batch's ids and every pool pair are checked against
+    ``net.config``'s grid and every target against [0, 1], each fault naming the batch and
+    its row or the pool index, so a rejected input leaves ``net`` and ``opt`` unchanged.
+    """
     n_steps, n_batches = _count(n_steps, "n_steps"), _count(len(batches), "number of batches")
     if (pool is None) != (targets is None):
         raise ValueError("pool and targets must be given together")
+    cfg = _member(net, "net", Network).config
+    ids = [(f"batches[{b}] ", *data.pack(batch)[:2]) for b, batch in enumerate(batches)]
     if pool is not None:
         pool, targets = _as_pairs(pool), np.asarray(targets)
         if (per_step := len(pool) // n_steps) == 0:
             raise ValueError(f"pool has {len(pool)} pairs, fewer than n_steps={n_steps}")
         if targets.shape != (len(pool),):
             raise ValueError(f"targets has shape {targets.shape}, not ({len(pool)},) as the pool")
+        _check_unit_interval(targets, "teacher target")
+        ids.append(("pool ", pool[:, 0], pool[:, 1]))
+    for where, users, items in ids:
+        try:
+            _check_on_grid(users, items, cfg.n_users, cfg.n_items)
+        except ValueError as exc:
+            raise ValueError(where + str(exc)) from None
     span = tracer.span if tracer is not None else lambda name: _NO_SPAN
     out = []
     for j in range(n_steps):

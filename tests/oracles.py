@@ -28,18 +28,20 @@ def float64_network(net: Network) -> Network:
 
 def densify(grads: Gradient, net: Network) -> Network:
     """The whole gradient at ``net``'s parameters as a Network, laid out as it was made
-    whole: each table's touched rows written into zeros, then ``2 * l2_coeff * table``
-    added; the dense layers' arrays copied."""
+    whole: each table's touched rows written into zeros and the dense layers' arrays
+    copied, then ``2 * l2_coeff * θ`` added to each array of ``l2_arrays()``."""
     tables = []
     for table, rows, values in ((net.user_emb, grads.user_rows, grads.user_values),
                                 (net.item_emb, grads.item_rows, grads.item_values)):
         g = np.zeros_like(table)
         g[rows] = values
-        if grads.l2_coeff != 0.0:
-            g += 2.0 * grads.l2_coeff * table
         tables.append(g)
-    return Network(grads.config, *tables, [w.copy() for w in grads.weights],
-                   [b.copy() for b in grads.biases])
+    dense = Network(grads.config, *tables, [w.copy() for w in grads.weights],
+                    [b.copy() for b in grads.biases])
+    if grads.l2_coeff != 0.0:
+        for g, theta in zip(dense.l2_arrays(), net.l2_arrays()):
+            g += 2.0 * grads.l2_coeff * theta
+    return dense
 
 
 def sparse_gradient(dense: Network, l2_coeff: float = 0.0) -> Gradient:

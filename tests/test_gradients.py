@@ -87,6 +87,19 @@ class TestHandDerivedCases:
         for gb, gb0 in zip(with_l2.biases, without.biases):
             np.testing.assert_array_equal(gb, gb0)
 
+    def test_backprop_returns_the_data_gradient_alone(self):
+        # The L2 term enters at the update, so lambda changes only the coefficient carried.
+        net = init_network(NetworkConfig(5, 4, 3, (4, 2)), RngStream(3))
+        cache = forward_cached(net, [0, 4, 2, 0], [3, 1, 1, 0], ForwardMode.DETERMINISTIC)
+        dlogits = np.array([0.25, -0.5, 0.125, 1.0])
+        without, with_l2 = (backprop(net, cache, dlogits, lam) for lam in (0.0, 0.3))
+        assert (without.l2_coeff, with_l2.l2_coeff) == (0.0, 0.3)
+
+        def held_bytes(g):
+            return [a.tobytes() for a in (g.user_rows, g.item_rows, *g.arrays())]
+
+        assert held_bytes(with_l2) == held_bytes(without)
+
 
 class TestFiniteDifferenceOracle:
     def test_teacher_objective_ten_random_nets(self):
@@ -574,7 +587,8 @@ class TestRowSparseStepIsTheDenseOne:
 
 
 class TestFoldedL2Faults:
-    """The L2 term the update adds to every table row is checked with the gradient."""
+    """The L2 term the update adds to every array of ``l2_arrays()`` is checked with the
+    gradient."""
 
     @staticmethod
     def stepped():
@@ -600,6 +614,18 @@ class TestFoldedL2Faults:
         assert grads.user_rows.size == 0
         with np.errstate(over="ignore"):
             assert not np.isfinite(2.0 * 1e36 * net.user_emb[-1, 0])
+        self.assert_rejected_unchanged(net, opt, grads)
+
+    def test_overflowing_l2_term_of_a_weight(self):
+        # The dense values are zero; 2 * 1e36 * 1e3 at one weight is the only entry of the
+        # whole gradient past float32's range.
+        net, opt = self.stepped()
+        net.weights[1][0, 0] = 1e3
+        grads = sparse_gradient(net.zeros_like(), l2_coeff=1e36)
+        with np.errstate(over="ignore"):
+            whole = densify(grads, net)
+        assert sum(int(np.sum(~np.isfinite(g))) for g in whole.param_arrays()) == 1
+        assert not np.isfinite(whole.weights[1][0, 0])
         self.assert_rejected_unchanged(net, opt, grads)
 
     def test_nan_in_a_touched_row(self):

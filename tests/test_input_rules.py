@@ -364,8 +364,8 @@ COLUMN_ENTRIES = {
                        ("users", "items")),
     "auc": (auc, ("scores", "labels")),
     "bce_eval": (bce_eval, ("scores", "labels")),
-    "backprop": (lambda users, dlogits: backprop(NET, dataclasses.replace(CACHE, users=users),
-                                                 dlogits),
+    "backprop": (lambda users, dlogits: backprop(
+                     NET, dataclasses.replace(CACHE, user_index=users), dlogits),
                  ("users", "dlogits")),
 }
 

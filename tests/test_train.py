@@ -15,6 +15,7 @@ import pytest
 
 from distilrec import losses, train
 from distilrec.data import (
+    Rows,
     Source,
     TruthMatrix,
     UnobservedSampler,
@@ -189,8 +190,30 @@ def test_tracer_sees_each_step_in_the_pipeline_span_names():
                             "optim.apply_update"] * 2
 
 
-# (fit's arguments over the tiny world's, the error it raises)
+def late(array, value):
+    """A copy of ``array`` whose last entry is ``value``."""
+    array = array.copy()
+    array[-1] = value
+    return array
+
+
+def off_grid_last_row(rows):
+    """``rows`` with its last user moved off the tiny world's 12-user grid."""
+    return Rows(late(rows.users, 12), rows.items, rows.ratings, rows.is_uniform)
+
+
+# (fit's arguments over the tiny world's, the error it raises).  The late faults are met by
+# the third and last step, so a fit that checked them there had already applied 2 updates.
 BAD_INPUTS = {
+    "a late target that is NaN": (
+        lambda w: dict(pool=w["pool"], targets=late(w["targets"], np.nan)),
+        r"^teacher target at index 23 is nan, outside \[0, 1\]$"),
+    "a late pool pair off the grid": (
+        lambda w: dict(pool=late(w["pool"], (12, 0)), targets=w["targets"]),
+        r"^pool row 23: id out of range: user=12, item=0 in a 12 x 10 grid$"),
+    "a late batch row off the grid": (
+        lambda w: dict(batches=[*w["batches"][:2], off_grid_last_row(w["batches"][2])]),
+        r"^batches\[2\] row 24: id out of range: user=12, item=\d+ in a 12 x 10 grid$"),
     "pool shorter than n_steps": (lambda w: dict(pool=w["pool"][:2], targets=w["targets"][:2]),
                                   "pool has 2 pairs, fewer than n_steps=3"),
     "targets without a pool": (lambda w: dict(targets=w["targets"]),
@@ -208,7 +231,7 @@ def test_bad_input_rejected_naming_it(case):
     net, opt, _, student, pool, targets = tiny()
     make, message = BAD_INPUTS[case]
     args = {"batches": student, "n_steps": 3, "rng": RngStream(4),
-            **make(dict(pool=pool, targets=targets))}
+            **make(dict(pool=pool, targets=targets, batches=student))}
     before = param_bytes(net)
     with pytest.raises(ValueError, match=message):
         train.fit(net, opt, **args)
